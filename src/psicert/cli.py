@@ -94,11 +94,36 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
+# str() refuses ints past sys.get_int_max_str_digits() digits (4300 by
+# default, never below 640); 1600 bits is at most 482 digits.
+_STR_PIECE_BITS = 1600
+
+
+def _int_text(n: int) -> str:
+    """``str(n)`` for ints of any size, converted in pieces under the limit."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= _STR_PIECE_BITS:
+        return str(n)
+    # About half the decimal digits: bit_length * log10(2) / 2.
+    places = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**places)
+    return _int_text(high) + _int_text(low).rjust(places, "0")
+
+
+def _rational_text(value: Fraction) -> str:
+    """``str(value)`` for rationals of any size."""
+    numerator = _int_text(value.numerator)
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{_int_text(value.denominator)}"
+
+
 def _decimal(value: Fraction, places: int = 20) -> str:
     """Fixed-point decimal rendering of an exact rational."""
     sign = "-" if value < 0 else ""
     scaled = round(abs(Fraction(value)) * 10**places)
-    digits = str(scaled).rjust(places + 1, "0")
+    digits = _int_text(scaled).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
@@ -108,10 +133,12 @@ def _scientific(value: Fraction, digits: int = 3) -> str:
         return "0"
     sign = "-" if value < 0 else ""
     magnitude = abs(Fraction(value))
-    exponent = len(str(magnitude.numerator)) - len(str(magnitude.denominator))
-    while magnitude >= 10**(exponent + 1):
+    # bits * log10(2) is within one of the exponent; the loops settle it.
+    bits = magnitude.numerator.bit_length() - magnitude.denominator.bit_length()
+    exponent = bits * 30103 // 100000
+    while magnitude >= Fraction(10) ** (exponent + 1):
         exponent += 1
-    while magnitude < 10**exponent:
+    while magnitude < Fraction(10) ** exponent:
         exponent -= 1
     mantissa = round(magnitude * Fraction(10) ** (digits - exponent))
     if mantissa >= 10 ** (digits + 1):
@@ -127,8 +154,8 @@ def _iv_text(iv: Interval, places: int = 20) -> str:
 
 def _iv_json(iv: Interval) -> dict[str, str]:
     return {
-        "lo": str(iv.lo),
-        "hi": str(iv.hi),
+        "lo": _rational_text(iv.lo),
+        "hi": _rational_text(iv.hi),
         "lo_decimal": _decimal(iv.lo, 30),
         "hi_decimal": _decimal(iv.hi, 30),
     }
@@ -138,7 +165,7 @@ def _json_value(value: object) -> object:
     if isinstance(value, Interval):
         return _iv_json(value)
     if isinstance(value, Fraction):
-        return str(value)
+        return _rational_text(value)
     return value
 
 
@@ -161,10 +188,10 @@ def _flatten_for_csv(row: dict[str, object]) -> dict[str, object]:
     flat: dict[str, object] = {}
     for key, value in row.items():
         if isinstance(value, Interval):
-            flat[f"{key}_lo"] = str(value.lo)
-            flat[f"{key}_hi"] = str(value.hi)
+            flat[f"{key}_lo"] = _rational_text(value.lo)
+            flat[f"{key}_hi"] = _rational_text(value.hi)
         elif isinstance(value, Fraction):
-            flat[key] = str(value)
+            flat[key] = _rational_text(value)
         else:
             flat[key] = value
     return flat
@@ -210,14 +237,14 @@ def _cmd_bern(args: argparse.Namespace) -> int:
             {
                 "command": "bern",
                 "max_index": args.n,
-                "values": {str(n): str(v) for n, v in values},
+                "values": {str(n): _rational_text(v) for n, v in values},
             }
         )
     elif args.format == "csv":
-        _print_csv([{"n": n, "value": str(v)} for n, v in values])
+        _print_csv([{"n": n, "value": _rational_text(v)} for n, v in values])
     else:
         for n, v in values:
-            print(f"B_{n} = {v}")
+            print(f"B_{n} = {_rational_text(v)}")
     return EXIT_OK
 
 
@@ -239,7 +266,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     terms = [
-        {"power": -k, "coefficient": str(series.coeff(k))}
+        {"power": -k, "coefficient": _rational_text(series.coeff(k))}
         for k in range(-series.low_degree, series.order + 1)
     ]
     if args.format == "json":
@@ -248,7 +275,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
                 "command": "series",
                 "kind": args.kind,
                 "order": series.order,
-                "log_coeff": str(series.log_coeff),
+                "log_coeff": _rational_text(series.log_coeff),
                 "terms": terms,
             }
         )
@@ -274,10 +301,10 @@ def _cmd_enclose(args: argparse.Namespace) -> int:
             {
                 "command": "enclose",
                 "function": args.function,
-                "x": str(x),
-                "shift_target": str(shift),
+                "x": _rational_text(x),
+                "shift_target": _rational_text(shift),
                 "enclosure": _iv_json(enclosure),
-                "width": str(width),
+                "width": _rational_text(width),
             }
         )
     elif args.format == "csv":
@@ -285,16 +312,16 @@ def _cmd_enclose(args: argparse.Namespace) -> int:
             [
                 {
                     "function": args.function,
-                    "x": str(x),
-                    "lo": str(enclosure.lo),
-                    "hi": str(enclosure.hi),
+                    "x": _rational_text(x),
+                    "lo": _rational_text(enclosure.lo),
+                    "hi": _rational_text(enclosure.hi),
                 }
             ]
         )
     else:
         name = "psi" if args.function == "digamma" else "psi'"
         print(
-            f"{name}({x}) in {_iv_text(enclosure)}  (width ~ {_scientific(width)})"
+            f"{name}({_rational_text(x)}) in {_iv_text(enclosure)}  (width ~ {_scientific(width)})"
         )
     return EXIT_OK
 
@@ -341,12 +368,18 @@ def _cmd_const(args: argparse.Namespace) -> int:
                 "name": name,
                 "description": _CONSTANT_LABELS[name],
                 "enclosure": _iv_json(enclosure),
-                "width": str(width),
+                "width": _rational_text(width),
             }
         )
     elif args.format == "csv":
         _print_csv(
-            [{"name": name, "lo": str(enclosure.lo), "hi": str(enclosure.hi)}]
+            [
+                {
+                    "name": name,
+                    "lo": _rational_text(enclosure.lo),
+                    "hi": _rational_text(enclosure.hi),
+                }
+            ]
         )
     else:
         print(
@@ -479,7 +512,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         else:
             for row in rows:
                 print(
-                    f"x={row['x']}: x^5*d1 ~ {_iv_text(row['x5_d1'], 12)}"
+                    f"x={_rational_text(row['x'])}: x^5*d1 ~ {_iv_text(row['x5_d1'], 12)}"
                     f" ({row['x5_verdict']}),"
                     f" x^7*d2 ~ {_iv_text(row['x7_d2'], 12)}"
                     f" ({row['x7_verdict']})"
@@ -487,8 +520,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 print(
                     f"    gaps: thm1 ~ {_scientific(row['thm1_gap'].hi)},"
                     f" thm2 ~ {_scientific(row['thm2_gap'].hi)},"
-                    f" thm3a = {row['thm3a_gap']},"
-                    f" thm3b = {row['thm3b_gap']}"
+                    f" thm3a = {_rational_text(row['thm3a_gap'])},"
+                    f" thm3b = {_rational_text(row['thm3b_gap'])}"
                 )
             print(f"total: {outcome}")
         return EXIT_OK if outcome == "holds" else EXIT_UNDECIDED
@@ -506,7 +539,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 "total": total,
                 "points": [
                     {
-                        "x": str(c.x),
+                        "x": _rational_text(c.x),
                         "targets": {
                             label: _iv_json(iv) for label, iv in c.targets.items()
                         },
@@ -532,12 +565,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 rows.append(
                     {
                         "record": "bound",
-                        "x": str(c.x),
+                        "x": _rational_text(c.x),
                         "id": row.entry_id,
                         "side": row.side,
                         "target": row.target,
-                        "lo": str(row.enclosure.lo),
-                        "hi": str(row.enclosure.hi),
+                        "lo": _rational_text(row.enclosure.lo),
+                        "hi": _rational_text(row.enclosure.hi),
                         "verdict": "",
                     }
                 )
@@ -545,7 +578,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 rows.append(
                     {
                         "record": "relation",
-                        "x": str(c.x),
+                        "x": _rational_text(c.x),
                         "id": relation.label,
                         "side": "",
                         "target": "",
@@ -557,7 +590,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         _print_csv(rows)
     else:
         for c in comparisons:
-            print(f"x = {c.x}")
+            print(f"x = {_rational_text(c.x)}")
             for label, iv in sorted(c.targets.items()):
                 print(f"  {label:11s} = {_iv_text(iv)}")
             for row in c.rows:

@@ -204,27 +204,31 @@ def iv_sinh(a: Interval | Fraction | int, work_precision: int) -> Interval:
 
 
 def _arctan_inverse(q: int, work: int) -> Interval:
-    """Enclosure of arctan(1/q) for an integer q >= 2.
+    """Enclosure of arctan(1/q) for an integer q >= 2, of width at most 2**-work.
 
-    The series alternates with strictly decreasing terms, so the partial
-    sum and its successor bracket the limit.
+    Fixed point at scale ``2**-w``: ``P_k = floor(2**w / q**(2k+1))`` comes
+    from ``P_{k-1}`` by exact floor division by ``q**2``, so term ``k`` of
+    the series, ``2**w / ((2k+1) q**(2k+1))`` in ulps, lies in
+    ``[t_k, t_k + 1)`` with ``t_k = P_k // (2k+1)``.  Summation stops at the
+    first ``n`` with ``P_n = 0``: term ``n`` is below one ulp, and the
+    alternating tail from it has the sign ``(-1)**n`` and magnitude at most
+    that term.  So the limit exceeds ``T = sum_{k<n} (-1)**k t_k`` by less
+    than one ulp per even index in ``0..n`` and falls short of it by less
+    than one ulp per odd index: ``n + 1`` ulps of width.  ``P_k > 0`` needs
+    ``2k+1 <= w``, so ``n <= w/2 + 1`` and ``w = work + work.bit_length() + 3``
+    keeps the width under ``2**-work``.
     """
-    target = _pow2(work)
-    u = Fraction(1, q)
-    u2 = u * u
-    total = Fraction(0)
-    power = u
+    w = work + work.bit_length() + 3
+    q2 = q * q
+    power = (1 << w) // q  # P_k
+    total = 0
     n = 0
-    while True:
-        term = power / (2 * n + 1)
-        if term <= target:
-            # Next term has sign (-1)^n: bracket accordingly.
-            if n % 2 == 0:
-                return Interval(total, total + term)
-            return Interval(total - term, total)
-        total += term if n % 2 == 0 else -term
+    while power:
+        term = power // (2 * n + 1)
+        total += -term if n % 2 else term
         n += 1
-        power *= u2
+        power //= q2
+    return Interval(Fraction(total - (n + 1) // 2, 1 << w), Fraction(total + n // 2 + 1, 1 << w))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,11 @@ asymptotic expansions at a shifted argument ``y >= shift_target``:
 
 Both windows follow from the enveloping property of the expansions, whose
 error has the sign and magnitude of the first omitted term.  Larger
-``shift_target`` narrows the windows; the recurrence steps are exact.
+``shift_target`` narrows the windows.  The recurrence corrections
+``sum 1/(x+k)**p`` are summed in fixed point at scale ``2**-w`` with
+directed rounding, so ``n`` shift steps add at most ``n`` ulps of width;
+``w`` carries ``n.bit_length()`` guard bits beyond the window's precision,
+so the rounding stays far below the window.
 """
 
 from __future__ import annotations
@@ -49,10 +53,30 @@ def _shift_count(x: Fraction, shift_target: Fraction) -> int:
     return max(0, math.ceil(shift_target + 1 - x))
 
 
-def _ln_precision(shift_target: Fraction) -> int:
-    # The logarithm must be evaluated well below the asymptotic window
-    # width ~ shift_target**-6 so it never dominates the enclosure.
-    return 6 * max(4, math.ceil(shift_target).bit_length()) + 48
+def _window_precision(shift_target: Fraction, power: int = 6) -> int:
+    # Bits well below the asymptotic window width ~ shift_target**-power,
+    # so the logarithm and the recurrence sum never dominate the enclosure.
+    return power * max(4, math.ceil(shift_target).bit_length()) + 48
+
+
+_SUM_GUARD_BITS = 4
+
+
+def _reciprocal_sum(x: Fraction, n: int, power: int, bits: int) -> Interval:
+    """Enclosure of ``sum_{k=0}^{n-1} (x + k)**-power`` of width below ``2**-bits``.
+
+    With ``x = a/b`` term ``k`` is ``b**power / (a + k*b)**power``.  In ulps
+    of ``2**-w`` it lies in ``[t_k, t_k + 1)``, where ``t_k`` is the floor
+    quotient ``(b**power << w) // (a + k*b)**power``, so the sum lies in
+    ``[T, T + n)`` with ``T = sum t_k``: directed rounding that costs at
+    most ``n`` ulps.  ``w = bits + n.bit_length() + guard`` makes
+    ``n * 2**-w < 2**-bits``.
+    """
+    a, b = x.numerator, x.denominator
+    w = bits + n.bit_length() + _SUM_GUARD_BITS
+    scaled = b**power << w
+    total = sum(scaled // d**power for d in range(a, a + n * b, b))
+    return Interval(Fraction(total, 1 << w), Fraction(total + n, 1 << w))
 
 
 def digamma_enclosure(
@@ -61,32 +85,36 @@ def digamma_enclosure(
 ) -> Interval:
     """Enclosure of ``psi(x)`` for rational ``x > 0``.
 
-    Width decreases like ``shift_target**-6`` plus the logarithm's rounding,
-    and is weakly decreasing as ``shift_target`` grows.
+    Width decreases like ``shift_target**-6`` plus the rounding of the
+    logarithm and of the recurrence sum (see :func:`_reciprocal_sum`), and is
+    weakly decreasing as ``shift_target`` grows.
     """
     x, shift_target = _validate(Fraction(x), Fraction(shift_target))
     n = _shift_count(x, shift_target)
     y = x + n - 1  # psi(x) = psi(y + 1) - sum_{k=0}^{n-1} 1/(x + k)
     upper_tail = 1 / (2 * y) - 1 / (12 * y**2) + 1 / (120 * y**4)
     window = Fraction(1, 252) / y**6
-    enclosure = iv_ln(y, _ln_precision(shift_target)) + Interval(
-        upper_tail - window, upper_tail
-    )
-    correction = sum((Fraction(1) / (x + k) for k in range(n)), start=Fraction(0))
-    return enclosure - correction
+    bits = _window_precision(shift_target)
+    enclosure = iv_ln(y, bits) + Interval(upper_tail - window, upper_tail)
+    return enclosure - _reciprocal_sum(x, n, 1, bits)
 
 
 def trigamma_enclosure(
     x: Fraction | int,
     shift_target: Fraction | int = DEFAULT_SHIFT_TARGET,
 ) -> Interval:
-    """Enclosure of ``psi'(x)`` for rational ``x > 0``; fully rational arithmetic."""
+    """Enclosure of ``psi'(x)`` for rational ``x > 0``.
+
+    The asymptotic part is exact rational arithmetic; the recurrence sum
+    adds at most ``n`` ulps at ``2**-w``, far below the ``1/(30 y**9)``
+    window (see :func:`_reciprocal_sum`).
+    """
     x, shift_target = _validate(Fraction(x), Fraction(shift_target))
     n = _shift_count(x, shift_target)
     y = x + n - 1  # psi'(x) = psi'(y + 1) + sum_{k=0}^{n-1} 1/(x + k)^2
     upper = 1 / y - 1 / (2 * y**2) + 1 / (6 * y**3) - 1 / (30 * y**5) + 1 / (42 * y**7)
     window = Fraction(1, 30) / y**9
-    correction = sum((Fraction(1) / (x + k) ** 2 for k in range(n)), start=Fraction(0))
+    correction = _reciprocal_sum(x, n, 2, _window_precision(shift_target, 9))
     return Interval(upper - window, upper) + correction
 
 
@@ -105,42 +133,51 @@ def _bstar_cached(shift_target: Fraction, work_precision: int) -> Interval:
 
 def batir_bstar_enclosure(
     shift_target: Fraction | int = DEFAULT_SHIFT_TARGET,
-    work_precision: int = 64,
+    work_precision: int | None = None,
 ) -> Interval:
-    """Enclosure of ``pi**2 / (6 e**(2 gamma))``, about 0.5181."""
+    """Enclosure of ``pi**2 / (6 e**(2 gamma))``, about 0.5181.
+
+    Without ``work_precision``, pi and exp are evaluated at the precision
+    of the gamma enclosure's window, so raising ``shift_target`` alone
+    narrows the result.
+    """
+    shift_target = Fraction(shift_target)
+    if work_precision is None:
+        work_precision = _window_precision(shift_target)
     if work_precision < 8:
         raise ValueError("work precision must be at least 8")
-    return _bstar_cached(Fraction(shift_target), work_precision)
+    return _bstar_cached(shift_target, work_precision)
 
 
 def digamma_zero(tolerance: Fraction | int = Fraction(1, 10**6)) -> Interval:
     """Enclosure of the positive root of psi, about 1.4616, width <= tolerance.
 
     Bisection on [1, 2] (psi(1) = -gamma < 0 < 1 - gamma = psi(2)) with
-    certified sign tests.  The shift target starts high enough that the
-    enclosure width is far below the requested tolerance, and escalates
-    when a probe's enclosure straddles zero; if escalation stalls, the
-    probe moves to a quarter point of the bracket instead.
+    certified sign tests.  The shift target starts at 10 and doubles only
+    while a probe's enclosure straddles zero, up to a ceiling at which the
+    enclosure width is far below the tolerance; if a probe still straddles
+    zero there, the probe moves to a quarter point of the bracket instead.
     """
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    # 1/(252 st^6) <= tolerance/64  =>  st >= (64 / (252 tol))^(1/6)
-    shift_target = Fraction(10)
-    while 64 * Fraction(1, 252) / shift_target**6 > tolerance:
-        shift_target *= 2
+    # 1/(252 st^6) <= tolerance/64  =>  st >= (64 / (252 tol))^(1/6);
+    # the ceiling is four times the first doubling of 10 that meets it.
+    ceiling = Fraction(10)
+    while 64 * Fraction(1, 252) / ceiling**6 > tolerance:
+        ceiling *= 2
+    ceiling *= 4
 
+    shift_target = DEFAULT_SHIFT_TARGET
     lo, hi = Fraction(1), Fraction(2)
     while hi - lo > tolerance:
         probes = [(lo + hi) / 2, (3 * lo + hi) / 4, (lo + 3 * hi) / 4]
         advanced = False
         for probe in probes:
             value = digamma_enclosure(probe, shift_target)
-            attempts = 0
-            while value.lo <= 0 <= value.hi and attempts < 2:
+            while value.lo <= 0 <= value.hi and shift_target < ceiling:
                 shift_target *= 2
                 value = digamma_enclosure(probe, shift_target)
-                attempts += 1
             if value.hi < 0:
                 lo, advanced = probe, True
                 break

@@ -38,6 +38,19 @@ def mp_bracket(value: mpmath.mpf) -> Bracket:
     return (approx - _SLACK, approx + 2 * _SLACK)
 
 
+def scaled_bracket(compute, width: Fraction) -> Bracket:
+    """Exact bracket from ``compute()`` run 64 bits finer than ``width``.
+
+    The fixed 150-bit brackets above cannot judge enclosures narrower than
+    about 1e-45; this one scales mpmath's precision to the enclosure being
+    checked, so ``encloses_truth`` stays meaningful at any width.
+    """
+    bits = width.denominator.bit_length() - width.numerator.bit_length() + 64
+    with mpmath.workprec(bits + 32):
+        scaled = int(mpmath.floor(compute() * mpmath.mpf(2) ** bits))
+    return (Fraction(scaled - 1, 2**bits), Fraction(scaled + 2, 2**bits))
+
+
 def _to_mpf(x: Fraction) -> mpmath.mpf:
     return mpmath.mpf(x.numerator) / x.denominator
 

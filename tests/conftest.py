@@ -2,8 +2,19 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
+
+# The CLI tests run ``python -m psicert`` in subprocesses; they must import
+# the same sources as this process, which pytest's ``pythonpath`` setting
+# only puts on this process's ``sys.path``.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH")))
+)
 
 settings.register_profile(
     "default",

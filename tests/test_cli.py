@@ -5,13 +5,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from psicert import digamma_enclosure, parse_rational, trigamma_enclosure
+from psicert import Interval, digamma_enclosure, parse_rational, trigamma_enclosure
+from psicert.cli import _int_text, _rational_text, _scientific
+
+from _oracles import encloses_truth, scaled_bracket
 
 F = Fraction
 
@@ -28,6 +33,24 @@ def run_cli(*args: str) -> subprocess.CompletedProcess[str]:
 def run_json(*args: str) -> tuple[dict, int]:
     proc = run_cli("--format", "json", *args)
     return json.loads(proc.stdout), proc.returncode
+
+
+@pytest.fixture
+def unlimited_int_str():
+    """Lift the int/str digit limit in this test process only.
+
+    The CLI runs in a subprocess with the default limit, so what it prints
+    is still produced under that limit; only the checks here parse it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 class TestSeriesCommand:
@@ -125,6 +148,35 @@ class TestConstCommand:
         data, code = run_json("const", "bstar")
         assert code == 0
         assert parse_rational(data["enclosure"]["lo"]) > F(1, 2)
+
+    @pytest.mark.parametrize(
+        "args, tolerance, truth",
+        [
+            (("const", "gamma", "--tol", "1e-25"), F(1, 10**25), lambda: +mpmath.euler),
+            (
+                ("const", "bstar", "--tol", "1e-30"),
+                F(1, 10**30),
+                lambda: mpmath.pi**2 / (6 * mpmath.exp(2 * mpmath.euler)),
+            ),
+            (
+                ("const", "digamma-zero", "--tol", "1e-30"),
+                F(1, 10**30),
+                lambda: mpmath.findroot(mpmath.digamma, mpmath.mpf("1.4616")),
+            ),
+            (("--precision", "16384", "const", "pi"), F(1, 2**16384), lambda: +mpmath.pi),
+        ],
+        ids=["gamma-1e-25", "bstar-1e-30", "digamma-zero-1e-30", "pi-16384"],
+    )
+    def test_high_precision_constants(self, args, tolerance, truth, unlimited_int_str):
+        data, code = run_json(*args)
+        assert code == 0
+        enclosure = Interval(
+            parse_rational(data["enclosure"]["lo"]), parse_rational(data["enclosure"]["hi"])
+        )
+        width = parse_rational(data["width"])
+        assert width == enclosure.width
+        assert width <= tolerance
+        assert encloses_truth(enclosure, scaled_bracket(truth, width))
 
     def test_pi_uses_precision_flag(self):
         data, code = run_json("--precision", "80", "const", "pi")
@@ -226,3 +278,20 @@ class TestGlobalFlags:
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         # the constant term is reported even when zero
         assert [r["coefficient"] for r in rows] == ["0", "1", "-1/2", "1/6"]
+
+
+class TestExactPrinting:
+    def test_int_text_matches_str(self, unlimited_int_str):
+        rng = random.Random(20150311)
+        for bits in (10, 64, 1599, 1600, 1601, 4000, 14_300, 50_000, 100_000):
+            n = rng.getrandbits(bits) | (1 << (bits - 1))
+            assert _int_text(n) == str(n)
+            assert _int_text(-n) == str(-n)
+            # powers of ten around a split point exercise the zero padding
+            assert _int_text(10**bits) == str(10**bits)
+        q = F(rng.getrandbits(20_000), rng.getrandbits(30_000) | 1)
+        assert _rational_text(q) == str(q)
+
+    def test_scientific_beyond_str_limit(self):
+        assert _scientific(F(1, 7**6000)) == "2.581e-5071"
+        assert _scientific(F(-(10**5000) * 123456, 100)) == "-1.235e+5003"

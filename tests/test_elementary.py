@@ -9,17 +9,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from psicert import DomainError, Interval, iv_exp, iv_ln, iv_pi, iv_sinh, ln2_enclosure
+from psicert.elementary import _arctan_inverse
 
 from _oracles import (
     consistent,
     e_bracket,
+    encloses_truth,
     exp_bracket,
     ln_bracket,
     pi_bracket,
+    scaled_bracket,
     sinh_bracket,
 )
 
@@ -141,3 +145,18 @@ class TestPi:
 
     def test_high_precision_consistent(self):
         assert consistent(iv_pi(400), pi_bracket())
+
+    def test_arctan_inverse_contains_truth(self):
+        """At small ``work`` a single miscounted ulp moves an endpoint past the truth."""
+        cases = [(q, work) for q in range(2, 40) for work in range(64)]
+        for q, work in cases + [(5, 500), (239, 500)]:
+            enclosure = _arctan_inverse(q, work)
+            assert enclosure.width <= F(1, 2**work)
+            truth = scaled_bracket(lambda: mpmath.atan(mpmath.mpf(1) / q), enclosure.width)
+            assert encloses_truth(enclosure, truth), (q, work)
+
+    @pytest.mark.parametrize("precision", [1024, 3000, 8192, 16384])
+    def test_high_precision_contains_pi(self, precision):
+        enclosure = iv_pi(precision)
+        assert enclosure.width <= F(1, 2**precision)
+        assert encloses_truth(enclosure, scaled_bracket(lambda: +mpmath.pi, enclosure.width))

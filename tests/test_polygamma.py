@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,15 +17,19 @@ from psicert import (
     euler_gamma_enclosure,
     trigamma_enclosure,
 )
+from psicert.polygamma import _reciprocal_sum
 
 from _oracles import (
     bstar_bracket,
     consistent,
     digamma_bracket,
     digamma_zero_bracket,
+    encloses_truth,
     euler_gamma_bracket,
+    scaled_bracket,
     trigamma_bracket,
     zeta2_bracket,
+    _to_mpf,
 )
 
 F = Fraction
@@ -94,6 +100,50 @@ class TestTrigamma:
         a, b = trigamma_enclosure(F(3)), trigamma_enclosure(F(4))
         assert a.strictly_positive()
         assert b.strictly_less(a)
+
+
+def _shifted(x: Fraction, shift_target: int) -> Fraction:
+    """The argument y at which the asymptotic window is taken."""
+    return x + max(0, math.ceil(shift_target + 1 - x)) - 1
+
+
+LARGE_SHIFTS = [(F(1), 10**4), (F(29, 7), 10**4), (F(3, 2), 40_000), (F(1, 3), 10**5)]
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("x", [F(1), F(29, 7), F(1, 3), F(1000, 999)], ids=str)
+def test_reciprocal_sum_encloses_exact_sum(x, power):
+    """The fixed-point recurrence sum against the exact rational sum."""
+    n = 300
+    exact = sum((1 / (x + k) ** power for k in range(n)), start=F(0))
+    enclosure = _reciprocal_sum(x, n, power, 64)
+    assert exact in enclosure
+    assert enclosure.width < F(1, 2**64)
+
+
+class TestLargeShift:
+    """Fixed-point recurrence sums over 10^4..10^5 steps against mpmath.
+
+    With exactly summed corrections the width would be the asymptotic
+    window (plus, for psi, the logarithm's rounding far below it); the
+    counted ulps of the fixed-point sum must not double it.
+    """
+
+    @pytest.mark.parametrize("x, shift_target", LARGE_SHIFTS, ids=str)
+    def test_digamma(self, x, shift_target):
+        enclosure = digamma_enclosure(x, shift_target)
+        window = F(1, 252) / _shifted(x, shift_target) ** 6
+        assert enclosure.width <= 2 * window
+        bracket = scaled_bracket(lambda: mpmath.digamma(_to_mpf(x)), enclosure.width)
+        assert encloses_truth(enclosure, bracket)
+
+    @pytest.mark.parametrize("x, shift_target", LARGE_SHIFTS, ids=str)
+    def test_trigamma(self, x, shift_target):
+        enclosure = trigamma_enclosure(x, shift_target)
+        window = F(1, 30) / _shifted(x, shift_target) ** 9
+        assert enclosure.width <= 2 * window
+        bracket = scaled_bracket(lambda: mpmath.psi(1, _to_mpf(x)), enclosure.width)
+        assert encloses_truth(enclosure, bracket)
 
 
 class TestConstants:
