@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from .elementary import iv_pi
@@ -119,11 +121,17 @@ def _rational_text(value: Fraction) -> str:
     return f"{numerator}/{_int_text(value.denominator)}"
 
 
-def _decimal(value: Fraction, places: int = 20) -> str:
-    """Fixed-point decimal rendering of an exact rational."""
-    sign = "-" if value < 0 else ""
-    scaled = round(abs(Fraction(value)) * 10**places)
-    digits = _int_text(scaled).rjust(places + 1, "0")
+def _decimal(value: Fraction, places: int, direction: Callable[[Fraction], int]) -> str:
+    """Fixed-point decimal rendering of an exact rational.
+
+    ``direction`` is ``math.floor`` or ``math.ceil``: a lower endpoint rounds
+    toward -inf and an upper one toward +inf, so the printed interval still
+    encloses the exact one.  The sign is that of the rounded value, so a
+    value that rounds to zero never prints as ``-0.000...``.
+    """
+    scaled = direction(Fraction(value) * 10**places)
+    sign = "-" if scaled < 0 else ""
+    digits = _int_text(abs(scaled)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
@@ -149,15 +157,15 @@ def _scientific(value: Fraction, digits: int = 3) -> str:
 
 
 def _iv_text(iv: Interval, places: int = 20) -> str:
-    return f"[{_decimal(iv.lo, places)}, {_decimal(iv.hi, places)}]"
+    return f"[{_decimal(iv.lo, places, math.floor)}, {_decimal(iv.hi, places, math.ceil)}]"
 
 
 def _iv_json(iv: Interval) -> dict[str, str]:
     return {
         "lo": _rational_text(iv.lo),
         "hi": _rational_text(iv.hi),
-        "lo_decimal": _decimal(iv.lo, 30),
-        "hi_decimal": _decimal(iv.hi, 30),
+        "lo_decimal": _decimal(iv.lo, 30, math.floor),
+        "hi_decimal": _decimal(iv.hi, 30, math.ceil),
     }
 
 

@@ -8,6 +8,12 @@ Internal working precision is quantized to multiples of 64 bits.  Together
 with the nested rounding grids of :func:`~psicert.interval.round_outward`,
 this makes enclosure width weakly decreasing in the requested precision,
 which downstream refinement loops rely on.
+
+:func:`iv_exp` and :func:`iv_ln` are memoised per argument and per working
+precision in a bounded LRU cache of :data:`ENCLOSURE_CACHE_SIZE` entries.
+They are pure functions of immutable arguments and return frozen
+intervals, so a hit is the value a recomputation would give; a new
+precision is a new key and gets its own enclosure.
 """
 
 from __future__ import annotations
@@ -27,6 +33,12 @@ __all__ = [
 ]
 
 _QUANTUM = 64
+
+#: Entries kept by each memoised enclosure kernel (here and in
+#: :mod:`psicert.polygamma`).  Repeated arguments come from the two sides of
+#: a catalog pair, from its other pairs, and from neighbouring points, so a
+#: small cache catches them.
+ENCLOSURE_CACHE_SIZE = 1024
 
 
 def _quantized(bits: int) -> int:
@@ -103,6 +115,7 @@ def _exp_point(x: Fraction, precision: int) -> Interval:
     return round_outward(enclosure, precision)
 
 
+@lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def iv_exp(a: Interval | Fraction | int, work_precision: int) -> Interval:
     """Enclosure of the image of ``exp`` over ``a``.
 
@@ -171,6 +184,7 @@ def _ln_point(y: Fraction, work: int) -> Interval:
     return ln_z + k * _ln2_quantized(_quantized(work + max(k, -k).bit_length() + 2))
 
 
+@lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def iv_ln(a: Interval | Fraction | int, work_precision: int) -> Interval:
     """Enclosure of the image of ``ln`` over ``a``; requires ``a.lo > 0``."""
     iv = _coerce(a)

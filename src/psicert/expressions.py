@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .elementary import iv_exp, iv_ln, iv_pi, iv_sinh
 from .interval import DomainError, Interval
@@ -230,7 +229,6 @@ class Trigamma(Expr):
 _CONSTANT_NAMES = ("pi", "e", "euler_gamma", "batir_bstar", "trigamma_one")
 
 
-@lru_cache(maxsize=None)
 def _constant(name: str, work_precision: int, shift_target: Fraction) -> Interval:
     if name == "pi":
         return iv_pi(work_precision)

@@ -86,12 +86,6 @@ class Polynomial:
             result = result * point + c
         return result
 
-    def eval_interval(self, iv: Interval) -> Interval:
-        result = Interval.point(0)
-        for c in reversed(self.coeffs):
-            result = result * iv + c
-        return result
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -238,9 +232,6 @@ class RationalFunction:
         if d == 0:
             raise DomainError(f"pole at {point}")
         return self.num(point) / d
-
-    def eval_interval(self, iv: Interval) -> Interval:
-        return self.num.eval_interval(iv) / self.den.eval_interval(iv)
 
     def __add__(self, other: "RationalFunction | Fraction | int") -> "RationalFunction":
         o = _as_rf(other)

@@ -16,6 +16,11 @@ error has the sign and magnitude of the first omitted term.  Larger
 directed rounding, so ``n`` shift steps add at most ``n`` ulps of width;
 ``w`` carries ``n.bit_length()`` guard bits beyond the window's precision,
 so the rounding stays far below the window.
+
+:func:`digamma_enclosure` and :func:`trigamma_enclosure` are memoised per
+argument and per shift target in a bounded LRU cache (see
+:data:`~psicert.elementary.ENCLOSURE_CACHE_SIZE`), so the sides and pairs
+of an inequality that share ``psi(x+1)`` or ``psi'(x+1)`` compute it once.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .elementary import iv_exp, iv_ln, iv_pi
+from .elementary import ENCLOSURE_CACHE_SIZE, iv_exp, iv_ln, iv_pi
 from .interval import DomainError, Interval
 
 __all__ = [
@@ -79,6 +84,7 @@ def _reciprocal_sum(x: Fraction, n: int, power: int, bits: int) -> Interval:
     return Interval(Fraction(total, 1 << w), Fraction(total + n, 1 << w))
 
 
+@lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def digamma_enclosure(
     x: Fraction | int,
     shift_target: Fraction | int = DEFAULT_SHIFT_TARGET,
@@ -99,6 +105,7 @@ def digamma_enclosure(
     return enclosure - _reciprocal_sum(x, n, 1, bits)
 
 
+@lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def trigamma_enclosure(
     x: Fraction | int,
     shift_target: Fraction | int = DEFAULT_SHIFT_TARGET,

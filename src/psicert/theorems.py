@@ -719,6 +719,8 @@ def tightness_report(
                 break
             if attempt < MAX_REFINEMENTS:
                 ctx = ctx.refined()
+        u0, u1, u2 = (evaluate(cm_upper_expr, x + k, base) for k in range(3))
+        l0, l1, l2 = (evaluate(cm_lower_expr, x + k, base) for k in range(3))
         rows.append(
             {
                 "x": x,
@@ -737,18 +739,12 @@ def tightness_report(
                 "thm2_gap": evaluate(thm2_gap_expr, x, base),
                 "thm3a_gap": Fraction(5, 48) / x**6,
                 "thm3b_gap": Fraction(7, 90) / x**8,
-                "cm_upper": evaluate(cm_upper_expr, x, base),
-                "cm_upper_diff1": evaluate(cm_upper_expr, x + 1, base)
-                - evaluate(cm_upper_expr, x, base),
-                "cm_upper_diff2": evaluate(cm_upper_expr, x + 2, base)
-                - 2 * evaluate(cm_upper_expr, x + 1, base)
-                + evaluate(cm_upper_expr, x, base),
-                "cm_lower": evaluate(cm_lower_expr, x, base),
-                "cm_lower_diff1": evaluate(cm_lower_expr, x + 1, base)
-                - evaluate(cm_lower_expr, x, base),
-                "cm_lower_diff2": evaluate(cm_lower_expr, x + 2, base)
-                - 2 * evaluate(cm_lower_expr, x + 1, base)
-                + evaluate(cm_lower_expr, x, base),
+                "cm_upper": u0,
+                "cm_upper_diff1": u1 - u0,
+                "cm_upper_diff2": u2 - 2 * u1 + u0,
+                "cm_lower": l0,
+                "cm_lower_diff1": l1 - l0,
+                "cm_lower_diff2": l2 - 2 * l1 + l0,
             }
         )
     return rows

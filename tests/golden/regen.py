@@ -1,0 +1,63 @@
+"""Rewrite the golden CLI outputs that ``tests/test_golden.py`` compares against.
+
+Usage, from the repository root::
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+Each case in ``CASES`` runs ``psicert.cli.main`` in process with
+``--format json``.  Its stdout is written byte for byte to
+``tests/golden/<name>.json`` and its exit code to ``exit_codes.json``.
+Regenerate only for an intended change of output, and list that change in
+CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from psicert import cli
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+
+CASES: dict[str, tuple[str, ...]] = {
+    "certify_thm1": ("certify", "thm1", "--grid", "3:200:4"),
+    "certify_thm2": ("certify", "thm2", "--grid", "3:200:4"),
+    "certify_thm3_p192": ("--precision", "192", "certify", "thm3", "--grid", "1:50:3"),
+    "certify_classical": ("certify", "classical", "--grid", "1:100:3"),
+    "certify_remark1": ("certify", "remark1", "--grid", "1:100:3"),
+    "certify_thm1_symbolic": ("certify", "thm1", "--symbolic"),
+    "report_tightness": ("report", "tightness", "--grid", "1:1024:4"),
+    "report_compare": ("report", "compare", "--grid", "2:10:2"),
+    "enclose_digamma": ("enclose", "digamma", "7/3"),
+    "enclose_trigamma": ("enclose", "trigamma", "7/3", "--shift", "40"),
+    "const_gamma": ("const", "gamma", "--tol", "1e-20"),
+    "const_bstar": ("const", "bstar"),
+    "const_digamma_zero": ("const", "digamma-zero", "--tol", "1e-12"),
+    "const_pi_p128": ("--precision", "128", "const", "pi"),
+    "series_product": ("series", "product", "--order", "8"),
+    "bern": ("bern", "30"),
+}
+
+
+def capture(args: tuple[str, ...]) -> tuple[str, int]:
+    """Stdout and exit code of one in-process ``psicert --format json`` call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--format", "json", *args])
+    return out.getvalue(), code
+
+
+def main() -> None:
+    exit_codes: dict[str, int] = {}
+    for name, args in CASES.items():
+        stdout, exit_codes[name] = capture(args)
+        (GOLDEN_DIR / f"{name}.json").write_text(stdout, encoding="utf-8")
+    EXIT_CODES.write_text(json.dumps(exit_codes, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from psicert import Interval, digamma_enclosure, parse_rational, trigamma_enclosure
-from psicert.cli import _int_text, _rational_text, _scientific
+from psicert.cli import _int_text, _iv_json, _iv_text, _rational_text, _scientific
 
 from _oracles import encloses_truth, scaled_bracket
 
@@ -295,3 +296,32 @@ class TestExactPrinting:
     def test_scientific_beyond_str_limit(self):
         assert _scientific(F(1, 7**6000)) == "2.581e-5071"
         assert _scientific(F(-(10**5000) * 123456, 100)) == "-1.235e+5003"
+
+    @given(
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=10**45),
+        st.fractions(min_value=0, max_value=F(1, 10**6), max_denominator=10**50),
+        st.integers(min_value=1, max_value=45),
+    )
+    def test_printed_decimals_enclose_the_interval(self, lo, width, places):
+        """Decimal endpoints round outward; the exact lo/hi fields are the oracle."""
+        iv = Interval(lo, lo + width)
+        printed = _iv_json(iv)
+        exact_lo, exact_hi = F(printed["lo"]), F(printed["hi"])
+        assert F(printed["lo_decimal"]) <= exact_lo
+        assert F(printed["hi_decimal"]) >= exact_hi
+        text_lo, text_hi = _iv_text(iv, places)[1:-1].split(", ")
+        assert F(text_lo) <= exact_lo and F(text_hi) >= exact_hi
+        decimals = {30: (printed["lo_decimal"], printed["hi_decimal"]), places: (text_lo, text_hi)}
+        for count, pair in decimals.items():
+            for decimal in pair:
+                assert len(decimal.split(".")[1]) == count
+                assert not decimal.startswith("-") or F(decimal) < 0  # no "-0.000"
+
+    def test_const_pi_decimals_enclose_pi(self):
+        data, code = run_json("--precision", "128", "const", "pi")
+        assert code == 0
+        enclosure = data["enclosure"]
+        assert enclosure["lo_decimal"] == "3.141592653589793238462643383279"
+        assert enclosure["hi_decimal"] == "3.141592653589793238462643383280"
+        text = run_cli("--precision", "128", "const", "pi").stdout
+        assert "[3.14159265358979323846, 3.14159265358979323847]" in text

@@ -120,6 +120,53 @@ class TestLn:
         assert forth.lo <= x <= forth.hi
 
 
+MEMOISED = [iv_exp, iv_ln]
+PRECISIONS = st.sampled_from([8, 40, 64, 130, 192])
+WIDTHS = st.fractions(min_value=0, max_value=2, max_denominator=30)
+
+
+def _assert_hit_equals_recomputation(kernel, argument, precision):
+    first = kernel(argument, precision)
+    assert kernel(argument, precision) == first == kernel.__wrapped__(argument, precision)
+
+
+class TestMemo:
+    """iv_exp and iv_ln are memoised per argument and per working precision."""
+
+    @given(
+        st.fractions(min_value=-20, max_value=20, max_denominator=100), WIDTHS, PRECISIONS
+    )
+    def test_exp_hit_equals_recomputation(self, lo, width, precision):
+        _assert_hit_equals_recomputation(iv_exp, Interval(lo, lo + width), precision)
+
+    @given(
+        st.fractions(min_value=F(1, 100), max_value=50, max_denominator=100),
+        WIDTHS,
+        PRECISIONS,
+    )
+    def test_ln_hit_equals_recomputation(self, lo, width, precision):
+        _assert_hit_equals_recomputation(iv_ln, Interval(lo, lo + width), precision)
+
+    @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
+    def test_higher_precision_gets_its_own_enclosure(self, kernel):
+        x = F(7, 3)
+        coarse = kernel(x, 64)
+        fine = kernel(x, 256)
+        assert fine == kernel.__wrapped__(x, 256)
+        assert fine.width < coarse.width
+        assert kernel(x, 64) == coarse
+
+    @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
+    def test_int_and_fraction_arguments_agree(self, kernel):
+        for n in (1, 3, 10):
+            expected = kernel.__wrapped__(F(n), 64)
+            assert kernel(n, 64) == kernel(F(n), 64) == kernel(Interval.point(n), 64) == expected
+
+    @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
+    def test_cache_is_bounded(self, kernel):
+        assert kernel.cache_info().maxsize is not None
+
+
 class TestSinh:
     @pytest.mark.parametrize("x", [F(0), F(1), F(-3, 2), F(2, 5), F(8)], ids=str)
     def test_against_oracle(self, x):

@@ -17,7 +17,9 @@ from psicert import (
     euler_gamma_enclosure,
     trigamma_enclosure,
 )
+from psicert.elementary import iv_exp, iv_ln
 from psicert.polygamma import _reciprocal_sum
+from psicert.theorems import check_grid
 
 from _oracles import (
     bstar_bracket,
@@ -100,6 +102,50 @@ class TestTrigamma:
         a, b = trigamma_enclosure(F(3)), trigamma_enclosure(F(4))
         assert a.strictly_positive()
         assert b.strictly_less(a)
+
+
+MEMOISED = [digamma_enclosure, trigamma_enclosure]
+
+
+class TestMemo:
+    """digamma_enclosure and trigamma_enclosure are memoised per argument and shift."""
+
+    @given(
+        st.fractions(min_value=F(1, 20), max_value=200, max_denominator=50),
+        st.integers(min_value=1, max_value=60),
+    )
+    def test_hit_equals_recomputation(self, x, shift_target):
+        for kernel in MEMOISED:
+            first = kernel(x, shift_target)
+            assert kernel(x, shift_target) == first == kernel.__wrapped__(x, shift_target)
+
+    @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
+    def test_larger_shift_gets_its_own_enclosure(self, kernel):
+        x = F(29, 7)
+        coarse = kernel(x, 10)
+        fine = kernel(x, 80)
+        assert fine == kernel.__wrapped__(x, 80)
+        assert fine.width < coarse.width
+        assert kernel(x, 10) == coarse
+
+    @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
+    def test_int_and_fraction_arguments_agree(self, kernel):
+        for n in (1, 2, 12):
+            expected = kernel.__wrapped__(F(n), F(10))
+            assert kernel(n) == kernel(F(n), 10) == kernel(n, F(10)) == expected
+
+    @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
+    def test_cache_is_bounded(self, kernel):
+        assert kernel.cache_info().maxsize is not None
+
+    def test_grid_sides_share_work(self):
+        """THM1's lower and upper pairs share psi'(x+1), psi(x+1) and the exp factor."""
+        kernels = [*MEMOISED, iv_exp, iv_ln]
+        for kernel in kernels:
+            kernel.cache_clear()
+        check_grid("THM1", [F(3), F(5), F(8)])
+        for kernel in kernels:
+            assert kernel.cache_info().hits > 0, kernel.__name__
 
 
 def _shifted(x: Fraction, shift_target: int) -> Fraction:
