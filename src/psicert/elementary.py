@@ -75,12 +75,34 @@ def _snap(iv: Interval, bits: int) -> Interval:
 # ---------------------------------------------------------------------------
 
 
+def _exp_partial_sum(t: Fraction, n: int) -> Fraction:
+    """``sum_{k=0}^{n} t**k / k!``, exactly.
+
+    Horner's rule in integers (Brent & Zimmermann, *Modern Computer
+    Arithmetic*, ch. 4): with ``t = p/q`` and ``num/den = 1/1``, the step
+    for ``k = n, ..., 1`` replaces ``num/den`` by ``1 + t/k * num/den``,
+    that is ``den <- q*k*den`` and then ``num <- den + p*num``.  No step
+    rounds, so ``num/den`` is the partial sum itself, and it is reduced by
+    one gcd at the end instead of one per term.
+    """
+    p, q = t.numerator, t.denominator
+    num = den = 1
+    for k in range(n, 0, -1):
+        den *= q * k
+        num = den + p * num
+    return Fraction(num, den)
+
+
 def _exp_point(x: Fraction, precision: int) -> Interval:
     """Enclosure of e**x for one exact rational argument.
 
     Argument reduction: halve ``x`` until ``|t| <= 1/2``, sum the Taylor
     series with the geometric tail bound ``|t|^(N+1) / ((N+1)! (1-|t|))``,
-    then square back up, rounding outward after every squaring.
+    then square back up, rounding outward after every squaring.  The
+    partial sum is built exactly by Horner's rule in integers
+    (:func:`_exp_partial_sum`), so it is the same rational a term-by-term
+    ``Fraction`` sum gives, and only the tail bound and the outward
+    roundings widen the enclosure.
     """
     ax = abs(x)
     j = 0
@@ -104,11 +126,7 @@ def _exp_point(x: Fraction, precision: int) -> Interval:
         factorial *= n + 1
     tail = power / (factorial * one_minus)
 
-    term = Fraction(1)
-    total = Fraction(1)
-    for k in range(1, n + 1):
-        term = term * t / k
-        total += term
+    total = _exp_partial_sum(t, n)
     enclosure = round_outward(Interval(total - tail, total + tail), work)
     for _ in range(j):
         enclosure = round_outward(enclosure * enclosure, work)

@@ -156,14 +156,45 @@ def batir_bstar_enclosure(
     return _bstar_cached(shift_target, work_precision)
 
 
+def _dyadic_cover(a: Fraction, b: Fraction, level: int) -> tuple[Fraction, Fraction]:
+    """``[a, b]`` rounded outward onto the grid ``2**-j``, one or two cells wide.
+
+    ``j`` is the finest level up to ``level`` whose cell is at least
+    ``b - a`` wide, so the rounded bracket is at most two cells, and its
+    midpoint, when it is two, lies on the grid.
+    """
+    j = 0
+    while j < level and Fraction(1, 2 << j) >= b - a:
+        j += 1
+    lo = Fraction((a.numerator << j) // a.denominator, 1 << j)
+    hi = Fraction(-((-b.numerator << j) // b.denominator), 1 << j)
+    return lo, hi
+
+
 def digamma_zero(tolerance: Fraction | int = Fraction(1, 10**6)) -> Interval:
     """Enclosure of the positive root of psi, about 1.4616, width <= tolerance.
 
-    Bisection on [1, 2] (psi(1) = -gamma < 0 < 1 - gamma = psi(2)) with
-    certified sign tests.  The shift target starts at 10 and doubles only
-    while a probe's enclosure straddles zero, up to a ceiling at which the
+    The root ``r`` lies in ``[1, 2]`` (psi(1) = -gamma < 0 < 1 - gamma =
+    psi(2)).  Interval Newton narrows that bracket ``X`` first.  For the
+    midpoint ``m`` the mean value theorem gives ``psi(m) = psi'(xi) (m - r)``
+    with ``xi`` between ``m`` and ``r``, so in ``X``; psi' is positive and
+    decreasing, so ``psi'(xi)`` lies in ``[psi'(hi).lo, psi'(lo).hi]`` (a low
+    shift is enough for that bound) and ``r = m - psi(m)/psi'(xi)`` lies in
+    ``N = m - psi(m)/psi'(X)``.  ``N`` meets ``X`` in a bracket that is
+    rounded outward onto the dyadic cells of bisection on ``[1, 2]`` (see
+    :func:`_dyadic_cover`), never finer than the first cell width
+    ``2**-k <= tolerance``.  Before each step the shift target doubles while
+    the enclosure of ``psi(m)`` is wider than ``|X|**2`` (quadratic
+    convergence) and than ``tolerance / 64``.
+
+    Once a step fails to halve the bracket, bisection with certified sign
+    tests finishes it.  There the shift target doubles only while a probe's
+    enclosure straddles zero.  Both doublings stop at a ceiling at which the
     enclosure width is far below the tolerance; if a probe still straddles
     zero there, the probe moves to a quarter point of the bracket instead.
+    Newton keeps the bracket on the bisection's cells, so whenever the
+    midpoint probes decide, the result is the cell of width ``2**-k``
+    containing ``r``, as bisection alone would give.
     """
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
@@ -174,9 +205,26 @@ def digamma_zero(tolerance: Fraction | int = Fraction(1, 10**6)) -> Interval:
     while 64 * Fraction(1, 252) / ceiling**6 > tolerance:
         ceiling *= 2
     ceiling *= 4
+    level = 0
+    while Fraction(1, 1 << level) > tolerance:
+        level += 1
 
     shift_target = DEFAULT_SHIFT_TARGET
     lo, hi = Fraction(1), Fraction(2)
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2
+        value = digamma_enclosure(mid, shift_target)
+        goal = max((hi - lo) ** 2, tolerance / 64)
+        while value.width > goal and shift_target < ceiling:
+            shift_target *= 2
+            value = digamma_enclosure(mid, shift_target)
+        slope = Interval(trigamma_enclosure(hi).lo, trigamma_enclosure(lo).hi)
+        newton = mid - value / slope
+        new_lo, new_hi = _dyadic_cover(max(lo, newton.lo), min(hi, newton.hi), level)
+        if new_hi - new_lo > (hi - lo) / 2:
+            break
+        lo, hi = new_lo, new_hi
+
     while hi - lo > tolerance:
         probes = [(lo + hi) / 2, (3 * lo + hi) / 4, (lo + 3 * hi) / 4]
         advanced = False

@@ -45,7 +45,8 @@ def bernoulli(n: int) -> Fraction:
     """The n-th Bernoulli number, with B(1) = -1/2.
 
     Computed from the defining recurrence
-    ``sum_{j=0}^{n} C(n+1, j) B_j = 0`` for ``n >= 1``.
+    ``sum_{j=0}^{n} C(n+1, j) B_j = 0`` for ``n >= 1``, whose terms at odd
+    ``j >= 3`` are zero and are skipped.
     """
     if n < 0:
         raise ValueError("Bernoulli numbers are indexed by nonnegative integers")
@@ -54,7 +55,11 @@ def bernoulli(n: int) -> Fraction:
     if n > 1 and n % 2 == 1:
         return Fraction(0)
     acc = sum(
-        (Fraction(math.comb(n + 1, j)) * bernoulli(j) for j in range(n)),
+        (
+            Fraction(math.comb(n + 1, j)) * bernoulli(j)
+            for j in range(n)
+            if j < 2 or j % 2 == 0
+        ),
         start=Fraction(0),
     )
     return -acc / (n + 1)

@@ -2,13 +2,14 @@
 
 Usage, from the repository root::
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [NAME ...]
 
-Each case in ``CASES`` runs ``psicert.cli.main`` in process with
-``--format json``.  Its stdout is written byte for byte to
-``tests/golden/<name>.json`` and its exit code to ``exit_codes.json``.
-Regenerate only for an intended change of output, and list that change in
-CHANGES.md.
+Each named case in ``CASES`` (every case when no name is given) runs
+``psicert.cli.main`` in process with ``--format json``.  Its stdout is
+written byte for byte to ``tests/golden/<name>.json`` and its exit code to
+``exit_codes.json``; the other cases' files and exit codes are left as they
+are.  Regenerate only for an intended change of output, and list that
+change in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 from psicert import cli
@@ -27,6 +29,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "certify_thm1": ("certify", "thm1", "--grid", "3:200:4"),
     "certify_thm2": ("certify", "thm2", "--grid", "3:200:4"),
     "certify_thm3_p192": ("--precision", "192", "certify", "thm3", "--grid", "1:50:3"),
+    "certify_thm2_p384": ("--precision", "384", "certify", "thm2", "--grid", "3:4:2"),
     "certify_classical": ("certify", "classical", "--grid", "1:100:3"),
     "certify_remark1": ("certify", "remark1", "--grid", "1:100:3"),
     "certify_thm1_symbolic": ("certify", "thm1", "--symbolic"),
@@ -37,6 +40,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "const_gamma": ("const", "gamma", "--tol", "1e-20"),
     "const_bstar": ("const", "bstar"),
     "const_digamma_zero": ("const", "digamma-zero", "--tol", "1e-12"),
+    "const_digamma_zero_tol30": ("const", "digamma-zero", "--tol", "1e-30"),
     "const_pi_p128": ("--precision", "128", "const", "pi"),
     "series_product": ("series", "product", "--order", "8"),
     "bern": ("bern", "30"),
@@ -51,13 +55,21 @@ def capture(args: tuple[str, ...]) -> tuple[str, int]:
     return out.getvalue(), code
 
 
-def main() -> None:
-    exit_codes: dict[str, int] = {}
-    for name, args in CASES.items():
-        stdout, exit_codes[name] = capture(args)
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    exit_codes = {}
+    if EXIT_CODES.exists():
+        exit_codes = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
+    for name in names or CASES:
+        stdout, exit_codes[name] = capture(CASES[name])
         (GOLDEN_DIR / f"{name}.json").write_text(stdout, encoding="utf-8")
-    EXIT_CODES.write_text(json.dumps(exit_codes, indent=2) + "\n", encoding="utf-8")
+    ordered = {name: exit_codes[name] for name in CASES if name in exit_codes}
+    EXIT_CODES.write_text(json.dumps(ordered, indent=2) + "\n", encoding="utf-8")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -7,6 +7,7 @@ checked separately with explicit width bounds.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from psicert import DomainError, Interval, iv_exp, iv_ln, iv_pi, iv_sinh, ln2_enclosure
-from psicert.elementary import _arctan_inverse
+from psicert.elementary import _arctan_inverse, _exp_partial_sum
 
 from _oracles import (
     consistent,
@@ -25,9 +26,19 @@ from _oracles import (
     pi_bracket,
     scaled_bracket,
     sinh_bracket,
+    _to_mpf,
 )
 
 F = Fraction
+
+
+@st.composite
+def _dyadic_halves(draw) -> Fraction:
+    """Dyadic rationals t with |t| <= 1/2, the reduced arguments of exp."""
+    bits = draw(st.integers(min_value=1, max_value=64))
+    bound = 1 << (bits - 1)
+    return F(draw(st.integers(min_value=-bound, max_value=bound)), 1 << bits)
+
 
 SAMPLE_POINTS = [
     F(0),
@@ -80,6 +91,20 @@ class TestExp:
         """exp(x)*exp(-x) must enclose 1."""
         product = iv_exp(x, 80) * iv_exp(-x, 80)
         assert product.lo <= 1 <= product.hi
+
+    @given(_dyadic_halves(), st.integers(min_value=1, max_value=200))
+    def test_horner_sum_is_the_exact_partial_sum(self, t, n):
+        """The integer Horner sum equals the term-by-term Fraction sum."""
+        reference = sum((t**k / math.factorial(k) for k in range(n + 1)), start=F(0))
+        assert _exp_partial_sum(t, n) == reference
+
+    @pytest.mark.parametrize("precision", [256, 512, 1024])
+    @pytest.mark.parametrize("x", [F(7, 3), F(-7, 5), F(1, 1000), F(20)], ids=str)
+    def test_high_precision_contains_truth(self, x, precision):
+        enclosure = iv_exp(x, precision)
+        assert enclosure.width <= max(F(1), enclosure.hi) * F(1, 2**precision)
+        truth = scaled_bracket(lambda: mpmath.exp(_to_mpf(x)), enclosure.width)
+        assert encloses_truth(enclosure, truth)
 
 
 class TestLn:

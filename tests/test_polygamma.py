@@ -225,3 +225,31 @@ class TestConstants:
     def test_digamma_zero_bad_tolerance(self):
         with pytest.raises(ValueError):
             digamma_zero(F(0))
+
+
+def _bisection_reference(tolerance: Fraction) -> tuple[Fraction, Fraction]:
+    """Midpoint bisection of psi on [1, 2], signs taken from mpmath at 60 digits."""
+    lo, hi = F(1), F(2)
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2
+        if mpmath.digamma(_to_mpf(mid)) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+class TestDigammaZeroNewton:
+    """Interval Newton narrows the bracket but must land on bisection's cell."""
+
+    @pytest.mark.parametrize("exponent", [6, 12, 20, 30])
+    def test_matches_bisection_and_contains_root(self, exponent):
+        tolerance = F(1, 10**exponent)
+        enclosure = digamma_zero(tolerance)
+        assert (enclosure.lo, enclosure.hi) == _bisection_reference(tolerance)
+        assert encloses_truth(enclosure, digamma_zero_bracket())
+
+    def test_probe_count_at_high_precision(self):
+        digamma_enclosure.cache_clear()
+        digamma_zero(F(1, 10**30))
+        assert digamma_enclosure.cache_info().misses <= 30

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +57,11 @@ class TestBernoulli:
 
         for n in range(2, 20):
             assert sum(comb(n, k) * bernoulli(k) for k in range(n)) == 0
+
+    def test_against_mpmath_exact_values(self):
+        """The recurrence skips odd indices; mpmath's exact fractions must still agree."""
+        for n in range(200):
+            assert bernoulli(n) == F(*mpmath.bernfrac(n)), n
 
 
 class TestExpansionType:
