@@ -5,11 +5,12 @@ Usage, from the repository root::
     PYTHONPATH=src python tests/golden/regen.py [NAME ...]
 
 Each named case in ``CASES`` (every case when no name is given) runs
-``psicert.cli.main`` in process with ``--format json``.  Its stdout is
-written byte for byte to ``tests/golden/<name>.json`` and its exit code to
-``exit_codes.json``; the other cases' files and exit codes are left as they
-are.  Regenerate only for an intended change of output, and list that
-change in CHANGES.md.
+``psicert.cli.main`` in process once per output format in ``FORMATS``.  Its
+stdout is written byte for byte to ``tests/golden/<name>.<suffix>`` (json,
+txt, csv) and its exit code to ``exit_codes.json``; the other cases' files
+and exit codes are left as they are.  A case whose exit code differs between
+formats is refused.  Regenerate only for an intended change of output, and
+list that change in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from psicert import cli
 GOLDEN_DIR = Path(__file__).resolve().parent
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
 
+# --format value -> golden file suffix
+FORMATS = {"json": "json", "text": "txt", "csv": "csv"}
+
 CASES: dict[str, tuple[str, ...]] = {
     "certify_thm1": ("certify", "thm1", "--grid", "3:200:4"),
     "certify_thm2": ("certify", "thm2", "--grid", "3:200:4"),
@@ -33,6 +37,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "certify_classical": ("certify", "classical", "--grid", "1:100:3"),
     "certify_remark1": ("certify", "remark1", "--grid", "1:100:3"),
     "certify_thm1_symbolic": ("certify", "thm1", "--symbolic"),
+    "certify_all_symbolic": ("certify", "all", "--symbolic"),
     "report_tightness": ("report", "tightness", "--grid", "1:1024:4"),
     "report_compare": ("report", "compare", "--grid", "2:10:2"),
     "enclose_digamma": ("enclose", "digamma", "7/3"),
@@ -47,11 +52,15 @@ CASES: dict[str, tuple[str, ...]] = {
 }
 
 
-def capture(args: tuple[str, ...]) -> tuple[str, int]:
-    """Stdout and exit code of one in-process ``psicert --format json`` call."""
+def golden_path(name: str, fmt: str) -> Path:
+    return GOLDEN_DIR / f"{name}.{FORMATS[fmt]}"
+
+
+def capture(args: tuple[str, ...], fmt: str) -> tuple[str, int]:
+    """Stdout and exit code of one in-process ``psicert --format FMT`` call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["--format", "json", *args])
+        code = cli.main(["--format", fmt, *args])
     return out.getvalue(), code
 
 
@@ -64,8 +73,14 @@ def main(names: list[str]) -> int:
     if EXIT_CODES.exists():
         exit_codes = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
     for name in names or CASES:
-        stdout, exit_codes[name] = capture(CASES[name])
-        (GOLDEN_DIR / f"{name}.json").write_text(stdout, encoding="utf-8")
+        captured = {fmt: capture(CASES[name], fmt) for fmt in FORMATS}
+        codes = {code for _, code in captured.values()}
+        if len(codes) != 1:
+            print(f"{name}: exit code differs between formats", file=sys.stderr)
+            return 1
+        exit_codes[name] = codes.pop()
+        for fmt, (stdout, _) in captured.items():
+            golden_path(name, fmt).write_bytes(stdout.encode("utf-8"))
     ordered = {name: exit_codes[name] for name in CASES if name in exit_codes}
     EXIT_CODES.write_text(json.dumps(ordered, indent=2) + "\n", encoding="utf-8")
     return 0
