@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from .elementary import iv_pi
@@ -40,13 +40,16 @@ from .series import (
 )
 from .theorems import (
     CertReport,
+    ComparisonReport,
     catalog,
     certify_symbolic,
     check_grid,
+    combined_total,
     compare_bounds,
     default_grid,
     entry,
     geometric_grid,
+    symbolic_ids,
     tightness_report,
 )
 
@@ -62,20 +65,7 @@ CERTIFY_GROUPS: dict[str, tuple[str, ...]] = {
     "thm3": ("THM3a", "THM3b"),
     "classical": ("ELE", "GUO-QI", "BATIR", "YCT", "XP1"),
     "remark1": ("R1U", "R1V", "BATIR-THETA"),
-    "all": (
-        "THM1",
-        "THM2",
-        "THM3a",
-        "THM3b",
-        "ELE",
-        "GUO-QI",
-        "BATIR",
-        "YCT",
-        "XP1",
-        "R1U",
-        "R1V",
-        "BATIR-THETA",
-    ),
+    "all": tuple(e.id for e in catalog()),
 }
 
 SYMBOLIC_GROUPS: dict[str, tuple[str, ...]] = {
@@ -83,7 +73,7 @@ SYMBOLIC_GROUPS: dict[str, tuple[str, ...]] = {
     "thm2": ("THM2",),
     "thm3": ("THM3a-lower",),
     "remark1": ("R1U",),
-    "all": ("THM1", "THM2", "THM3a-lower", "R1U"),
+    "all": symbolic_ids(),
 }
 
 
@@ -177,19 +167,27 @@ def _json_value(value: object) -> object:
     return value
 
 
-def _print_json(payload: dict[str, object]) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit(
+    args: argparse.Namespace,
+    payload: Callable[[], dict[str, object]],
+    rows: Callable[[], Iterable[dict[str, object]]],
+    lines: Callable[[], Iterable[str]],
+) -> None:
+    """Print a command's result in ``--format``; only that format is built.
 
-
-def _print_csv(rows: list[dict[str, object]]) -> None:
-    fieldnames: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
-    writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, restval="")
-    writer.writeheader()
-    writer.writerows(rows)
+    CSV columns are the keys of all rows in order of first appearance.
+    """
+    if args.format == "json":
+        print(json.dumps(payload(), indent=2))
+    elif args.format == "csv":
+        table = list(rows())
+        fieldnames = list(dict.fromkeys(key for row in table for key in row))
+        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, restval="")
+        writer.writeheader()
+        writer.writerows(table)
+    else:
+        for line in lines():
+            print(line)
 
 
 def _flatten_for_csv(row: dict[str, object]) -> dict[str, object]:
@@ -198,10 +196,8 @@ def _flatten_for_csv(row: dict[str, object]) -> dict[str, object]:
         if isinstance(value, Interval):
             flat[f"{key}_lo"] = _rational_text(value.lo)
             flat[f"{key}_hi"] = _rational_text(value.hi)
-        elif isinstance(value, Fraction):
-            flat[key] = _rational_text(value)
         else:
-            flat[key] = value
+            flat[key] = _json_value(value)
     return flat
 
 
@@ -215,20 +211,9 @@ def _parse_grid_spec(spec: str) -> list[Fraction]:
         start = parse_rational(parts[0])
         stop = parse_rational(parts[1])
         count = int(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"bad grid spec {spec!r}: {exc}") from exc
-    try:
         return geometric_grid(start, stop, count)
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}: {exc}") from exc
-
-
-def _combined_total(totals: list[str]) -> str:
-    if "violated" in totals:
-        return "violated"
-    if "undecided" in totals:
-        return "undecided"
-    return "holds"
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +225,16 @@ def _cmd_bern(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError("bern index must be >= 0")
     values = [(n, bernoulli(n)) for n in range(args.n + 1)]
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "bern",
-                "max_index": args.n,
-                "values": {str(n): _rational_text(v) for n, v in values},
-            }
-        )
-    elif args.format == "csv":
-        _print_csv([{"n": n, "value": _rational_text(v)} for n, v in values])
-    else:
-        for n, v in values:
-            print(f"B_{n} = {_rational_text(v)}")
+    _emit(
+        args,
+        lambda: {
+            "command": "bern",
+            "max_index": args.n,
+            "values": {str(n): _rational_text(v) for n, v in values},
+        },
+        lambda: [{"n": n, "value": _rational_text(v)} for n, v in values],
+        lambda: (f"B_{n} = {_rational_text(v)}" for n, v in values),
+    )
     return EXIT_OK
 
 
@@ -277,20 +259,18 @@ def _cmd_series(args: argparse.Namespace) -> int:
         {"power": -k, "coefficient": _rational_text(series.coeff(k))}
         for k in range(-series.low_degree, series.order + 1)
     ]
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "series",
-                "kind": args.kind,
-                "order": series.order,
-                "log_coeff": _rational_text(series.log_coeff),
-                "terms": terms,
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(list(terms))
-    else:
-        print(format_expansion(series))
+    _emit(
+        args,
+        lambda: {
+            "command": "series",
+            "kind": args.kind,
+            "order": series.order,
+            "log_coeff": _rational_text(series.log_coeff),
+            "terms": terms,
+        },
+        lambda: terms,
+        lambda: [format_expansion(series)],
+    )
     return EXIT_OK
 
 
@@ -302,35 +282,36 @@ def _cmd_enclose(args: argparse.Namespace) -> int:
     if x <= 0:
         raise UsageError(f"{args.function} enclosure requires x > 0, got {x}")
     fn = digamma_enclosure if args.function == "digamma" else trigamma_enclosure
-    enclosure = fn(x, shift)
-    width = enclosure.hi - enclosure.lo
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "enclose",
-                "function": args.function,
-                "x": _rational_text(x),
-                "shift_target": _rational_text(shift),
-                "enclosure": _iv_json(enclosure),
-                "width": _rational_text(width),
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(
-            [
-                {
-                    "function": args.function,
-                    "x": _rational_text(x),
-                    "lo": _rational_text(enclosure.lo),
-                    "hi": _rational_text(enclosure.hi),
-                }
-            ]
-        )
-    else:
-        name = "psi" if args.function == "digamma" else "psi'"
-        print(
-            f"{name}({_rational_text(x)}) in {_iv_text(enclosure)}  (width ~ {_scientific(width)})"
-        )
+    name = "psi" if args.function == "digamma" else "psi'"
+    header = {"function": args.function, "x": _rational_text(x)}
+    return _emit_enclosure(
+        args,
+        f"{name}({header['x']})",
+        fn(x, shift),
+        {"command": "enclose", **header, "shift_target": _rational_text(shift)},
+        header,
+    )
+
+
+def _emit_enclosure(
+    args: argparse.Namespace,
+    label: str,
+    iv: Interval,
+    payload: dict[str, str],
+    row: dict[str, str],
+) -> int:
+    """The output of ``enclose`` and ``const``: one enclosure and its width.
+
+    ``payload`` and ``row`` hold the fields that precede the enclosure in the
+    json object and in the csv row.
+    """
+    width = iv.hi - iv.lo
+    _emit(
+        args,
+        lambda: {**payload, "enclosure": _iv_json(iv), "width": _rational_text(width)},
+        lambda: [{**row, "lo": _rational_text(iv.lo), "hi": _rational_text(iv.hi)}],
+        lambda: [f"{label} in {_iv_text(iv)}  (width ~ {_scientific(width)})"],
+    )
     return EXIT_OK
 
 
@@ -368,32 +349,13 @@ def _cmd_const(args: argparse.Namespace) -> int:
                 return EXIT_UNDECIDED
             parameter = parameter * 2
             enclosure = produce(parameter)
-    width = enclosure.hi - enclosure.lo
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "const",
-                "name": name,
-                "description": _CONSTANT_LABELS[name],
-                "enclosure": _iv_json(enclosure),
-                "width": _rational_text(width),
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(
-            [
-                {
-                    "name": name,
-                    "lo": _rational_text(enclosure.lo),
-                    "hi": _rational_text(enclosure.hi),
-                }
-            ]
-        )
-    else:
-        print(
-            f"{name} in {_iv_text(enclosure)}  (width ~ {_scientific(width)})"
-        )
-    return EXIT_OK
+    return _emit_enclosure(
+        args,
+        name,
+        enclosure,
+        {"command": "const", "name": name, "description": _CONSTANT_LABELS[name]},
+        {"name": name},
+    )
 
 
 def _report_text(report: CertReport) -> list[str]:
@@ -428,19 +390,16 @@ def _report_text(report: CertReport) -> list[str]:
     return lines
 
 
-def _certify_csv_rows(reports: list[CertReport]) -> list[dict[str, object]]:
-    rows: list[dict[str, object]] = []
+def _certify_csv_rows(reports: list[CertReport]) -> Iterator[dict[str, object]]:
     for report in reports:
         for check in report.checks:
-            row: dict[str, object] = {
+            yield {
                 "id": report.id,
                 "method": report.method,
                 "label": check.label,
                 "verdict": check.verdict,
+                **check.evidence,
             }
-            row.update(check.evidence)
-            rows.append(row)
-    return rows
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -466,34 +425,89 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                     work_precision=args.precision,
                 )
             )
-    total = _combined_total([r.total for r in reports])
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "certify",
-                "selection": args.selection,
-                "mode": "symbolic" if args.symbolic else "grid",
-                "total": total,
-                "reports": [r.to_json_dict() for r in reports],
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(_certify_csv_rows(reports))
-    else:
-        for report in reports:
-            for line in _report_text(report):
-                print(line)
-        print(f"total: {total}")
+    total = combined_total(r.total for r in reports)
+    _emit(
+        args,
+        lambda: {
+            "command": "certify",
+            "selection": args.selection,
+            "mode": "symbolic" if args.symbolic else "grid",
+            "total": total,
+            "reports": [r.to_json_dict() for r in reports],
+        },
+        lambda: _certify_csv_rows(reports),
+        lambda: [
+            *(line for report in reports for line in _report_text(report)),
+            f"total: {total}",
+        ],
+    )
     return EXIT_OK if total == "holds" else EXIT_UNDECIDED
 
 
+_WINDOW_VERDICTS = {"in": "holds", "out": "violated", "undecided": "undecided"}
+
+
 def _tightness_outcome(rows: list[dict[str, object]]) -> str:
-    verdicts = {row["x5_verdict"] for row in rows} | {row["x7_verdict"] for row in rows}
-    if "out" in verdicts:
-        return "violated"
-    if "undecided" in verdicts:
-        return "undecided"
-    return "holds"
+    verdicts = (row[key] for row in rows for key in ("x5_verdict", "x7_verdict"))
+    return combined_total(_WINDOW_VERDICTS[v] for v in verdicts)
+
+
+def _tightness_lines(rows: list[dict[str, object]], outcome: str) -> Iterator[str]:
+    for row in rows:
+        yield (
+            f"x={_rational_text(row['x'])}: x^5*d1 ~ {_iv_text(row['x5_d1'], 12)}"
+            f" ({row['x5_verdict']}),"
+            f" x^7*d2 ~ {_iv_text(row['x7_d2'], 12)}"
+            f" ({row['x7_verdict']})"
+        )
+        yield (
+            f"    gaps: thm1 ~ {_scientific(row['thm1_gap'].hi)},"
+            f" thm2 ~ {_scientific(row['thm2_gap'].hi)},"
+            f" thm3a = {_rational_text(row['thm3a_gap'])},"
+            f" thm3b = {_rational_text(row['thm3b_gap'])}"
+        )
+    yield f"total: {outcome}"
+
+
+def _compare_csv_rows(reports: list[ComparisonReport]) -> Iterator[dict[str, object]]:
+    for c in reports:
+        for row in c.rows:
+            yield {
+                "record": "bound",
+                "x": _rational_text(c.x),
+                "id": row.entry_id,
+                "side": row.side,
+                "target": row.target,
+                "lo": _rational_text(row.enclosure.lo),
+                "hi": _rational_text(row.enclosure.hi),
+                "verdict": "",
+            }
+        for relation in c.relations:
+            yield {
+                "record": "relation",
+                "x": _rational_text(c.x),
+                "id": relation.label,
+                "side": "",
+                "target": "",
+                "lo": relation.evidence.get("lhs_lo", ""),
+                "hi": relation.evidence.get("rhs_hi", ""),
+                "verdict": relation.verdict,
+            }
+
+
+def _compare_lines(comparisons: list[ComparisonReport], total: str) -> Iterator[str]:
+    for c in comparisons:
+        yield f"x = {_rational_text(c.x)}"
+        for label, iv in sorted(c.targets.items()):
+            yield f"  {label:11s} = {_iv_text(iv)}"
+        for row in c.rows:
+            yield (
+                f"  {row.target:11s} {row.entry_id:11s} {row.side:16s}"
+                f" {_iv_text(row.enclosure)}"
+            )
+        for relation in c.relations:
+            yield f"  {relation.verdict:9s} {relation.label}"
+    yield f"total: {total}"
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -503,112 +517,54 @@ def _cmd_report(args: argparse.Namespace) -> int:
             grid, shift_target=args.shift_frac, work_precision=args.precision
         )
         outcome = _tightness_outcome(rows)
-        if args.format == "json":
-            _print_json(
-                {
-                    "command": "report",
-                    "kind": "tightness",
-                    "total": outcome,
-                    "rows": [
-                        {key: _json_value(value) for key, value in row.items()}
-                        for row in rows
-                    ],
-                }
-            )
-        elif args.format == "csv":
-            _print_csv([_flatten_for_csv(row) for row in rows])
-        else:
-            for row in rows:
-                print(
-                    f"x={_rational_text(row['x'])}: x^5*d1 ~ {_iv_text(row['x5_d1'], 12)}"
-                    f" ({row['x5_verdict']}),"
-                    f" x^7*d2 ~ {_iv_text(row['x7_d2'], 12)}"
-                    f" ({row['x7_verdict']})"
-                )
-                print(
-                    f"    gaps: thm1 ~ {_scientific(row['thm1_gap'].hi)},"
-                    f" thm2 ~ {_scientific(row['thm2_gap'].hi)},"
-                    f" thm3a = {_rational_text(row['thm3a_gap'])},"
-                    f" thm3b = {_rational_text(row['thm3b_gap'])}"
-                )
-            print(f"total: {outcome}")
+        _emit(
+            args,
+            lambda: {
+                "command": "report",
+                "kind": "tightness",
+                "total": outcome,
+                "rows": [
+                    {key: _json_value(value) for key, value in row.items()}
+                    for row in rows
+                ],
+            },
+            lambda: [_flatten_for_csv(row) for row in rows],
+            lambda: _tightness_lines(rows, outcome),
+        )
         return EXIT_OK if outcome == "holds" else EXIT_UNDECIDED
 
     comparisons = [
         compare_bounds(x, shift_target=args.shift_frac, work_precision=args.precision)
         for x in grid
     ]
-    total = _combined_total([c.total for c in comparisons])
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "report",
-                "kind": "compare",
-                "total": total,
-                "points": [
-                    {
-                        "x": _rational_text(c.x),
-                        "targets": {
-                            label: _iv_json(iv) for label, iv in c.targets.items()
-                        },
-                        "bounds": [
-                            {
-                                "id": row.entry_id,
-                                "side": row.side,
-                                "target": row.target,
-                                "enclosure": _iv_json(row.enclosure),
-                            }
-                            for row in c.rows
-                        ],
-                        "relations": [r.to_json_dict() for r in c.relations],
-                    }
-                    for c in comparisons
-                ],
-            }
-        )
-    elif args.format == "csv":
-        rows: list[dict[str, object]] = []
-        for c in comparisons:
-            for row in c.rows:
-                rows.append(
-                    {
-                        "record": "bound",
-                        "x": _rational_text(c.x),
-                        "id": row.entry_id,
-                        "side": row.side,
-                        "target": row.target,
-                        "lo": _rational_text(row.enclosure.lo),
-                        "hi": _rational_text(row.enclosure.hi),
-                        "verdict": "",
-                    }
-                )
-            for relation in c.relations:
-                rows.append(
-                    {
-                        "record": "relation",
-                        "x": _rational_text(c.x),
-                        "id": relation.label,
-                        "side": "",
-                        "target": "",
-                        "lo": relation.evidence.get("lhs_lo", ""),
-                        "hi": relation.evidence.get("rhs_hi", ""),
-                        "verdict": relation.verdict,
-                    }
-                )
-        _print_csv(rows)
-    else:
-        for c in comparisons:
-            print(f"x = {_rational_text(c.x)}")
-            for label, iv in sorted(c.targets.items()):
-                print(f"  {label:11s} = {_iv_text(iv)}")
-            for row in c.rows:
-                print(
-                    f"  {row.target:11s} {row.entry_id:11s} {row.side:16s}"
-                    f" {_iv_text(row.enclosure)}"
-                )
-            for relation in c.relations:
-                print(f"  {relation.verdict:9s} {relation.label}")
-        print(f"total: {total}")
+    total = combined_total(c.total for c in comparisons)
+    _emit(
+        args,
+        lambda: {
+            "command": "report",
+            "kind": "compare",
+            "total": total,
+            "points": [
+                {
+                    "x": _rational_text(c.x),
+                    "targets": {label: _iv_json(iv) for label, iv in c.targets.items()},
+                    "bounds": [
+                        {
+                            "id": row.entry_id,
+                            "side": row.side,
+                            "target": row.target,
+                            "enclosure": _iv_json(row.enclosure),
+                        }
+                        for row in c.rows
+                    ],
+                    "relations": [r.to_json_dict() for r in c.relations],
+                }
+                for c in comparisons
+            ],
+        },
+        lambda: _compare_csv_rows(comparisons),
+        lambda: _compare_lines(comparisons, total),
+    )
     return EXIT_OK if total == "holds" else EXIT_UNDECIDED
 
 
@@ -703,10 +659,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.shift_frac < 1:
             raise UsageError("shift target must be >= 1")
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, ValueError) as exc:
+    except (UsageError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .elementary import iv_exp, iv_ln, iv_pi, iv_sinh
 from .interval import DomainError, Interval
+from .polycert import RationalFunction
 from .polygamma import (
     batir_bstar_enclosure,
     digamma_enclosure,
@@ -40,6 +41,7 @@ __all__ = [
     "Trigamma",
     "Var",
     "evaluate",
+    "rational_function",
 ]
 
 
@@ -262,3 +264,28 @@ class NamedConstant(Expr):
 def evaluate(expr: Expr, x: Fraction | int, ctx: EvalContext | None = None) -> Interval:
     """Certified enclosure of ``expr`` at the exact rational point ``x``."""
     return expr._eval(Fraction(x), ctx if ctx is not None else EvalContext())
+
+
+def rational_function(expr: Expr) -> RationalFunction:
+    """The exact rational function denoted by a tree of rational nodes.
+
+    Only Const, Var, Add, Neg, Mul, Div and PowInt are allowed; any other node
+    raises ``TypeError``.  ``RationalFunction`` is canonical, so equal functions
+    lower to equal values however their trees are written.
+    """
+    match expr:
+        case Const(value):
+            return RationalFunction.constant(value)
+        case Var():
+            return RationalFunction.x()
+        case Add(left, right):
+            return rational_function(left) + rational_function(right)
+        case Neg(arg):
+            return -rational_function(arg)
+        case Mul(left, right):
+            return rational_function(left) * rational_function(right)
+        case Div(num, den):
+            return rational_function(num) / rational_function(den)
+        case PowInt(base, exponent):
+            return rational_function(base) ** exponent
+    raise TypeError(f"{type(expr).__name__} node does not denote a rational function")

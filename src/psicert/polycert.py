@@ -263,6 +263,14 @@ class RationalFunction:
     def __rtruediv__(self, other: "RationalFunction | Fraction | int") -> "RationalFunction":
         return _as_rf(other) / self
 
+    def __pow__(self, exponent: int) -> "RationalFunction":
+        if exponent < 0:
+            return (1 / self) ** -exponent
+        result = RationalFunction.constant(1)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
@@ -355,7 +363,7 @@ def logexpr_limit_at_infinity(e: LogRationalExpr) -> LimitClass:
         for c, arg in e.log_terms:
             k = int(c * scale)
             if k != 0:
-                folded = folded * _rf_int_pow(arg, k)
+                folded = folded * arg**k
         if folded.num.is_zero or folded.num.degree != folded.den.degree:
             return LimitClass.DIVERGES
         if folded.num.leading != folded.den.leading:
@@ -365,15 +373,6 @@ def logexpr_limit_at_infinity(e: LogRationalExpr) -> LimitClass:
     if rational_limit is None:
         return LimitClass.DIVERGES
     return LimitClass.ZERO if rational_limit == 0 else LimitClass.FINITE_NONZERO
-
-
-def _rf_int_pow(rf: RationalFunction, k: int) -> RationalFunction:
-    if k < 0:
-        return _rf_int_pow(1 / rf, -k)
-    result = RationalFunction.constant(1)
-    for _ in range(k):
-        result = result * rf
-    return result
 
 
 @dataclass(frozen=True)

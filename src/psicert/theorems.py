@@ -11,6 +11,12 @@ log-rational comparisons: it builds the auxiliary comparison function,
 certifies its derivative's sign by shifted coefficient positivity, and
 classifies its limit at infinity.
 
+Every bound is stated once, in ``_catalog()``.  ``compare_bounds`` reads its
+rows off the catalog's pairs.  The symbolic auxiliaries reuse the catalog's
+rational pieces (alpha, beta, m, M, the 1/(120 x^4) and THM3a corrections)
+through ``expressions.rational_function``, and take the psi' and exp
+truncations from ``series`` through ``rational_from_expansion``.
+
 The two backends answer different questions: the symbolic backend certifies
 the auxiliary functions on a whole ray; the grid backend tests the stated
 inequality itself at sample points.  They can legitimately disagree when a
@@ -19,7 +25,7 @@ statement's published reduction to its auxiliary function does not hold.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,16 +42,16 @@ from .expressions import (
     Trigamma,
     Var,
     evaluate,
+    rational_function,
 )
 from .interval import Interval
 from .polycert import (
     LogRationalExpr,
-    Polynomial,
     RationalFunction,
     certify_negative_on_ray,
     rational_from_expansion,
 )
-from .series import trigamma_expansion
+from .series import expansion, series_exp, trigamma_expansion
 
 __all__ = [
     "CertReport",
@@ -57,6 +63,7 @@ __all__ = [
     "catalog",
     "certify_symbolic",
     "check_grid",
+    "combined_total",
     "compare_bounds",
     "default_grid",
     "entry",
@@ -133,18 +140,29 @@ class CertReport:
 
 _X = Var()
 _X1 = _X + 1
-
-
-def _alpha() -> Expr:
-    return Const(Fraction(1, 2)) + 1 / (90 * _X**3) - 1 / (60 * _X**4)
+_PSI1_HERE = Trigamma(_X)
+_PSI1_NEXT = Trigamma(_X1)
 
 
 def _beta() -> Expr:
     return Const(Fraction(1, 2)) + 1 / (90 * _X**3)
 
 
+def _alpha() -> Expr:
+    return _beta() - 1 / (60 * _X**4)
+
+
+def _quartic_correction() -> Expr:
+    """1/(120 x^4): THM1's exponent correction, also subtracted in R1U and R1V."""
+    return 1 / (120 * _X**4)
+
+
 def _exponent_corrected() -> Expr:
-    return Exp(-2 * Digamma(_X1) - 1 / (120 * _X**4))
+    return Exp(-2 * Digamma(_X1) - _quartic_correction())
+
+
+def _thm3a_lower_correction() -> Expr:
+    return 1 / (24 * _X**5) - Const(Fraction(5)) / (48 * _X**6)
 
 
 def _theta(m: int) -> Expr:
@@ -167,24 +185,13 @@ def _thm1_upper() -> Expr:
     return (_X + _beta()) * _exponent_corrected()
 
 
-def _batir_lower() -> Expr:
-    return (_X + Const(Fraction(1, 2))) * Exp(-2 * Digamma(_X1))
-
-
-def _batir_upper() -> Expr:
-    return (_X + NamedConstant("batir_bstar")) * Exp(-2 * Digamma(_X1))
-
-
-def _theta_fn() -> Expr:
-    return Trigamma(_X1) * Exp(2 * Digamma(_X1)) - _X
-
-
 @lru_cache(maxsize=1)
 def _catalog() -> tuple[InequalityEntry, ...]:
     half = Const(Fraction(1, 2))
     zero = Const(Fraction(0))
-    psi1_next = Trigamma(_X1)
-    psi1_here = Trigamma(_X)
+    bstar = NamedConstant("batir_bstar")
+    decay = Exp(-2 * Digamma(_X1))
+    theta_fn = _PSI1_NEXT * Exp(2 * Digamma(_X1)) - _X
     entries = (
         InequalityEntry(
             id="THM1",
@@ -195,8 +202,8 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             domain_start=Fraction(3),
             open_start=False,
             pairs=(
-                InequalityPair("lower", _thm1_lower(), psi1_next, strict=False),
-                InequalityPair("upper", psi1_next, _thm1_upper(), strict=False),
+                InequalityPair("lower", _thm1_lower(), _PSI1_NEXT, strict=False),
+                InequalityPair("upper", _PSI1_NEXT, _thm1_upper(), strict=False),
             ),
         ),
         InequalityEntry(
@@ -205,8 +212,8 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             domain_start=Fraction(3),
             open_start=False,
             pairs=(
-                InequalityPair("lower", Exp(_m_expr()) - 1, psi1_here),
-                InequalityPair("upper", psi1_here, Exp(_M_expr()) - 1),
+                InequalityPair("lower", Exp(_m_expr()) - 1, _PSI1_HERE),
+                InequalityPair("upper", _PSI1_HERE, Exp(_M_expr()) - 1),
             ),
         ),
         InequalityEntry(
@@ -219,11 +226,9 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             open_start=False,
             pairs=(
                 InequalityPair(
-                    "lower",
-                    _theta(1) + 1 / (24 * _X**5) - Const(Fraction(5)) / (48 * _X**6),
-                    psi1_next,
+                    "lower", _theta(1) + _thm3a_lower_correction(), _PSI1_NEXT
                 ),
-                InequalityPair("upper", psi1_next, _theta(1) + 1 / (24 * _X**5)),
+                InequalityPair("upper", _PSI1_NEXT, _theta(1) + 1 / (24 * _X**5)),
             ),
         ),
         InequalityEntry(
@@ -235,10 +240,10 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             domain_start=Fraction(1),
             open_start=False,
             pairs=(
-                InequalityPair("lower", _theta(2) - 1 / (45 * _X**7), psi1_next),
+                InequalityPair("lower", _theta(2) - 1 / (45 * _X**7), _PSI1_NEXT),
                 InequalityPair(
                     "upper",
-                    psi1_next,
+                    _PSI1_NEXT,
                     _theta(2) - 1 / (45 * _X**7) + Const(Fraction(7)) / (90 * _X**8),
                 ),
             ),
@@ -248,14 +253,14 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             description="psi'(x) < exp(-psi(x)), x > 0",
             domain_start=Fraction(0),
             open_start=True,
-            pairs=(InequalityPair("upper", psi1_here, Exp(-Digamma(_X))),),
+            pairs=(InequalityPair("upper", _PSI1_HERE, Exp(-Digamma(_X))),),
         ),
         InequalityEntry(
             id="GUO-QI",
             description="psi'(x) < exp(1/x) - 1, x > 0",
             domain_start=Fraction(0),
             open_start=True,
-            pairs=(InequalityPair("upper", psi1_here, Exp(1 / _X) - 1),),
+            pairs=(InequalityPair("upper", _PSI1_HERE, Exp(1 / _X) - 1),),
         ),
         InequalityEntry(
             id="BATIR",
@@ -266,8 +271,8 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             domain_start=Fraction(0),
             open_start=True,
             pairs=(
-                InequalityPair("lower", _batir_lower(), psi1_next),
-                InequalityPair("upper", psi1_next, _batir_upper(), strict=False),
+                InequalityPair("lower", (_X + half) * decay, _PSI1_NEXT),
+                InequalityPair("upper", _PSI1_NEXT, (_X + bstar) * decay, strict=False),
             ),
         ),
         InequalityEntry(
@@ -276,8 +281,8 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             domain_start=Fraction(0),
             open_start=True,
             pairs=(
-                InequalityPair("lower", _theta(1), psi1_next),
-                InequalityPair("upper", psi1_next, _theta(2)),
+                InequalityPair("lower", _theta(1), _PSI1_NEXT),
+                InequalityPair("upper", _PSI1_NEXT, _theta(2)),
             ),
         ),
         InequalityEntry(
@@ -292,9 +297,9 @@ def _catalog() -> tuple[InequalityEntry, ...]:
                 InequalityPair(
                     "lower",
                     Exp(1 / _X1) - NamedConstant("e") + NamedConstant("trigamma_one"),
-                    psi1_next,
+                    _PSI1_NEXT,
                 ),
-                InequalityPair("upper", psi1_next, Exp(1 / _X1) - 1),
+                InequalityPair("upper", _PSI1_NEXT, Exp(1 / _X1) - 1),
                 InequalityPair("sinh cap", Exp(1 / _X1) - 1, Sinh(2 / _X) / 2),
             ),
         ),
@@ -309,7 +314,7 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             pairs=(
                 InequalityPair(
                     "negativity",
-                    Ln(_X + _alpha()) - Ln(_X + half) - 1 / (120 * _X**4),
+                    Ln(_X + _alpha()) - Ln(_X + half) - _quartic_correction(),
                     zero,
                 ),
             ),
@@ -326,8 +331,8 @@ def _catalog() -> tuple[InequalityEntry, ...]:
                 InequalityPair(
                     "negativity",
                     Ln(_X + _beta())
-                    - 1 / (120 * _X**4)
-                    - Ln(_X + NamedConstant("batir_bstar")),
+                    - _quartic_correction()
+                    - Ln(_X + bstar),
                     zero,
                 ),
             ),
@@ -341,12 +346,10 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             domain_start=Fraction(0),
             open_start=True,
             pairs=(
-                InequalityPair("above limiting value 1/2", half, _theta_fn()),
-                InequalityPair(
-                    "below starting value b*", _theta_fn(), NamedConstant("batir_bstar")
-                ),
+                InequalityPair("above limiting value 1/2", half, theta_fn),
+                InequalityPair("below starting value b*", theta_fn, bstar),
             ),
-            monotone_expr=_theta_fn(),
+            monotone_expr=theta_fn,
         ),
     )
     return entries
@@ -374,7 +377,9 @@ def geometric_grid(start: Fraction, stop: Fraction, count: int) -> list[Fraction
 
     Interior points are snapped to denominators of 10**6 for readable
     output; endpoints stay exact.  Strict monotonicity is preserved by
-    linear fallback if snapping ever collides.
+    linear fallback if snapping ever collides.  Spacing is computed in
+    floats, so ends whose floats (or whose ratio) fall outside float range
+    raise ``ValueError``.
     """
     start, stop = Fraction(start), Fraction(stop)
     if start <= 0:
@@ -383,10 +388,14 @@ def geometric_grid(start: Fraction, stop: Fraction, count: int) -> list[Fraction
         raise ValueError("grid stop must exceed start")
     if count < 2:
         raise ValueError("grid needs at least two points")
-    ratio = (float(stop) / float(start)) ** (1.0 / (count - 1))
+    try:
+        ratio = (float(stop) / float(start)) ** (1.0 / (count - 1))
+        snapped = [round(float(start) * ratio**i * 10**6) for i in range(1, count - 1)]
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("grid ends are outside float range") from None
     points = [start]
-    for i in range(1, count - 1):
-        candidate = Fraction(round(float(start) * ratio**i * 10**6), 10**6)
+    for i, numerator in enumerate(snapped, start=1):
+        candidate = Fraction(numerator, 10**6)
         if candidate <= points[-1]:
             candidate = points[-1] + (stop - points[-1]) / (count - i)
         points.append(candidate)
@@ -438,14 +447,16 @@ def _evidence(lhs: Interval, rhs: Interval, ctx: EvalContext) -> dict[str, str]:
     }
 
 
-def _decide_pair(
-    pair: InequalityPair, x: Fraction, base: EvalContext
+def _refine(
+    sides: Callable[[EvalContext], tuple[Interval, Interval]],
+    separation: Callable[[Interval, Interval], str | None],
+    base: EvalContext,
 ) -> tuple[str, dict[str, str]]:
+    """Climb the precision ladder from ``base`` until ``separation`` decides."""
     ctx = base
     for attempt in range(MAX_REFINEMENTS + 1):
-        lhs = evaluate(pair.lhs, x, ctx)
-        rhs = evaluate(pair.rhs, x, ctx)
-        verdict = _separation(lhs, rhs, pair.strict)
+        lhs, rhs = sides(ctx)
+        verdict = separation(lhs, rhs)
         if verdict is not None:
             return verdict, _evidence(lhs, rhs, ctx)
         if attempt < MAX_REFINEMENTS:
@@ -453,24 +464,19 @@ def _decide_pair(
     return "undecided", _evidence(lhs, rhs, ctx)
 
 
-def _decide_decreasing(
-    expr: Expr, a: Fraction, b: Fraction, base: EvalContext
+def _decide_pair(
+    pair: InequalityPair, x: Fraction, base: EvalContext
 ) -> tuple[str, dict[str, str]]:
-    ctx = base
-    for attempt in range(MAX_REFINEMENTS + 1):
-        at_a = evaluate(expr, a, ctx)
-        at_b = evaluate(expr, b, ctx)
-        # claim: expr(a) > expr(b)
-        verdict = _separation(at_b, at_a, strict=True)
-        if verdict is not None:
-            return verdict, _evidence(at_a, at_b, ctx)
-        if attempt < MAX_REFINEMENTS:
-            ctx = ctx.refined()
-    return "undecided", _evidence(at_a, at_b, ctx)
+    return _refine(
+        lambda ctx: (evaluate(pair.lhs, x, ctx), evaluate(pair.rhs, x, ctx)),
+        lambda lhs, rhs: _separation(lhs, rhs, pair.strict),
+        base,
+    )
 
 
-def _total(checks: list[CheckRecord]) -> str:
-    verdicts = {c.verdict for c in checks}
+def combined_total(verdicts: Iterable[str]) -> str:
+    """``violated`` if any verdict is, else ``undecided`` if any is, else ``holds``."""
+    verdicts = set(verdicts)
     if "violated" in verdicts:
         return "violated"
     if "undecided" in verdicts:
@@ -493,35 +499,25 @@ def check_grid(
         for pair in e.pairs:
             verdict, evidence = _decide_pair(pair, x, base)
             checks.append(CheckRecord(f"{pair.label} at x={x}", verdict, evidence))
-    if e.monotone_expr is not None:
+    expr = e.monotone_expr
+    if expr is not None:
         for a, b in zip(points, points[1:]):
-            verdict, evidence = _decide_decreasing(e.monotone_expr, a, b, base)
+            # claim: expr(a) > expr(b); the evidence lists the value at a first
+            verdict, evidence = _refine(
+                lambda ctx: (evaluate(expr, a, ctx), evaluate(expr, b, ctx)),
+                lambda at_a, at_b: _separation(at_b, at_a, strict=True),
+                base,
+            )
             checks.append(
                 CheckRecord(f"decreasing from x={a} to x={b}", verdict, evidence)
             )
-    return CertReport(e.id, "grid", _total(checks), tuple(checks))
+    total = combined_total(c.verdict for c in checks)
+    return CertReport(e.id, "grid", total, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
 # symbolic certification
 # ---------------------------------------------------------------------------
-
-
-def _inv_rf(k: int, scale: Fraction | int = 1) -> RationalFunction:
-    return RationalFunction(Polynomial.constant(Fraction(scale)), Polynomial.x_power(k))
-
-
-def _x_plus_alpha_rf() -> RationalFunction:
-    return (
-        RationalFunction.x()
-        + Fraction(1, 2)
-        + _inv_rf(3, Fraction(1, 90))
-        - _inv_rf(4, Fraction(1, 60))
-    )
-
-
-def _x_plus_beta_rf() -> RationalFunction:
-    return RationalFunction.x() + Fraction(1, 2) + _inv_rf(3, Fraction(1, 90))
 
 
 def _digamma_tail_rf(order: int) -> RationalFunction:
@@ -532,35 +528,30 @@ def _digamma_tail_rf(order: int) -> RationalFunction:
     this reproduces the exact second-order tail, which is why the auxiliary
     certificates close.
     """
-    tail = _inv_rf(1, Fraction(1, 2)) - _inv_rf(2, Fraction(1, 12)) + _inv_rf(
-        4, Fraction(1, 240)
-    )
+    tail = 1 / (2 * _X) - 1 / (12 * _X**2) + 1 / (240 * _X**4)
     if order >= 6:
-        tail = tail - _inv_rf(6, Fraction(1, 252))
-    return tail
-
-
-def _trigamma_truncation_rf(order: int) -> RationalFunction:
-    return rational_from_expansion(trigamma_expansion(order))
+        tail = tail - 1 / (252 * _X**6)
+    return rational_function(tail)
 
 
 def _thm1_branches() -> list[tuple[str, LogRationalExpr, Fraction]]:
     x = RationalFunction.x()
+    quartic = rational_function(_quartic_correction())
     lower_aux = LogRationalExpr(
         log_terms=(
-            (Fraction(1), _x_plus_alpha_rf()),
+            (Fraction(1), rational_function(_X + _alpha())),
             (Fraction(-2), x),
-            (Fraction(-1), _trigamma_truncation_rf(9)),
+            (Fraction(-1), rational_from_expansion(trigamma_expansion(9))),
         ),
-        rational_part=Fraction(-2) * _digamma_tail_rf(6) - _inv_rf(4, Fraction(1, 120)),
+        rational_part=Fraction(-2) * _digamma_tail_rf(6) - quartic,
     )
     upper_aux = LogRationalExpr(
         log_terms=(
-            (Fraction(-1), _x_plus_beta_rf()),
-            (Fraction(1), _trigamma_truncation_rf(7)),
+            (Fraction(-1), rational_function(_X + _beta())),
+            (Fraction(1), rational_from_expansion(trigamma_expansion(7))),
             (Fraction(2), x),
         ),
-        rational_part=Fraction(2) * _digamma_tail_rf(4) + _inv_rf(4, Fraction(1, 120)),
+        rational_part=Fraction(2) * _digamma_tail_rf(4) + quartic,
     )
     return [
         ("lower auxiliary", lower_aux, Fraction(3)),
@@ -569,17 +560,17 @@ def _thm1_branches() -> list[tuple[str, LogRationalExpr, Fraction]]:
 
 
 def _thm2_branches() -> list[tuple[str, LogRationalExpr, Fraction]]:
-    one = RationalFunction.constant(1)
-    m_rf = _inv_rf(1) - _inv_rf(4, Fraction(1, 24)) + _inv_rf(6, Fraction(7, 360))
-    big_m_rf = m_rf + _inv_rf(7, Fraction(1, 90))
     # ln(1 + psi'(x)) truncations: shift the psi'(x+1) series by +1/x^2.
-    shifted9 = one + _trigamma_truncation_rf(9) + _inv_rf(2)
-    shifted11 = one + _trigamma_truncation_rf(11) + _inv_rf(2)
+    one_plus_shift = rational_function(1 + 1 / _X**2)
+    shifted9 = one_plus_shift + rational_from_expansion(trigamma_expansion(9))
+    shifted11 = one_plus_shift + rational_from_expansion(trigamma_expansion(11))
     lower_aux = LogRationalExpr(
-        log_terms=((Fraction(-1), shifted9),), rational_part=m_rf
+        log_terms=((Fraction(-1), shifted9),),
+        rational_part=rational_function(_m_expr()),
     )
     upper_aux = LogRationalExpr(
-        log_terms=((Fraction(1), shifted11),), rational_part=Fraction(-1) * big_m_rf
+        log_terms=((Fraction(1), shifted11),),
+        rational_part=-rational_function(_M_expr()),
     )
     return [
         ("lower auxiliary", lower_aux, Fraction(3)),
@@ -588,20 +579,12 @@ def _thm2_branches() -> list[tuple[str, LogRationalExpr, Fraction]]:
 
 
 def _thm3a_lower_branch() -> list[tuple[str, LogRationalExpr, Fraction]]:
-    one = RationalFunction.constant(1)
-    exp_lower7 = sum(
-        (_inv_rf(k, Fraction((-1) ** k, math.factorial(k))) for k in range(1, 8)),
-        start=one,
-    )
-    trig_lower5 = (
-        _inv_rf(1) - _inv_rf(2, Fraction(1, 2)) + _inv_rf(3, Fraction(1, 6))
-        - _inv_rf(5, Fraction(1, 30))
-    )
+    # exp(-1/x) through x^-7, a lower bound for x >= 1
+    exp_lower7 = rational_from_expansion(series_exp(expansion({1: -1}, 7)))
     folded = (
         exp_lower7
-        - _inv_rf(5, Fraction(1, 12))
-        + _inv_rf(6, Fraction(5, 24))
-        + Fraction(2) * trig_lower5
+        - 2 * rational_function(_thm3a_lower_correction())
+        + 2 * rational_from_expansion(trigamma_expansion(5))
     )
     aux = LogRationalExpr(
         log_terms=((Fraction(-1), folded),),
@@ -613,10 +596,10 @@ def _thm3a_lower_branch() -> list[tuple[str, LogRationalExpr, Fraction]]:
 def _r1u_branch() -> list[tuple[str, LogRationalExpr, Fraction]]:
     aux = LogRationalExpr(
         log_terms=(
-            (Fraction(1), _x_plus_alpha_rf()),
+            (Fraction(1), rational_function(_X + _alpha())),
             (Fraction(-1), RationalFunction.x() + Fraction(1, 2)),
         ),
-        rational_part=Fraction(-1) * _inv_rf(4, Fraction(1, 120)),
+        rational_part=-rational_function(_quartic_correction()),
     )
     return [("negativity", aux, Fraction(1))]
 
@@ -648,10 +631,8 @@ def certify_symbolic(entry_id: str) -> CertReport:
             f"available: {', '.join(_SYMBOLIC_BUILDERS)}"
         ) from None
     checks: list[CheckRecord] = []
-    all_ok = True
     for branch_label, aux, threshold in builder():
         report = certify_negative_on_ray(aux, threshold)
-        all_ok = all_ok and report.certified
         for step in report.steps:
             checks.append(
                 CheckRecord(
@@ -660,7 +641,7 @@ def certify_symbolic(entry_id: str) -> CertReport:
                     {"detail": step.detail, "ray_start": str(threshold)},
                 )
             )
-    total = "holds" if all_ok else "undecided"
+    total = combined_total(c.verdict for c in checks)
     return CertReport(entry_id, "symbolic", total, tuple(checks))
 
 
@@ -694,14 +675,12 @@ def tightness_report(
     if points and points[0] < 1:
         raise ValueError("tightness grid points must be >= 1")
     base = EvalContext(work_precision, Fraction(shift_target))
-    psi1_next = Trigamma(_X1)
-    psi1_here = Trigamma(_X)
-    d1_expr = psi1_next - _theta(1)
-    d2_expr = psi1_next - _theta(2)
+    d1_expr = _PSI1_NEXT - _theta(1)
+    d2_expr = _PSI1_NEXT - _theta(2)
     thm1_gap_expr = _thm1_upper() - _thm1_lower()
     thm2_gap_expr = Exp(_M_expr()) - Exp(_m_expr())
-    cm_upper_expr = Exp(_M_expr()) - psi1_here - 1
-    cm_lower_expr = psi1_here - Exp(_m_expr()) + 1
+    cm_upper_expr = Exp(_M_expr()) - _PSI1_HERE - 1
+    cm_lower_expr = _PSI1_HERE - Exp(_m_expr()) + 1
 
     rows: list[dict[str, object]] = []
     for x in points:
@@ -724,7 +703,7 @@ def tightness_report(
         rows.append(
             {
                 "x": x,
-                "psi_prime_next": evaluate(psi1_next, x, ctx),
+                "psi_prime_next": evaluate(_PSI1_NEXT, x, ctx),
                 "d1": d1,
                 "d2": d2,
                 "x5_d1": x5_d1,
@@ -767,7 +746,7 @@ class ComparisonReport:
 
     @property
     def total(self) -> str:
-        return _total(list(self.relations))
+        return combined_total(r.verdict for r in self.relations)
 
 
 def compare_bounds(
@@ -785,56 +764,44 @@ def compare_bounds(
     if x < 1:
         raise ValueError("comparison point must be >= 1")
     ctx = EvalContext(work_precision, Fraction(shift_target))
-    next_label, here_label = "psi'(x+1)", "psi'(x)"
-    bound_exprs: list[tuple[str, str, str, Expr]] = [
-        ("THM1", "lower", next_label, _thm1_lower()),
-        ("THM1", "upper", next_label, _thm1_upper()),
-        ("BATIR", "lower", next_label, _batir_lower()),
-        ("BATIR", "upper", next_label, _batir_upper()),
-        ("YCT", "lower", next_label, _theta(1)),
-        ("YCT", "upper", next_label, _theta(2)),
-        ("THM3a", "lower", next_label,
-         _theta(1) + 1 / (24 * _X**5) - Const(Fraction(5)) / (48 * _X**6)),
-        ("THM3a", "upper", next_label, _theta(1) + 1 / (24 * _X**5)),
-        ("THM3b", "lower", next_label, _theta(2) - 1 / (45 * _X**7)),
-        ("THM3b", "upper", next_label,
-         _theta(2) - 1 / (45 * _X**7) + Const(Fraction(7)) / (90 * _X**8)),
-        ("XP1", "lower", next_label,
-         Exp(1 / _X1) - NamedConstant("e") + NamedConstant("trigamma_one")),
-        ("XP1", "upper", next_label, Exp(1 / _X1) - 1),
-        ("XP1", "cap", next_label, Sinh(2 / _X) / 2),
-        ("THM2", "lower", here_label, Exp(_m_expr()) - 1),
-        ("THM2", "upper", here_label, Exp(_M_expr()) - 1),
-        ("GUO-QI", "upper", here_label, Exp(1 / _X) - 1),
-        ("ELE", "upper", here_label, Exp(-Digamma(_X))),
-        ("YCT", "lower (shifted)", here_label, 1 / _X**2 + _theta(1)),
-        ("YCT", "upper (shifted)", here_label, 1 / _X**2 + _theta(2)),
-    ]
+    labels = {_PSI1_NEXT: "psi'(x+1)", _PSI1_HERE: "psi'(x)"}
+    # (id, side) -> (psi' target, bound).  Every catalog pair with psi' on one
+    # side bounds it; XP1's sinh cap caps that entry's upper bound.
+    bounds: dict[tuple[str, str], tuple[Expr, Expr]] = {}
+    for e in _catalog():
+        for pair in e.pairs:
+            if pair.lhs in labels:
+                bounds[e.id, pair.label] = pair.lhs, pair.rhs
+            elif pair.rhs in labels:
+                bounds[e.id, pair.label] = pair.rhs, pair.lhs
+            elif pair.label == "sinh cap":
+                bounds[e.id, "cap"] = bounds[e.id, "upper"][0], pair.rhs
+    bounds["YCT", "lower (shifted)"] = _PSI1_HERE, 1 / _X**2 + _theta(1)
+    bounds["YCT", "upper (shifted)"] = _PSI1_HERE, 1 / _X**2 + _theta(2)
     rows = [
-        BoundRow(entry_id, side, target, evaluate(expr, x, ctx))
-        for entry_id, side, target, expr in bound_exprs
+        BoundRow(entry_id, side, labels[target], evaluate(bound, x, ctx))
+        for (entry_id, side), (target, bound) in bounds.items()
     ]
     rows.sort(key=lambda r: (r.target, r.enclosure.lo))
-    targets = {
-        next_label: evaluate(Trigamma(_X1), x, ctx),
-        here_label: evaluate(Trigamma(_X), x, ctx),
-    }
-    relation_specs = [
+    targets = {label: evaluate(target, x, ctx) for target, label in labels.items()}
+    relations = []
+    for label, lhs, rhs in [
         (
             "THM1 upper bound value below BATIR upper bound value",
-            InequalityPair("dominance", _thm1_upper(), _batir_upper()),
+            ("THM1", "upper"),
+            ("BATIR", "upper"),
         ),
         (
             "THM1 lower bound value below BATIR lower bound value",
-            InequalityPair("dominance", _thm1_lower(), _batir_lower()),
+            ("THM1", "lower"),
+            ("BATIR", "lower"),
         ),
         (
             "shifted theta(x,2) upper bound value below exp(1/x) - 1",
-            InequalityPair("dominance", 1 / _X**2 + _theta(2), Exp(1 / _X) - 1),
+            ("YCT", "upper (shifted)"),
+            ("GUO-QI", "upper"),
         ),
-    ]
-    relations = []
-    for label, pair in relation_specs:
-        verdict, evidence = _decide_pair(pair, x, ctx)
-        relations.append(CheckRecord(label, verdict, evidence))
+    ]:
+        pair = InequalityPair(label, bounds[lhs][1], bounds[rhs][1])
+        relations.append(CheckRecord(label, *_decide_pair(pair, x, ctx)))
     return ComparisonReport(x, targets, tuple(rows), tuple(relations))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from psicert import Interval, digamma_enclosure, parse_rational, trigamma_enclosure
-from psicert.cli import _int_text, _iv_json, _iv_text, _rational_text, _scientific
+from psicert.cli import _emit, _int_text, _iv_json, _iv_text, _rational_text, _scientific
 
 from _oracles import encloses_truth, scaled_bracket
 
@@ -218,6 +219,20 @@ class TestCertifyCommand:
         proc = run_cli("certify", "thm2", "--grid", "3-100-5")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("certify", "thm1", "--grid", "3:1e400:3"),
+            ("report", "tightness", "--grid", "1:1e400:3"),
+            ("certify", "classical", "--grid", "1e-400:1:3"),
+        ],
+    )
+    def test_grid_end_outside_float_range_is_usage_error(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert "bad grid spec" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_symbolic_and_grid_conflict(self):
         proc = run_cli("certify", "thm2", "--symbolic", "--grid", "3:10:4")
         assert proc.returncode == 2
@@ -279,6 +294,24 @@ class TestGlobalFlags:
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         # the constant term is reported even when zero
         assert [r["coefficient"] for r in rows] == ["0", "1", "-1/2", "1/6"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_emit_builds_only_the_requested_format(fmt, capsys):
+    def not_asked_for():
+        raise AssertionError(f"--format {fmt} built another format's output")
+
+    builders = {
+        "json": lambda: {"a": "1"},
+        "csv": lambda: iter([{"a": "1"}]),
+        "text": lambda: iter(["a = 1"]),
+    }
+    _emit(
+        argparse.Namespace(format=fmt),
+        *(builders[f] if f == fmt else not_asked_for for f in ("json", "csv", "text")),
+    )
+    expected = {"json": '{\n  "a": "1"\n}\n', "csv": "a\r\n1\r\n", "text": "a = 1\n"}
+    assert capsys.readouterr().out == expected[fmt]
 
 
 class TestExactPrinting:

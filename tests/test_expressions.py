@@ -6,18 +6,24 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from psicert import (
+    Add,
     Const,
     Digamma,
+    Div,
     DomainError,
     EvalContext,
     Exp,
     Interval,
     Ln,
+    Mul,
     NamedConstant,
+    Neg,
+    Polynomial,
     PowInt,
+    RationalFunction,
     Sinh,
     Trigamma,
     Var,
@@ -26,6 +32,8 @@ from psicert import (
     iv_pi,
     trigamma_enclosure,
 )
+from psicert.expressions import rational_function
+from psicert.theorems import _M_expr, _X, _alpha, _beta, _digamma_tail_rf, _m_expr
 
 from _oracles import (
     bstar_bracket,
@@ -178,3 +186,77 @@ class TestConstNode:
     @given(st.integers(min_value=-100, max_value=100))
     def test_var_is_identity(self, n):
         assert evaluate(X, n) == Interval.point(n)
+
+
+def _rational_trees() -> st.SearchStrategy:
+    leaves = st.one_of(
+        st.just(X),
+        st.builds(Const, st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.builds(Add, children, children),
+            st.builds(Neg, children),
+            st.builds(Mul, children, children),
+            st.builds(Div, children, children),
+            st.builds(PowInt, children, st.integers(min_value=-3, max_value=3)),
+        ),
+        max_leaves=8,
+    )
+
+
+def _inv(k: int, scale: Fraction | int = 1) -> RationalFunction:
+    """scale / x^k, the building block of the formerly hand-typed auxiliaries."""
+    return RationalFunction(Polynomial.constant(F(scale)), Polynomial.x_power(k))
+
+
+class TestRationalFunction:
+    @given(
+        _rational_trees(),
+        st.fractions(min_value=-20, max_value=20, max_denominator=50),
+    )
+    def test_lowering_agrees_with_evaluation(self, tree, x):
+        try:
+            lowered = rational_function(tree)
+        except ZeroDivisionError:
+            assume(False)  # the tree divides by the zero function
+        try:
+            value = evaluate(tree, x)
+        except DomainError:
+            assume(False)  # the tree divides by zero at this x
+        assert value.is_point
+        assert value.lo == lowered(x)
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            Exp(X),
+            Ln(X),
+            Sinh(X),
+            Digamma(X),
+            Trigamma(X),
+            NamedConstant("pi"),
+        ],
+        ids=lambda node: type(node).__name__,
+    )
+    def test_transcendental_nodes_raise_type_error(self, node):
+        with pytest.raises(TypeError):
+            rational_function(node)
+        with pytest.raises(TypeError):
+            rational_function(1 / X + node)
+
+    def test_catalog_pieces_match_the_hand_typed_functions(self):
+        x = RationalFunction.x()
+        m = _inv(1) - _inv(4, F(1, 24)) + _inv(6, F(7, 360))
+        assert rational_function(_X + _alpha()) == (
+            x + F(1, 2) + _inv(3, F(1, 90)) - _inv(4, F(1, 60))
+        )
+        assert rational_function(_X + _beta()) == x + F(1, 2) + _inv(3, F(1, 90))
+        assert rational_function(_m_expr()) == m
+        assert rational_function(_M_expr()) == m + _inv(7, F(1, 90))
+
+    def test_digamma_tail_keeps_its_deliberate_1_over_240(self):
+        tail4 = _inv(1, F(1, 2)) - _inv(2, F(1, 12)) + _inv(4, F(1, 240))
+        assert _digamma_tail_rf(4) == tail4
+        assert _digamma_tail_rf(6) == tail4 - _inv(6, F(1, 252))

@@ -22,19 +22,20 @@ from psicert.polygamma import digamma_enclosure, trigamma_enclosure
 MEMOISED_KERNELS = (iv_exp, iv_ln, digamma_enclosure, trigamma_enclosure)
 
 
-@pytest.mark.parametrize("fmt", sorted(FORMATS))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, fmt):
-    # bytes, not text: csv rows end in \r\n, which text mode would translate
-    expected_stdout = golden_path(name, fmt).read_bytes().decode("utf-8")
+def test_cli_output_matches_golden(name):
     expected_code = json.loads(EXIT_CODES.read_text(encoding="utf-8"))[name]
     hint = f"intended output change? rerun tests/golden/regen.py {name}; list it in CHANGES.md"
-    for kernel in MEMOISED_KERNELS:
-        kernel.cache_clear()
-    for run in ("cold", "warm"):
-        stdout, code = capture(CASES[name], fmt)
-        assert code == expected_code, f"{name} --format {fmt} ({run}) exit code changed; {hint}"
-        assert stdout == expected_stdout, f"{name} --format {fmt} ({run}) output changed; {hint}"
+    for fmt in FORMATS:
+        # bytes, not text: csv rows end in \r\n, which text mode would translate
+        expected_stdout = golden_path(name, fmt).read_bytes().decode("utf-8")
+        for kernel in MEMOISED_KERNELS:
+            kernel.cache_clear()
+        for run in ("cold", "warm"):
+            stdout, code = capture(CASES[name], fmt)
+            where = f"{name} --format {fmt} ({run})"
+            assert code == expected_code, f"{where} exit code changed; {hint}"
+            assert stdout == expected_stdout, f"{where} output changed; {hint}"
 
 
 def test_every_golden_file_has_a_case():

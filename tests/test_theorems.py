@@ -19,7 +19,13 @@ from psicert import (
     geometric_grid,
     tightness_report,
 )
-from psicert.theorems import InequalityPair, _decide_pair, entry, symbolic_ids
+from psicert.theorems import (
+    InequalityPair,
+    _decide_pair,
+    combined_total,
+    entry,
+    symbolic_ids,
+)
 
 F = Fraction
 
@@ -116,6 +122,18 @@ class TestGrids:
         with pytest.raises(ValueError):
             geometric_grid(F(1), F(10), 1)
 
+    @pytest.mark.parametrize(
+        "start, stop",
+        [
+            (F(3), F(10**400)),  # stop overflows a float
+            (F(1, 10**400), F(1)),  # start underflows to 0.0
+            (F(1, 10**300), F(10**300)),  # each end fits, their ratio does not
+        ],
+    )
+    def test_ends_outside_float_range_raise_value_error(self, start, stop):
+        with pytest.raises(ValueError, match="outside float range"):
+            geometric_grid(start, stop, 3)
+
     def test_default_grid_starts_at_domain(self):
         assert default_grid(entry("THM1"))[0] == 3
         assert default_grid(entry("THM3a"))[0] == 1
@@ -205,6 +223,20 @@ class TestUndecidedPath:
         verdict, evidence = _decide_pair(pair, F(2), EvalContext(16, F(2)))
         assert verdict == "undecided"
         assert int(evidence["work_precision"]) == 16 * 2**4
+
+
+class TestCombinedTotal:
+    @pytest.mark.parametrize(
+        "verdicts, total",
+        [
+            ([], "holds"),
+            (["holds", "holds"], "holds"),
+            (["holds", "undecided"], "undecided"),
+            (["undecided", "violated", "holds"], "violated"),
+        ],
+    )
+    def test_violated_outranks_undecided_outranks_holds(self, verdicts, total):
+        assert combined_total(iter(verdicts)) == total
 
 
 class TestSymbolicCertificates:
