@@ -40,6 +40,15 @@ CASES: dict[str, tuple[str, ...]] = {
     "certify_all_symbolic": ("certify", "all", "--symbolic"),
     "report_tightness": ("report", "tightness", "--grid", "1:1024:4"),
     "report_compare": ("report", "compare", "--grid", "2:10:2"),
+    # base rung 8 bits, shift 1: checks decide at every rung up to the last
+    "certify_classical_ladder": (
+        "--precision", "8", "--shift-target", "1", "certify", "classical",
+        "--grid", "1:10000:2",
+    ),
+    "report_tightness_ladder": (
+        "--precision", "8", "--shift-target", "1", "report", "tightness",
+        "--grid", "1:1024:3",
+    ),
     "enclose_digamma": ("enclose", "digamma", "7/3"),
     "enclose_trigamma": ("enclose", "trigamma", "7/3", "--shift", "40"),
     "const_gamma": ("const", "gamma", "--tol", "1e-20"),
