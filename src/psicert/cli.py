@@ -276,9 +276,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_enclose(args: argparse.Namespace) -> int:
     x = parse_rational(args.x)
-    shift = parse_rational(args.shift) if args.shift is not None else args.shift_frac
-    if shift < 1:
-        raise UsageError("shift target must be >= 1")
+    shift = args.shift_frac
     if x <= 0:
         raise UsageError(f"{args.function} enclosure requires x > 0, got {x}")
     fn = digamma_enclosure if args.function == "digamma" else trigamma_enclosure
@@ -619,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enclose.add_argument("function", choices=("digamma", "trigamma"))
     p_enclose.add_argument("x")
-    p_enclose.add_argument("--shift", default=None, help="override shift target")
     p_enclose.set_defaults(handler=_cmd_enclose)
 
     p_const = sub.add_parser("const", help="certified enclosures of constants")

@@ -11,6 +11,7 @@ Operator overloading builds trees readably: ``(X + F(1, 2)) * Exp(-2 * Digamma(X
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -228,21 +229,14 @@ class Trigamma(Expr):
         return Interval(lo_end.lo, hi_end.hi)
 
 
-_CONSTANT_NAMES = ("pi", "e", "euler_gamma", "batir_bstar", "trigamma_one")
-
-
-def _constant(name: str, work_precision: int, shift_target: Fraction) -> Interval:
-    if name == "pi":
-        return iv_pi(work_precision)
-    if name == "e":
-        return iv_exp(1, work_precision)
-    if name == "euler_gamma":
-        return euler_gamma_enclosure(shift_target)
-    if name == "batir_bstar":
-        return batir_bstar_enclosure(shift_target, work_precision)
-    if name == "trigamma_one":
-        return trigamma_enclosure(1, shift_target)
-    raise ValueError(f"unknown constant {name!r}")
+# name -> enclosure at (work precision, shift target)
+_CONSTANTS: dict[str, Callable[[int, Fraction], Interval]] = {
+    "pi": lambda bits, shift: iv_pi(bits),
+    "e": lambda bits, shift: iv_exp(1, bits),
+    "euler_gamma": lambda bits, shift: euler_gamma_enclosure(shift),
+    "batir_bstar": lambda bits, shift: batir_bstar_enclosure(shift, bits),
+    "trigamma_one": lambda bits, shift: trigamma_enclosure(1, shift),
+}
 
 
 @dataclass(frozen=True)
@@ -252,13 +246,13 @@ class NamedConstant(Expr):
     name: str
 
     def __post_init__(self) -> None:
-        if self.name not in _CONSTANT_NAMES:
+        if self.name not in _CONSTANTS:
             raise ValueError(
-                f"unknown constant {self.name!r}; expected one of {_CONSTANT_NAMES}"
+                f"unknown constant {self.name!r}; expected one of {tuple(_CONSTANTS)}"
             )
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return _constant(self.name, ctx.work_precision, ctx.shift_target)
+        return _CONSTANTS[self.name](ctx.work_precision, ctx.shift_target)
 
 
 def evaluate(expr: Expr, x: Fraction | int, ctx: EvalContext | None = None) -> Interval:

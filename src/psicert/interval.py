@@ -19,15 +19,10 @@ __all__ = [
     "DomainError",
     "Interval",
     "ROUNDING_GUARD_BITS",
-    "Rational",
     "iv_arith",
     "parse_rational",
     "round_outward",
 ]
-
-#: The universal exact scalar.  An alias so call sites read as the concept,
-#: not the stdlib module that happens to implement it.
-Rational = Fraction
 
 #: Extra bits of head-room used by :func:`round_outward` beyond the requested
 #: precision, so rounding never dominates the error budget of the routine

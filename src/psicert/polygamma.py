@@ -1,21 +1,16 @@
 """Certified rational enclosures of digamma, trigamma, and derived constants.
 
 The enclosures combine the recurrences ``psi(x+1) = psi(x) + 1/x`` and
-``psi'(x+1) = psi'(x) - 1/x**2`` with two-sided truncations of the
-asymptotic expansions at a shifted argument ``y >= shift_target``:
-
-* ``psi(y+1)`` lies in ``[U - 1/(252 y^6), U]`` where
-  ``U = ln y + 1/(2y) - 1/(12 y^2) + 1/(120 y^4)``;
-* ``psi'(y+1)`` lies in ``[V - 1/(30 y^9), V]`` where
-  ``V = 1/y - 1/(2 y^2) + 1/(6 y^3) - 1/(30 y^5) + 1/(42 y^7)``.
-
-Both windows follow from the enveloping property of the expansions, whose
-error has the sign and magnitude of the first omitted term.  Larger
-``shift_target`` narrows the windows.  The recurrence corrections
-``sum 1/(x+k)**p`` are summed in fixed point at scale ``2**-w`` with
-directed rounding, so ``n`` shift steps add at most ``n`` ulps of width;
-``w`` carries ``n.bit_length()`` guard bits beyond the window's precision,
-so the rounding stays far below the window.
+``psi'(x+1) = psi'(x) - 1/x**2`` with the asymptotic expansions of
+``psi(y+1)`` and ``psi'(y+1)`` from :mod:`psicert.series`, at a shifted
+argument ``y >= shift_target``.  Both are enveloping: a truncation errs by
+less than its first omitted term and with that term's sign, so the value
+lies between the sum of all terms but the last and the sum of all of them
+(see :func:`_enveloped`).  Larger ``shift_target`` narrows that window.
+The recurrence corrections ``sum 1/(x+k)**p`` are summed in fixed point at
+scale ``2**-w`` with directed rounding, so ``n`` shift steps add at most
+``n`` ulps of width; ``w`` carries ``n.bit_length()`` guard bits beyond the
+window's precision, so the rounding stays far below the window.
 
 :func:`digamma_enclosure` and :func:`trigamma_enclosure` are memoised per
 argument and per shift target in a bounded LRU cache (see
@@ -31,6 +26,7 @@ from functools import lru_cache
 
 from .elementary import ENCLOSURE_CACHE_SIZE, iv_exp, iv_ln, iv_pi
 from .interval import DomainError, Interval
+from .series import digamma_expansion, trigamma_expansion
 
 __all__ = [
     "batir_bstar_enclosure",
@@ -41,6 +37,9 @@ __all__ = [
 ]
 
 DEFAULT_SHIFT_TARGET = Fraction(10)
+
+_DIGAMMA_TERMS = digamma_expansion(6).coeffs
+_TRIGAMMA_TERMS = trigamma_expansion(9).coeffs
 
 
 def _validate(x: Fraction, shift_target: Fraction) -> tuple[Fraction, Fraction]:
@@ -58,13 +57,20 @@ def _shift_count(x: Fraction, shift_target: Fraction) -> int:
     return max(0, math.ceil(shift_target + 1 - x))
 
 
-def _window_precision(shift_target: Fraction, power: int = 6) -> int:
+def _window_precision(shift_target: Fraction, power: int) -> int:
     # Bits well below the asymptotic window width ~ shift_target**-power,
     # so the logarithm and the recurrence sum never dominate the enclosure.
     return power * max(4, math.ceil(shift_target).bit_length()) + 48
 
 
 _SUM_GUARD_BITS = 4
+
+
+def _enveloped(terms: tuple[tuple[int, Fraction], ...], y: Fraction) -> Interval:
+    """Hull of the sum of ``c * y**-k`` over all ``terms`` and over all but the last."""
+    *kept, (k, c) = terms
+    partial = sum(coeff / y**power for power, coeff in kept)
+    return Interval.point(partial).hull(Interval.point(partial + c / y**k))
 
 
 def _reciprocal_sum(x: Fraction, n: int, power: int, bits: int) -> Interval:
@@ -91,17 +97,15 @@ def digamma_enclosure(
 ) -> Interval:
     """Enclosure of ``psi(x)`` for rational ``x > 0``.
 
-    Width decreases like ``shift_target**-6`` plus the rounding of the
-    logarithm and of the recurrence sum (see :func:`_reciprocal_sum`), and is
-    weakly decreasing as ``shift_target`` grows.
+    Width decreases like the omitted term at ``shift_target`` plus the rounding
+    of the logarithm and of the recurrence sum (see :func:`_reciprocal_sum`),
+    and is weakly decreasing as ``shift_target`` grows.
     """
     x, shift_target = _validate(Fraction(x), Fraction(shift_target))
     n = _shift_count(x, shift_target)
     y = x + n - 1  # psi(x) = psi(y + 1) - sum_{k=0}^{n-1} 1/(x + k)
-    upper_tail = 1 / (2 * y) - 1 / (12 * y**2) + 1 / (120 * y**4)
-    window = Fraction(1, 252) / y**6
-    bits = _window_precision(shift_target)
-    enclosure = iv_ln(y, bits) + Interval(upper_tail - window, upper_tail)
+    bits = _window_precision(shift_target, _DIGAMMA_TERMS[-1][0])
+    enclosure = iv_ln(y, bits) + _enveloped(_DIGAMMA_TERMS, y)
     return enclosure - _reciprocal_sum(x, n, 1, bits)
 
 
@@ -113,16 +117,14 @@ def trigamma_enclosure(
     """Enclosure of ``psi'(x)`` for rational ``x > 0``.
 
     The asymptotic part is exact rational arithmetic; the recurrence sum
-    adds at most ``n`` ulps at ``2**-w``, far below the ``1/(30 y**9)``
-    window (see :func:`_reciprocal_sum`).
+    adds at most ``n`` ulps at ``2**-w``, far below the window set by the
+    omitted term (see :func:`_reciprocal_sum`).
     """
     x, shift_target = _validate(Fraction(x), Fraction(shift_target))
     n = _shift_count(x, shift_target)
     y = x + n - 1  # psi'(x) = psi'(y + 1) + sum_{k=0}^{n-1} 1/(x + k)^2
-    upper = 1 / y - 1 / (2 * y**2) + 1 / (6 * y**3) - 1 / (30 * y**5) + 1 / (42 * y**7)
-    window = Fraction(1, 30) / y**9
-    correction = _reciprocal_sum(x, n, 2, _window_precision(shift_target, 9))
-    return Interval(upper - window, upper) + correction
+    bits = _window_precision(shift_target, _TRIGAMMA_TERMS[-1][0])
+    return _enveloped(_TRIGAMMA_TERMS, y) + _reciprocal_sum(x, n, 2, bits)
 
 
 def euler_gamma_enclosure(
@@ -150,7 +152,7 @@ def batir_bstar_enclosure(
     """
     shift_target = Fraction(shift_target)
     if work_precision is None:
-        work_precision = _window_precision(shift_target)
+        work_precision = _window_precision(shift_target, _DIGAMMA_TERMS[-1][0])
     if work_precision < 8:
         raise ValueError("work precision must be at least 8")
     return _bstar_cached(shift_target, work_precision)
@@ -199,10 +201,11 @@ def digamma_zero(tolerance: Fraction | int = Fraction(1, 10**6)) -> Interval:
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    # 1/(252 st^6) <= tolerance/64  =>  st >= (64 / (252 tol))^(1/6);
-    # the ceiling is four times the first doubling of 10 that meets it.
+    # The ceiling is four times the first doubling st of 10 at which the
+    # window, the omitted term |c| / st**k, is at most tolerance / 64.
+    k, c = _DIGAMMA_TERMS[-1]
     ceiling = Fraction(10)
-    while 64 * Fraction(1, 252) / ceiling**6 > tolerance:
+    while 64 * abs(c) / ceiling**k > tolerance:
         ceiling *= 2
     ceiling *= 4
     level = 0

@@ -12,7 +12,8 @@ certifies its derivative's sign by shifted coefficient positivity, and
 classifies its limit at infinity.
 
 Every bound is stated once, in ``_catalog()``.  ``compare_bounds`` reads its
-rows off the catalog's pairs.  The symbolic auxiliaries reuse the catalog's
+rows off the catalog's pairs, and ``tightness_report`` its windows and gaps
+off the THM3 corrections.  The symbolic auxiliaries reuse the catalog's
 rational pieces (alpha, beta, m, M, the 1/(120 x^4) and THM3a corrections)
 through ``expressions.rational_function``, and take the psi' and exp
 truncations from ``series`` through ``rational_from_expansion``.
@@ -25,7 +26,7 @@ statement's published reduction to its auxiliary function does not hold.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -161,8 +162,15 @@ def _exponent_corrected() -> Expr:
     return Exp(-2 * Digamma(_X1) - _quartic_correction())
 
 
-def _thm3a_lower_correction() -> Expr:
-    return 1 / (24 * _X**5) - Const(Fraction(5)) / (48 * _X**6)
+# The (lower, upper) terms that THM3a and THM3b add to theta(x, 1) and theta(x, 2).
+def _thm3a_corrections() -> tuple[Expr, Expr]:
+    upper = 1 / (24 * _X**5)
+    return upper - 5 / (48 * _X**6), upper
+
+
+def _thm3b_corrections() -> tuple[Expr, Expr]:
+    lower = -1 / (45 * _X**7)
+    return lower, lower + 7 / (90 * _X**8)
 
 
 def _theta(m: int) -> Expr:
@@ -192,7 +200,9 @@ def _catalog() -> tuple[InequalityEntry, ...]:
     bstar = NamedConstant("batir_bstar")
     decay = Exp(-2 * Digamma(_X1))
     theta_fn = _PSI1_NEXT * Exp(2 * Digamma(_X1)) - _X
-    entries = (
+    thm3a_lower, thm3a_upper = _thm3a_corrections()
+    thm3b_lower, thm3b_upper = _thm3b_corrections()
+    return (
         InequalityEntry(
             id="THM1",
             description=(
@@ -225,10 +235,8 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             domain_start=Fraction(1),
             open_start=False,
             pairs=(
-                InequalityPair(
-                    "lower", _theta(1) + _thm3a_lower_correction(), _PSI1_NEXT
-                ),
-                InequalityPair("upper", _PSI1_NEXT, _theta(1) + 1 / (24 * _X**5)),
+                InequalityPair("lower", _theta(1) + thm3a_lower, _PSI1_NEXT),
+                InequalityPair("upper", _PSI1_NEXT, _theta(1) + thm3a_upper),
             ),
         ),
         InequalityEntry(
@@ -240,12 +248,8 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             domain_start=Fraction(1),
             open_start=False,
             pairs=(
-                InequalityPair("lower", _theta(2) - 1 / (45 * _X**7), _PSI1_NEXT),
-                InequalityPair(
-                    "upper",
-                    _PSI1_NEXT,
-                    _theta(2) - 1 / (45 * _X**7) + Const(Fraction(7)) / (90 * _X**8),
-                ),
+                InequalityPair("lower", _theta(2) + thm3b_lower, _PSI1_NEXT),
+                InequalityPair("upper", _PSI1_NEXT, _theta(2) + thm3b_upper),
             ),
         ),
         InequalityEntry(
@@ -352,7 +356,6 @@ def _catalog() -> tuple[InequalityEntry, ...]:
             monotone_expr=theta_fn,
         ),
     )
-    return entries
 
 
 def catalog() -> list[InequalityEntry]:
@@ -447,20 +450,25 @@ def _evidence(lhs: Interval, rhs: Interval, ctx: EvalContext) -> dict[str, str]:
     }
 
 
+def _ladder(base: EvalContext) -> Iterator[EvalContext]:
+    """The precision ladder: ``base``, then its ``MAX_REFINEMENTS`` refinements."""
+    yield base
+    for _ in range(MAX_REFINEMENTS):
+        base = base.refined()
+        yield base
+
+
 def _refine(
     sides: Callable[[EvalContext], tuple[Interval, Interval]],
     separation: Callable[[Interval, Interval], str | None],
     base: EvalContext,
 ) -> tuple[str, dict[str, str]]:
     """Climb the precision ladder from ``base`` until ``separation`` decides."""
-    ctx = base
-    for attempt in range(MAX_REFINEMENTS + 1):
+    for ctx in _ladder(base):
         lhs, rhs = sides(ctx)
         verdict = separation(lhs, rhs)
         if verdict is not None:
             return verdict, _evidence(lhs, rhs, ctx)
-        if attempt < MAX_REFINEMENTS:
-            ctx = ctx.refined()
     return "undecided", _evidence(lhs, rhs, ctx)
 
 
@@ -583,7 +591,7 @@ def _thm3a_lower_branch() -> list[tuple[str, LogRationalExpr, Fraction]]:
     exp_lower7 = rational_from_expansion(series_exp(expansion({1: -1}, 7)))
     folded = (
         exp_lower7
-        - 2 * rational_function(_thm3a_lower_correction())
+        - 2 * rational_function(_thm3a_corrections()[0])
         + 2 * rational_from_expansion(trigamma_expansion(5))
     )
     aux = LogRationalExpr(
@@ -681,23 +689,21 @@ def tightness_report(
     thm2_gap_expr = Exp(_M_expr()) - Exp(_m_expr())
     cm_upper_expr = Exp(_M_expr()) - _PSI1_HERE - 1
     cm_lower_expr = _PSI1_HERE - Exp(_m_expr()) + 1
+    thm3a_lower, thm3a_upper = map(rational_function, _thm3a_corrections())
+    thm3b_lower, thm3b_upper = map(rational_function, _thm3b_corrections())
 
     rows: list[dict[str, object]] = []
     for x in points:
-        window1 = Interval(Fraction(1, 24) - Fraction(5, 48) / x, Fraction(1, 24))
-        window2 = Interval(Fraction(-1, 45), Fraction(-1, 45) + Fraction(7, 90) / x)
-        ctx = base
-        for attempt in range(MAX_REFINEMENTS + 1):
+        thm3a = Interval(thm3a_lower(x), thm3a_upper(x))
+        thm3b = Interval(thm3b_lower(x), thm3b_upper(x))
+        for ctx in _ladder(base):
             d1 = evaluate(d1_expr, x, ctx)
             d2 = evaluate(d2_expr, x, ctx)
-            x5_d1 = d1 * x**5
-            x7_d2 = d2 * x**7
-            verdict1 = _window_membership(x5_d1, window1)
-            verdict2 = _window_membership(x7_d2, window2)
+            # x^5 > 0 scales exactly: d1 is in the band iff x^5 d1 is in the window
+            verdict1 = _window_membership(d1, thm3a)
+            verdict2 = _window_membership(d2, thm3b)
             if verdict1 is not None and verdict2 is not None:
                 break
-            if attempt < MAX_REFINEMENTS:
-                ctx = ctx.refined()
         u0, u1, u2 = (evaluate(cm_upper_expr, x + k, base) for k in range(3))
         l0, l1, l2 = (evaluate(cm_lower_expr, x + k, base) for k in range(3))
         rows.append(
@@ -706,18 +712,18 @@ def tightness_report(
                 "psi_prime_next": evaluate(_PSI1_NEXT, x, ctx),
                 "d1": d1,
                 "d2": d2,
-                "x5_d1": x5_d1,
-                "x7_d2": x7_d2,
-                "x5_window": window1,
-                "x7_window": window2,
+                "x5_d1": d1 * x**5,
+                "x7_d2": d2 * x**7,
+                "x5_window": thm3a * x**5,
+                "x7_window": thm3b * x**7,
                 "x5_verdict": verdict1 or "undecided",
                 "x7_verdict": verdict2 or "undecided",
                 "x5_in_window": verdict1 == "in",
                 "x7_in_window": verdict2 == "in",
                 "thm1_gap": evaluate(thm1_gap_expr, x, base),
                 "thm2_gap": evaluate(thm2_gap_expr, x, base),
-                "thm3a_gap": Fraction(5, 48) / x**6,
-                "thm3b_gap": Fraction(7, 90) / x**8,
+                "thm3a_gap": thm3a.width,
+                "thm3b_gap": thm3b.width,
                 "cm_upper": u0,
                 "cm_upper_diff1": u1 - u0,
                 "cm_upper_diff2": u2 - 2 * u1 + u0,

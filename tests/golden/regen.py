@@ -50,7 +50,7 @@ CASES: dict[str, tuple[str, ...]] = {
         "--grid", "1:1024:3",
     ),
     "enclose_digamma": ("enclose", "digamma", "7/3"),
-    "enclose_trigamma": ("enclose", "trigamma", "7/3", "--shift", "40"),
+    "enclose_trigamma": ("--shift-target", "40", "enclose", "trigamma", "7/3"),
     "const_gamma": ("const", "gamma", "--tol", "1e-20"),
     "const_bstar": ("const", "bstar"),
     "const_digamma_zero": ("const", "digamma-zero", "--tol", "1e-12"),

@@ -103,7 +103,7 @@ class TestBernCommand:
 
 class TestEncloseCommand:
     def test_matches_library(self):
-        data, code = run_json("enclose", "digamma", "29/7", "--shift", "12")
+        data, code = run_json("--shift-target", "12", "enclose", "digamma", "29/7")
         assert code == 0
         enclosure = digamma_enclosure(F(29, 7), F(12))
         assert parse_rational(data["enclosure"]["lo"]) == enclosure.lo

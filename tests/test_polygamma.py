@@ -192,6 +192,21 @@ class TestLargeShift:
         assert encloses_truth(enclosure, bracket)
 
 
+class TestAsymptoticWindow:
+    """At shift target 1 and x >= 2 no recurrence step is taken, so y = x - 1."""
+
+    @given(st.fractions(min_value=2, max_value=10**6, max_denominator=1000))
+    def test_against_mpmath_without_recurrence(self, x):
+        assert trigamma_enclosure(x, 1).width == F(1, 30) / (x - 1) ** 9
+        for kernel, reference in (
+            (digamma_enclosure, mpmath.digamma),
+            (trigamma_enclosure, lambda t: mpmath.psi(1, t)),
+        ):
+            enclosure = kernel(x, 1)
+            bracket = scaled_bracket(lambda: reference(_to_mpf(x)), enclosure.width)
+            assert encloses_truth(enclosure, bracket), kernel.__name__
+
+
 class TestConstants:
     def test_euler_gamma(self):
         enclosure = euler_gamma_enclosure()

@@ -283,6 +283,16 @@ class TestTightnessReport:
             assert window.hi == F(1, 24)
             assert window.encloses(row["x5_d1"])
 
+    def test_x7_window_and_thm3_gaps_match_reference(self, octaves):
+        for row in octaves:
+            x = row["x"]
+            window = row["x7_window"]
+            assert window.lo == F(-1, 45)
+            assert window.hi == F(-1, 45) + F(7, 90) / x
+            assert window.encloses(row["x7_d2"])
+            assert row["thm3a_gap"] == F(5, 48) / x**6
+            assert row["thm3b_gap"] == F(7, 90) / x**8
+
     def test_row_keys(self, octaves):
         expected = {
             "x",
