@@ -57,6 +57,9 @@ CASES: dict[str, tuple[str, ...]] = {
     "const_digamma_zero_tol30": ("const", "digamma-zero", "--tol", "1e-30"),
     "const_pi_p128": ("--precision", "128", "const", "pi"),
     "series_product": ("series", "product", "--order", "8"),
+    "series_product_o60": ("series", "product", "--order", "60"),
+    # negative, non-integer m: the operands' common denominators are nontrivial
+    "series_theta": ("series", "theta", "--order", "40", "--m=-7/5"),
     "bern": ("bern", "30"),
 }
 
