@@ -255,8 +255,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
         series = _build_series(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    coeffs = series.coeff_map()
     terms = [
-        {"power": -k, "coefficient": _rational_text(series.coeff(k))}
+        {"power": -k, "coefficient": _rational_text(coeffs.get(k, Fraction(0)))}
         for k in range(-series.low_degree, series.order + 1)
     ]
     _emit(

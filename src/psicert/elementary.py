@@ -19,6 +19,7 @@ precision is a new key and gets its own enclosure.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -144,6 +145,8 @@ def iv_exp(a: Interval | Fraction | int, work_precision: int) -> Interval:
     # exp amplifies absolute perturbations by up to e**hi, so the input
     # snapping grid must be that much finer than the output precision.
     amplification = 2 * max(0, math.ceil(iv.hi))
+    if amplification > sys.maxsize:  # the snapping shift must be a machine-size int
+        raise ValueError(f"exp argument above {sys.maxsize // 2} is out of range")
     iv = _snap(iv, work_precision + 8 + amplification)
     lo = _exp_point(iv.lo, work_precision)
     hi = lo if iv.is_point else _exp_point(iv.hi, work_precision)

@@ -11,6 +11,7 @@ coefficients remain fully determined and truncates there.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -134,23 +135,35 @@ def series_sub(u: AsymptoticExpansion, v: AsymptoticExpansion) -> AsymptoticExpa
     return series_add(u, series_scale(v, -1))
 
 
+def _over_common_denominator(values: list[Fraction]) -> tuple[int, list[int]]:
+    """``(d, [v * d for v in values])`` with ``d`` the lcm of the denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def series_mul(u: AsymptoticExpansion, v: AsymptoticExpansion) -> AsymptoticExpansion:
     """Cauchy product; operands must be log-free.
 
     The product coefficient at index ``n`` needs every ``u`` index up to
     ``n - min_key(v)`` and vice versa, which caps the sound result order at
-    ``min(order(u) + min_key(v), order(v) + min_key(u))``.
+    ``min(order(u) + min_key(v), order(v) + min_key(u))``.  Each operand is
+    put over the lcm of its denominators, the integer numerators are
+    convolved, and each product coefficient is reduced once.
     """
     if u.log_coeff != 0 or v.log_coeff != 0:
         raise UnsupportedOperationError(
             "product of expansions with logarithmic terms is not representable"
         )
-    order = min(u.order + _min_key(v), v.order + _min_key(u))
-    out: dict[int, Fraction] = {}
-    for i, a in u.coeffs:
-        for j, b in v.coeffs:
-            if i + j <= order:
-                out[i + j] = out.get(i + j, Fraction(0)) + a * b
+    low_u, low_v = _min_key(u), _min_key(v)
+    order = min(u.order + low_v, v.order + low_u)
+    span = range(order - low_u - low_v + 1)
+    cu, cv = u.coeff_map(), v.coeff_map()
+    du, nu = _over_common_denominator([cu.get(low_u + t, Fraction(0)) for t in span])
+    dv, nv = _over_common_denominator([cv.get(low_v + t, Fraction(0)) for t in span])
+    out = {
+        low_u + low_v + t: Fraction(sum(map(operator.mul, nu[: t + 1], nv[t::-1])), du * dv)
+        for t in span
+    }
     return expansion(out, order)
 
 
@@ -160,7 +173,10 @@ def series_exp(f: AsymptoticExpansion) -> AsymptoticExpansion:
     Requires a vanishing constant term, no growing powers, and a nonnegative
     integer logarithmic coefficient ``c`` (which turns into a shift of the
     result's indices by ``-c``).  Coefficients follow the recurrence
-    ``k b_k = sum_{j=1}^{k} j a_j b_{k-j}`` with ``b_0 = 1``.
+    ``k b_k = sum_{j=1}^{k} j a_j b_{k-j}`` with ``b_0 = 1``, run on integer
+    numerators: the ``j a_j`` over their lcm ``d``, the earlier ``b`` over
+    their running lcm ``L``, so that each ``b_k`` is one reduction of
+    ``sum / (k d L)``.
     """
     if f.log_coeff.denominator != 1 or f.log_coeff < 0:
         raise UnsupportedOperationError(
@@ -176,15 +192,19 @@ def series_exp(f: AsymptoticExpansion) -> AsymptoticExpansion:
         )
     shift = int(f.log_coeff)
     k_max = f.order
-    b = [Fraction(1)] + [Fraction(0)] * k_max
+    d, ja = _over_common_denominator(
+        [j * coeffs.get(j, Fraction(0)) for j in range(1, k_max + 1)]
+    )
+    b = [Fraction(1)]
+    big_l, b_num = 1, [1]  # b_num[i] = b_i * big_l
     for k in range(1, k_max + 1):
-        b[k] = (
-            sum(
-                (j * coeffs.get(j, Fraction(0)) * b[k - j] for j in range(1, k + 1)),
-                start=Fraction(0),
-            )
-            / k
-        )
+        b_k = Fraction(sum(map(operator.mul, ja[:k], reversed(b_num))), k * d * big_l)
+        b.append(b_k)
+        grow = b_k.denominator // math.gcd(big_l, b_k.denominator)
+        if grow != 1:
+            big_l *= grow
+            b_num = [n * grow for n in b_num]
+        b_num.append(b_k.numerator * (big_l // b_k.denominator))
     return expansion({k - shift: b[k] for k in range(k_max + 1)}, k_max - shift)
 
 

@@ -233,6 +233,14 @@ class TestCertifyCommand:
         assert "bad grid spec" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_grid_point_whose_exp_argument_is_out_of_range_is_usage_error(self):
+        # the grid parses; ELE's exp(-psi(x)) at x = 1e-300 needs exp(~1e300)
+        proc = run_cli("certify", "classical", "--grid", "1e-300:1:3")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: exp argument above {sys.maxsize // 2} is out of range"
+        ]
+
     def test_symbolic_and_grid_conflict(self):
         proc = run_cli("certify", "thm2", "--symbolic", "--grid", "3:10:4")
         assert proc.returncode == 2

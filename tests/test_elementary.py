@@ -86,6 +86,10 @@ class TestExp:
     def test_monotone_separation(self):
         assert iv_exp(F(1), 64).strictly_less(iv_exp(F(11, 10), 64))
 
+    def test_argument_beyond_machine_size_shift_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            iv_exp(Interval(F(0), F(10**300)), 64)
+
     @given(st.fractions(min_value=-8, max_value=8, max_denominator=60))
     def test_functional_equation_overlap(self, x):
         """exp(x)*exp(-x) must enclose 1."""

@@ -25,8 +25,26 @@ from psicert import (
     trigamma_exp_digamma_expansion,
     trigamma_expansion,
 )
+from psicert.series import reciprocal_shift_expansion
 
 F = Fraction
+
+
+def reference_series_exp(f: AsymptoticExpansion) -> AsymptoticExpansion:
+    """``series_exp`` as a plain ``Fraction`` recurrence, ``k b_k = sum j a_j b_{k-j}``."""
+    coeffs = f.coeff_map()
+    shift = int(f.log_coeff)
+    k_max = f.order
+    b = [F(1)] + [F(0)] * k_max
+    for k in range(1, k_max + 1):
+        b[k] = (
+            sum(
+                (j * coeffs.get(j, F(0)) * b[k - j] for j in range(1, k + 1)),
+                start=F(0),
+            )
+            / k
+        )
+    return expansion({k - shift: b[k] for k in range(k_max + 1)}, k_max - shift)
 
 
 class TestBernoulli:
@@ -152,15 +170,30 @@ small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
 
 @st.composite
-def plain_expansions(draw, min_key=-2, max_order=6):
+def plain_expansions(draw, min_key=-2, max_order=6, max_terms=5, fracs=small_fracs):
     order = draw(st.integers(min_value=max(min_key + 1, 0), max_value=max_order))
     keys = draw(
         st.lists(
-            st.integers(min_value=min_key, max_value=order), unique=True, max_size=5
+            st.integers(min_value=min_key, max_value=order),
+            unique=True,
+            max_size=max_terms,
         )
     )
-    coeffs = {k: draw(small_fracs) for k in keys}
+    coeffs = {k: draw(fracs) for k in keys}
     return expansion(coeffs, order)
+
+
+# deep operands with mixed denominators, so the common denominators are large
+mixed_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=60)
+deep_expansions = plain_expansions(max_order=30, max_terms=20, fracs=mixed_fracs)
+mul_operands = st.one_of(plain_expansions(), deep_expansions)
+
+
+@st.composite
+def exp_arguments(draw):
+    """Log-free-growth arguments of ``series_exp``: keys from 1, ln coefficient 0-3."""
+    inner = draw(plain_expansions(min_key=1, max_order=30, max_terms=12, fracs=mixed_fracs))
+    return expansion(inner.coeffs, inner.order, draw(st.integers(min_value=0, max_value=3)))
 
 
 class TestAlgebra:
@@ -171,7 +204,7 @@ class TestAlgebra:
         assert series_sub(u, u).coeff_map() == {}
         assert series_scale(u, -2).coeff(3) == F(1, 2)
 
-    @given(plain_expansions(), plain_expansions())
+    @given(mul_operands, mul_operands)
     def test_mul_matches_brute_force_convolution(self, u, v):
         result = series_mul(u, v)
         for k, coefficient in result.coeff_map().items():
@@ -215,6 +248,17 @@ class TestAlgebra:
         rhs = series_mul(series_exp(u), series_exp(v))
         for k in range(0, min(lhs.order, rhs.order) + 1):
             assert lhs.coeff(k) == rhs.coeff(k)
+
+    @given(exp_arguments())
+    def test_exp_matches_fraction_recurrence(self, f):
+        assert series_exp(f) == reference_series_exp(f)
+
+    def test_deep_theta_matches_fraction_recurrence(self):
+        m, order = F(3, 2), 200
+        grow = reference_series_exp(series_scale(reciprocal_shift_expansion(1, order), m))
+        decay = reference_series_exp(expansion({1: -m}, order))
+        expected = series_scale(series_sub(grow, decay), 1 / (2 * m))
+        assert theta_expansion(m, order) == expected
 
     def test_exp_of_zero_is_one(self):
         e = series_exp(expansion({}, 5))
