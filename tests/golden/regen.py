@@ -61,6 +61,7 @@ CASES: dict[str, tuple[str, ...]] = {
     # negative, non-integer m: the operands' common denominators are nontrivial
     "series_theta": ("series", "theta", "--order", "40", "--m=-7/5"),
     "bern": ("bern", "30"),
+    "bern_200": ("bern", "200"),
 }
 
 

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from psicert import DomainError, Interval, iv_exp, iv_ln, iv_pi, iv_sinh, ln2_enclosure
-from psicert.elementary import _arctan_inverse, _exp_partial_sum
+from psicert.elementary import (
+    _arctan_inverse,
+    _exp_partial_sum,
+    _exp_point,
+    _pow2,
+    _quantized,
+)
+from psicert.interval import round_outward
 
 from _oracles import (
     consistent,
@@ -38,6 +45,32 @@ def _dyadic_halves(draw) -> Fraction:
     bits = draw(st.integers(min_value=1, max_value=64))
     bound = 1 << (bits - 1)
     return F(draw(st.integers(min_value=-bound, max_value=bound)), 1 << bits)
+
+
+def reference_exp_point(x: Fraction, precision: int) -> Interval:
+    """``_exp_point`` with its Taylor term count found by a ``Fraction`` loop."""
+    j = 0
+    t = x
+    while abs(t) > F(1, 2):
+        t /= 2
+        j += 1
+    work = _quantized(precision + 2 * j + (3 * math.ceil(abs(x))) // 2 + 40)
+    target = _pow2(work)
+    at = abs(t)
+    one_minus = 1 - at
+    n = 0
+    power = at  # |t|^(n+1)
+    factorial = 1  # (n+1)!
+    while power > target * factorial * one_minus:
+        n += 1
+        power *= at
+        factorial *= n + 1
+    tail = power / (factorial * one_minus)
+    total = _exp_partial_sum(t, n)
+    enclosure = round_outward(Interval(total - tail, total + tail), work)
+    for _ in range(j):
+        enclosure = round_outward(enclosure * enclosure, work)
+    return round_outward(enclosure, precision)
 
 
 SAMPLE_POINTS = [
@@ -101,6 +134,13 @@ class TestExp:
         """The integer Horner sum equals the term-by-term Fraction sum."""
         reference = sum((t**k / math.factorial(k) for k in range(n + 1)), start=F(0))
         assert _exp_partial_sum(t, n) == reference
+
+    @given(
+        st.fractions(min_value=-40, max_value=40, max_denominator=1000),
+        st.integers(min_value=1, max_value=600),
+    )
+    def test_point_matches_fraction_term_count(self, x, precision):
+        assert _exp_point(x, precision) == reference_exp_point(x, precision)
 
     @pytest.mark.parametrize("precision", [256, 512, 1024])
     @pytest.mark.parametrize("x", [F(7, 3), F(-7, 5), F(1, 1000), F(20)], ids=str)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import mpmath
 import pytest
@@ -47,6 +49,23 @@ def reference_series_exp(f: AsymptoticExpansion) -> AsymptoticExpansion:
     return expansion({k - shift: b[k] for k in range(k_max + 1)}, k_max - shift)
 
 
+@lru_cache(maxsize=None)
+def reference_bernoulli(n: int) -> Fraction:
+    """B_n from the defining recurrence ``sum_{j=0}^{n} C(n+1, j) B_j = 0``.
+
+    Odd ``j >= 3`` contribute zero and are skipped.
+    """
+    if n == 0:
+        return F(1)
+    if n > 1 and n % 2 == 1:
+        return F(0)
+    acc = sum(
+        (F(comb(n + 1, j)) * reference_bernoulli(j) for j in range(n) if j < 2 or j % 2 == 0),
+        start=F(0),
+    )
+    return -acc / (n + 1)
+
+
 class TestBernoulli:
     def test_first_values(self):
         expected = {
@@ -71,15 +90,17 @@ class TestBernoulli:
 
     def test_defining_recurrence(self):
         """sum_{k<n} C(n,k) B_k = 0 for n >= 2."""
-        from math import comb
-
         for n in range(2, 20):
             assert sum(comb(n, k) * bernoulli(k) for k in range(n)) == 0
 
     def test_against_mpmath_exact_values(self):
-        """The recurrence skips odd indices; mpmath's exact fractions must still agree."""
-        for n in range(200):
+        """mpmath's exact fractions are an independent oracle."""
+        for n in range(1001):
             assert bernoulli(n) == F(*mpmath.bernfrac(n)), n
+
+    def test_matches_reference_recurrence(self):
+        for n in range(301):
+            assert bernoulli(n) == reference_bernoulli(n), n
 
 
 class TestExpansionType:
