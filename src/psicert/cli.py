@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
@@ -31,8 +32,8 @@ from .polygamma import (
 )
 from .series import (
     AsymptoticExpansion,
+    bernoulli_numbers,
     digamma_expansion,
-    bernoulli,
     format_expansion,
     theta_expansion,
     trigamma_exp_digamma_expansion,
@@ -224,7 +225,7 @@ def _parse_grid_spec(spec: str) -> list[Fraction]:
 def _cmd_bern(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError("bern index must be >= 0")
-    values = [(n, bernoulli(n)) for n in range(args.n + 1)]
+    values = list(enumerate(bernoulli_numbers(args.n)))
     _emit(
         args,
         lambda: {
@@ -572,8 +573,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a token such as ``-7/5`` or ``-.5`` as a value, not an option.
+
+    argparse takes a token that starts with ``-`` for an option unless it
+    looks like a negative integer or decimal, which ``-7/5`` does not.  No
+    psicert option starts with a digit, so every such token is a value.
+    Subparsers are built with the parent's class and inherit this.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="psicert",
         description=(
             "Certified rational enclosures of digamma/trigamma values, exact "

@@ -114,18 +114,19 @@ def _exp_point(x: Fraction, precision: int) -> Interval:
     # Head-room: each squaring roughly doubles relative error (one bit), and
     # the final value has magnitude up to e**|x| (about 1.5 * ceil|x| bits).
     work = _quantized(precision + 2 * j + (3 * math.ceil(ax)) // 2 + 40)
-    target = _pow2(work)
 
-    at = abs(t)
-    one_minus = 1 - at
+    # Smallest N with tail <= 2**-work, tested on integers: with |t| = p/q,
+    # the tail |t|^(N+1) / ((N+1)! (1-|t|)) is p^(N+1) q / ((N+1)! (q-p) q^(N+1)).
+    p, q = abs(t.numerator), t.denominator
     n = 0
-    power = at  # |t|^(n+1)
+    p_power, q_power = p, q  # p^(n+1), q^(n+1)
     factorial = 1  # (n+1)!
-    while power > target * factorial * one_minus:
+    while (p_power << work) * q > factorial * (q - p) * q_power:
         n += 1
-        power *= at
+        p_power *= p
+        q_power *= q
         factorial *= n + 1
-    tail = power / (factorial * one_minus)
+    tail = Fraction(p_power * q, factorial * (q - p) * q_power)
 
     total = _exp_partial_sum(t, n)
     enclosure = round_outward(Interval(total - tail, total + tail), work)

@@ -5,7 +5,9 @@ rational coefficients, truncated at a known order ``K``: coefficients of
 ``x**(-k)`` for ``k > K`` are unknown, not zero.  Negative indices ``k``
 carry nonnegative powers of ``x``, so polynomially growing prefactors fit
 in the same container.  Every operation tracks how far the result's
-coefficients remain fully determined and truncates there.
+coefficients remain fully determined and truncates there.  The Bernoulli
+numbers, the coefficients of the psi and psi' expansions, come from tangent
+numbers in one growing table (:class:`BernoulliTable`).
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 __all__ = [
     "AsymptoticExpansion",
+    "BernoulliTable",
     "UnsupportedOperationError",
     "bernoulli",
+    "bernoulli_numbers",
     "digamma_expansion",
     "expansion",
     "format_expansion",
@@ -41,29 +44,70 @@ class UnsupportedOperationError(ValueError):
     """The requested series operation is not defined for these operands."""
 
 
-@lru_cache(maxsize=None)
-def bernoulli(n: int) -> Fraction:
-    """The n-th Bernoulli number, with B(1) = -1/2.
+class BernoulliTable:
+    """Exact Bernoulli numbers ``B_0..B_n`` in one list that only grows.
 
-    Computed from the defining recurrence
-    ``sum_{j=0}^{n} C(n+1, j) B_j = 0`` for ``n >= 1``, whose terms at odd
-    ``j >= 3`` are zero and are skipped.
+    The even-index numbers come from the tangent numbers ``T_k``, the
+    coefficients of ``tan x = sum_k T_k x**(2k-1) / (2k-1)!``, by
+
+        ``B_{2k} = (-1)**(k-1) * 2k * T_k / (4**k * (4**k - 1))``;
+
+    ``B_1 = -1/2`` and ``B_n = 0`` for odd ``n >= 3``.  The tangent numbers
+    are the diagonal of the integer triangle of Brent & Harvey, "Fast
+    computation of Bernoulli, Tangent and Secant numbers" (arXiv:1108.0286,
+    Algorithm TangentNumbers): ``D(1, m) = (m-1)!`` and
+    ``D(i, m) = (m-i) D(i, m-1) + (m-i+2) D(i-1, m)``, with ``T_m = D(m, m)``.
+    The table keeps the last column ``D(1..m, m)``, so each further tangent
+    number costs ``m`` small-integer multiply-adds and no earlier work is
+    redone; all arithmetic is exact.
     """
-    if n < 0:
-        raise ValueError("Bernoulli numbers are indexed by nonnegative integers")
-    if n == 0:
-        return Fraction(1)
-    if n > 1 and n % 2 == 1:
-        return Fraction(0)
-    acc = sum(
-        (
-            Fraction(math.comb(n + 1, j)) * bernoulli(j)
-            for j in range(n)
-            if j < 2 or j % 2 == 0
-        ),
-        start=Fraction(0),
-    )
-    return -acc / (n + 1)
+
+    def __init__(self) -> None:
+        self._values = [Fraction(1), Fraction(-1, 2)]
+        self._column: list[int] = []  # D(1..m, m) for the last m computed
+
+    def _grow(self, n: int) -> None:
+        """Extend the table through index ``n`` (and at most one more)."""
+        if n < 0:
+            raise ValueError("Bernoulli numbers are indexed by nonnegative integers")
+        values = self._values
+        while len(values) <= n:
+            previous = self._column + [0]
+            m = len(previous)
+            column = [previous[0] * (m - 1) if m > 1 else 1]
+            for i in range(2, m + 1):
+                column.append((m - i) * previous[i - 1] + (m - i + 2) * column[-1])
+            self._column = column
+            numerator = 2 * m * column[-1]
+            four_m = 1 << (2 * m)
+            values.append(Fraction(numerator if m % 2 else -numerator, four_m * (four_m - 1)))
+            values.append(Fraction(0))
+
+    def upto(self, n: int) -> list[Fraction]:
+        """``[B_0, ..., B_n]``, growing the table only as far as ``n``."""
+        self._grow(n)
+        return self._values[: n + 1]
+
+    def __getitem__(self, n: int) -> Fraction:
+        """``B_n``; a miss grows the table to at least twice its length.
+
+        Doubling keeps a run of ascending single lookups to a few growths.
+        """
+        self._grow(n if n < len(self._values) else max(n, 2 * len(self._values)))
+        return self._values[n]
+
+
+_BERNOULLI = BernoulliTable()
+
+
+def bernoulli(n: int) -> Fraction:
+    """The n-th Bernoulli number, with B(1) = -1/2 (see :class:`BernoulliTable`)."""
+    return _BERNOULLI[n]
+
+
+def bernoulli_numbers(n: int) -> list[Fraction]:
+    """``[B_0, ..., B_n]``, computed once for the top index ``n``."""
+    return _BERNOULLI.upto(n)
 
 
 @dataclass(frozen=True)
@@ -236,9 +280,10 @@ def digamma_expansion(order: int) -> AsymptoticExpansion:
     """Expansion of psi(x+1): ``ln x + 1/(2x) - sum B_k / (k x^k)``."""
     if order < 1:
         raise ValueError("order must be at least 1")
+    b = bernoulli_numbers(order)
     coeffs: dict[int, Fraction] = {1: Fraction(1, 2)}
     for k in range(2, order + 1, 2):
-        coeffs[k] = -bernoulli(k) / k
+        coeffs[k] = -b[k] / k
     return expansion(coeffs, order, log_coeff=1)
 
 
@@ -246,7 +291,8 @@ def trigamma_expansion(order: int) -> AsymptoticExpansion:
     """Expansion of psi'(x+1): ``sum_{k>=1} B_{k-1} x**(-k)``."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return expansion({k: bernoulli(k - 1) for k in range(1, order + 1)}, order)
+    b = bernoulli_numbers(order - 1)
+    return expansion({k: b[k - 1] for k in range(1, order + 1)}, order)
 
 
 def theta_expansion(m: Fraction | int, order: int) -> AsymptoticExpansion:

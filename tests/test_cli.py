@@ -87,6 +87,13 @@ class TestSeriesCommand:
         assert coefficients[-1] == "1"  # leading 1/x term survives any m
 
 
+    def test_theta_accepts_negative_rational_m_as_separate_token(self):
+        separate = run_cli("--format", "json", "series", "theta", "--order", "6", "--m", "-7/5")
+        joined = run_cli("--format", "json", "series", "theta", "--order", "6", "--m=-7/5")
+        assert separate.returncode == joined.returncode == 0, separate.stderr
+        assert separate.stdout == joined.stdout
+
+
 class TestBernCommand:
     def test_values(self):
         data, code = run_json("bern", "8")

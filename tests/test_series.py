@@ -27,7 +27,7 @@ from psicert import (
     trigamma_exp_digamma_expansion,
     trigamma_expansion,
 )
-from psicert.series import reciprocal_shift_expansion
+from psicert.series import BernoulliTable, bernoulli_numbers, reciprocal_shift_expansion
 
 F = Fraction
 
@@ -66,6 +66,9 @@ def reference_bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
+FULL_BERNOULLI_TABLE = BernoulliTable().upto(600)
+
+
 class TestBernoulli:
     def test_first_values(self):
         expected = {
@@ -101,6 +104,29 @@ class TestBernoulli:
     def test_matches_reference_recurrence(self):
         for n in range(301):
             assert bernoulli(n) == reference_bernoulli(n), n
+
+    def test_range_agrees_with_single_lookups(self):
+        assert bernoulli_numbers(40) == [bernoulli(n) for n in range(41)]
+        with pytest.raises(ValueError):
+            bernoulli_numbers(-1)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=12).flatmap(
+            lambda xs: st.sampled_from([sorted(xs), sorted(xs, reverse=True), xs])
+        ),
+        st.lists(st.booleans(), min_size=12, max_size=12),
+    )
+    def test_growth_order_does_not_change_values(self, indices, as_range):
+        """Single lookups (which double the table) and range reads (which size
+        it exactly), in ascending, descending or mixed order from an empty
+        table, all read the values of one full table."""
+        full = FULL_BERNOULLI_TABLE
+        table = BernoulliTable()
+        for n, whole in zip(indices, as_range):
+            if whole:
+                assert table.upto(n) == full[: n + 1]
+            else:
+                assert table[n] == full[n]
 
 
 class TestExpansionType:
