@@ -94,6 +94,25 @@ def _exp_partial_sum(t: Fraction, n: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _exp_terms(t: Fraction, work: int) -> tuple[int, Fraction]:
+    """Smallest ``N`` whose Taylor tail bound for ``e**t`` is at most
+    ``2**-work``, and that bound; requires ``|t| < 1``.
+
+    The bound ``|t|^(N+1) / ((N+1)! (1-|t|))`` is tested on integers: with
+    ``|t| = p/q`` it is ``p^(N+1) q / ((N+1)! (q-p) q^(N+1))``.
+    """
+    p, q = abs(t.numerator), t.denominator
+    n = 0
+    p_power, q_power = p, q  # p^(n+1), q^(n+1)
+    factorial = 1  # (n+1)!
+    while (p_power << work) * q > factorial * (q - p) * q_power:
+        n += 1
+        p_power *= p
+        q_power *= q
+        factorial *= n + 1
+    return n, Fraction(p_power * q, factorial * (q - p) * q_power)
+
+
 def _exp_point(x: Fraction, precision: int) -> Interval:
     """Enclosure of e**x for one exact rational argument.
 
@@ -114,20 +133,7 @@ def _exp_point(x: Fraction, precision: int) -> Interval:
     # Head-room: each squaring roughly doubles relative error (one bit), and
     # the final value has magnitude up to e**|x| (about 1.5 * ceil|x| bits).
     work = _quantized(precision + 2 * j + (3 * math.ceil(ax)) // 2 + 40)
-
-    # Smallest N with tail <= 2**-work, tested on integers: with |t| = p/q,
-    # the tail |t|^(N+1) / ((N+1)! (1-|t|)) is p^(N+1) q / ((N+1)! (q-p) q^(N+1)).
-    p, q = abs(t.numerator), t.denominator
-    n = 0
-    p_power, q_power = p, q  # p^(n+1), q^(n+1)
-    factorial = 1  # (n+1)!
-    while (p_power << work) * q > factorial * (q - p) * q_power:
-        n += 1
-        p_power *= p
-        q_power *= q
-        factorial *= n + 1
-    tail = Fraction(p_power * q, factorial * (q - p) * q_power)
-
+    n, tail = _exp_terms(t, work)
     total = _exp_partial_sum(t, n)
     enclosure = round_outward(Interval(total - tail, total + tail), work)
     for _ in range(j):

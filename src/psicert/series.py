@@ -83,6 +83,9 @@ class BernoulliTable:
             values.append(Fraction(numerator if m % 2 else -numerator, four_m * (four_m - 1)))
             values.append(Fraction(0))
 
+    def __len__(self) -> int:
+        return len(self._values)
+
     def upto(self, n: int) -> list[Fraction]:
         """``[B_0, ..., B_n]``, growing the table only as far as ``n``."""
         self._grow(n)

@@ -19,6 +19,7 @@ from psicert.elementary import (
     _arctan_inverse,
     _exp_partial_sum,
     _exp_point,
+    _exp_terms,
     _pow2,
     _quantized,
 )
@@ -47,14 +48,8 @@ def _dyadic_halves(draw) -> Fraction:
     return F(draw(st.integers(min_value=-bound, max_value=bound)), 1 << bits)
 
 
-def reference_exp_point(x: Fraction, precision: int) -> Interval:
-    """``_exp_point`` with its Taylor term count found by a ``Fraction`` loop."""
-    j = 0
-    t = x
-    while abs(t) > F(1, 2):
-        t /= 2
-        j += 1
-    work = _quantized(precision + 2 * j + (3 * math.ceil(abs(x))) // 2 + 40)
+def reference_exp_terms(t: Fraction, work: int) -> tuple[int, Fraction]:
+    """``_exp_terms`` as a loop of ``Fraction`` comparisons."""
     target = _pow2(work)
     at = abs(t)
     one_minus = 1 - at
@@ -65,7 +60,18 @@ def reference_exp_point(x: Fraction, precision: int) -> Interval:
         n += 1
         power *= at
         factorial *= n + 1
-    tail = power / (factorial * one_minus)
+    return n, power / (factorial * one_minus)
+
+
+def reference_exp_point(x: Fraction, precision: int) -> Interval:
+    """``_exp_point`` with its Taylor term count found by ``reference_exp_terms``."""
+    j = 0
+    t = x
+    while abs(t) > F(1, 2):
+        t /= 2
+        j += 1
+    work = _quantized(precision + 2 * j + (3 * math.ceil(abs(x))) // 2 + 40)
+    n, tail = reference_exp_terms(t, work)
     total = _exp_partial_sum(t, n)
     enclosure = round_outward(Interval(total - tail, total + tail), work)
     for _ in range(j):
@@ -141,6 +147,15 @@ class TestExp:
     )
     def test_point_matches_fraction_term_count(self, x, precision):
         assert _exp_point(x, precision) == reference_exp_point(x, precision)
+
+    @given(
+        st.one_of(_dyadic_halves(), st.fractions(min_value=F(-1, 2), max_value=F(1, 2))),
+        st.integers(min_value=1, max_value=2048),
+    )
+    def test_integer_term_count_matches_fraction_loop(self, t, work):
+        """Same N and same tail; the enclosure alone would not show a tail
+        that is off by far less than an ulp of the result."""
+        assert _exp_terms(t, work) == reference_exp_terms(t, work)
 
     @pytest.mark.parametrize("precision", [256, 512, 1024])
     @pytest.mark.parametrize("x", [F(7, 3), F(-7, 5), F(1, 1000), F(20)], ids=str)

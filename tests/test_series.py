@@ -110,6 +110,16 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             bernoulli_numbers(-1)
 
+    def test_range_read_sizes_exactly_and_single_miss_doubles(self):
+        """Growth costs about n**3 bit operations, so a range read must not
+        overshoot its top index, while single lookups double the table."""
+        table = BernoulliTable()
+        table.upto(300)
+        assert len(table) <= 302
+        size = len(table)
+        table[size]
+        assert len(table) >= 2 * size
+
     @given(
         st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=12).flatmap(
             lambda xs: st.sampled_from([sorted(xs), sorted(xs, reverse=True), xs])
