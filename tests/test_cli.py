@@ -86,7 +86,6 @@ class TestSeriesCommand:
         coefficients = {t["power"]: t["coefficient"] for t in data["terms"]}
         assert coefficients[-1] == "1"  # leading 1/x term survives any m
 
-
     def test_theta_accepts_negative_rational_m_as_separate_token(self):
         separate = run_cli("--format", "json", "series", "theta", "--order", "6", "--m", "-7/5")
         joined = run_cli("--format", "json", "series", "theta", "--order", "6", "--m=-7/5")
