@@ -83,20 +83,14 @@ class BernoulliTable:
             values.append(Fraction(numerator if m % 2 else -numerator, four_m * (four_m - 1)))
             values.append(Fraction(0))
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     def upto(self, n: int) -> list[Fraction]:
         """``[B_0, ..., B_n]``, growing the table only as far as ``n``."""
         self._grow(n)
         return self._values[: n + 1]
 
     def __getitem__(self, n: int) -> Fraction:
-        """``B_n``; a miss grows the table to at least twice its length.
-
-        Doubling keeps a run of ascending single lookups to a few growths.
-        """
-        self._grow(n if n < len(self._values) else max(n, 2 * len(self._values)))
+        """``B_n``, growing the table only as far as ``n``."""
+        self._grow(n)
         return self._values[n]
 
 

@@ -110,15 +110,17 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             bernoulli_numbers(-1)
 
-    def test_range_read_sizes_exactly_and_single_miss_doubles(self):
-        """Growth costs about n**3 bit operations, so a range read must not
-        overshoot its top index, while single lookups double the table."""
+    def test_growth_stops_at_the_requested_index(self):
+        """Growth costs about n**3 bit operations, so neither a range read
+        nor a single lookup may grow the table past the index it asks for
+        (each growth step adds one even index and the odd one after it)."""
         table = BernoulliTable()
         table.upto(300)
-        assert len(table) <= 302
-        size = len(table)
-        table[size]
-        assert len(table) >= 2 * size
+        assert len(table._values) <= 302
+        table[400]
+        assert len(table._values) <= 402
+        table[403]
+        assert len(table._values) <= 404
 
     @given(
         st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=12).flatmap(
@@ -127,9 +129,8 @@ class TestBernoulli:
         st.lists(st.booleans(), min_size=12, max_size=12),
     )
     def test_growth_order_does_not_change_values(self, indices, as_range):
-        """Single lookups (which double the table) and range reads (which size
-        it exactly), in ascending, descending or mixed order from an empty
-        table, all read the values of one full table."""
+        """Single lookups and range reads, in ascending, descending or mixed
+        order from an empty table, all read the values of one full table."""
         full = FULL_BERNOULLI_TABLE
         table = BernoulliTable()
         for n, whole in zip(indices, as_range):
