@@ -22,6 +22,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from .elementary import iv_pi
+from .expressions import EvalContext
 from .interval import DomainError, Interval, parse_rational
 from .polygamma import (
     batir_bstar_enclosure,
@@ -41,7 +42,9 @@ from .series import (
 )
 from .theorems import (
     CertReport,
+    CheckRecord,
     ComparisonReport,
+    GridEvidence,
     catalog,
     certify_symbolic,
     check_grid,
@@ -278,7 +281,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_enclose(args: argparse.Namespace) -> int:
     x = parse_rational(args.x)
-    shift = args.shift_frac
+    shift = EvalContext(args.precision).shift_target
     if x <= 0:
         raise UsageError(f"{args.function} enclosure requires x > 0, got {x}")
     fn = digamma_enclosure if args.function == "digamma" else trigamma_enclosure
@@ -332,14 +335,11 @@ def _cmd_const(args: argparse.Namespace) -> int:
         enclosure = digamma_zero(tolerance if tolerance is not None else Fraction(1, 10**6))
     else:
         if name == "pi":
-            parameter: Fraction | int = max(args.precision, 8)
+            parameter: Fraction | int = args.precision
             produce = iv_pi
-        elif name == "gamma":
-            parameter = args.shift_frac
-            produce = euler_gamma_enclosure
         else:
-            parameter = args.shift_frac
-            produce = batir_bstar_enclosure
+            parameter = EvalContext(args.precision).shift_target
+            produce = euler_gamma_enclosure if name == "gamma" else batir_bstar_enclosure
         enclosure = produce(parameter)
         attempts = 0
         while tolerance is not None and enclosure.hi - enclosure.lo > tolerance:
@@ -358,20 +358,45 @@ def _cmd_const(args: argparse.Namespace) -> int:
     )
 
 
+def _evidence_fields(check: CheckRecord) -> dict[str, str]:
+    """A check's evidence as strings, rationals printed at any size."""
+    evidence = check.evidence
+    if not isinstance(evidence, GridEvidence):
+        return {"detail": evidence.detail, "ray_start": _rational_text(evidence.ray_start)}
+    return {
+        "lhs_lo": _rational_text(evidence.lhs.lo),
+        "lhs_hi": _rational_text(evidence.lhs.hi),
+        "rhs_lo": _rational_text(evidence.rhs.lo),
+        "rhs_hi": _rational_text(evidence.rhs.hi),
+        "work_precision": str(evidence.ctx.work_precision),
+        "shift_target": _rational_text(evidence.ctx.shift_target),
+    }
+
+
+def _check_json(check: CheckRecord) -> dict[str, object]:
+    return {"label": check.label, "verdict": check.verdict, "evidence": _evidence_fields(check)}
+
+
+def _report_json(report: CertReport) -> dict[str, object]:
+    return {
+        "id": report.id,
+        "method": report.method,
+        "total": report.total,
+        "checks": [_check_json(c) for c in report.checks],
+    }
+
+
 def _report_text(report: CertReport) -> list[str]:
     lines = [f"{report.id} [{report.method}] -> {report.total}"]
     shown = 0
     for check in report.checks:
         if report.method == "symbolic":
             mark = "ok" if check.verdict == "holds" else "??"
-            lines.append(f"  {mark} {check.label}: {check.evidence.get('detail', '')}")
+            lines.append(f"  {mark} {check.label}: {check.evidence.detail}")
         elif check.verdict != "holds":
-            evidence = check.evidence
-            lhs = Interval(Fraction(evidence["lhs_lo"]), Fraction(evidence["lhs_hi"]))
-            rhs = Interval(Fraction(evidence["rhs_lo"]), Fraction(evidence["rhs_hi"]))
             lines.append(
-                f"  {check.verdict.upper()} {check.label}: "
-                f"lhs {_iv_text(lhs, 12)} vs rhs {_iv_text(rhs, 12)}"
+                f"  {check.verdict.upper()} {check.label}: lhs "
+                f"{_iv_text(check.evidence.lhs, 12)} vs rhs {_iv_text(check.evidence.rhs, 12)}"
             )
             shown += 1
             if shown >= 20:
@@ -398,7 +423,7 @@ def _certify_csv_rows(reports: list[CertReport]) -> Iterator[dict[str, object]]:
                 "method": report.method,
                 "label": check.label,
                 "verdict": check.verdict,
-                **check.evidence,
+                **_evidence_fields(check),
             }
 
 
@@ -417,14 +442,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         grid_points = _parse_grid_spec(args.grid) if args.grid else None
         for entry_id in CERTIFY_GROUPS[args.selection]:
             grid = grid_points if grid_points is not None else default_grid(entry(entry_id))
-            reports.append(
-                check_grid(
-                    entry_id,
-                    grid,
-                    shift_target=args.shift_frac,
-                    work_precision=args.precision,
-                )
-            )
+            reports.append(check_grid(entry_id, grid, work_precision=args.precision))
     total = combined_total(r.total for r in reports)
     _emit(
         args,
@@ -433,7 +451,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "selection": args.selection,
             "mode": "symbolic" if args.symbolic else "grid",
             "total": total,
-            "reports": [r.to_json_dict() for r in reports],
+            "reports": [_report_json(r) for r in reports],
         },
         lambda: _certify_csv_rows(reports),
         lambda: [
@@ -489,8 +507,8 @@ def _compare_csv_rows(reports: list[ComparisonReport]) -> Iterator[dict[str, obj
                 "id": relation.label,
                 "side": "",
                 "target": "",
-                "lo": relation.evidence.get("lhs_lo", ""),
-                "hi": relation.evidence.get("rhs_hi", ""),
+                "lo": _rational_text(relation.evidence.lhs.lo),
+                "hi": _rational_text(relation.evidence.rhs.hi),
                 "verdict": relation.verdict,
             }
 
@@ -513,9 +531,7 @@ def _compare_lines(comparisons: list[ComparisonReport], total: str) -> Iterator[
 def _cmd_report(args: argparse.Namespace) -> int:
     grid = _parse_grid_spec(args.grid)
     if args.kind == "tightness":
-        rows = tightness_report(
-            grid, shift_target=args.shift_frac, work_precision=args.precision
-        )
+        rows = tightness_report(grid, work_precision=args.precision)
         outcome = _tightness_outcome(rows)
         _emit(
             args,
@@ -533,10 +549,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
         return EXIT_OK if outcome == "holds" else EXIT_UNDECIDED
 
-    comparisons = [
-        compare_bounds(x, shift_target=args.shift_frac, work_precision=args.precision)
-        for x in grid
-    ]
+    comparisons = [compare_bounds(x, work_precision=args.precision) for x in grid]
     total = combined_total(c.total for c in comparisons)
     _emit(
         args,
@@ -557,7 +570,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                         }
                         for row in c.rows
                     ],
-                    "relations": [r.to_json_dict() for r in c.relations],
+                    "relations": [_check_json(r) for r in c.relations],
                 }
                 for c in comparisons
             ],
@@ -599,12 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=64,
-        help="working precision in bits, >= 8 (default 64)",
-    )
-    parser.add_argument(
-        "--shift-target",
-        default="10",
-        help="argument-shift target for polygamma enclosures (default 10)",
+        help="working precision in bits, >= 8 (default 64); sets the psi/psi' shift too",
     )
     parser.add_argument(
         "--format",
@@ -668,9 +676,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.precision < 8:
             raise UsageError("precision must be at least 8 bits")
-        args.shift_frac = parse_rational(str(args.shift_target))
-        if args.shift_frac < 1:
-            raise UsageError("shift target must be >= 1")
         return args.handler(args)
     except (UsageError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

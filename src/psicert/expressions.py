@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .elementary import iv_exp, iv_ln, iv_pi, iv_sinh
 from .interval import DomainError, Interval
@@ -48,21 +49,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Precision knobs threaded through an evaluation."""
+    """The working precision threaded through an evaluation."""
 
     work_precision: int = 64
-    shift_target: Fraction = Fraction(10)
 
     def __post_init__(self) -> None:
         if self.work_precision < 8:
             raise ValueError("work precision must be at least 8")
-        object.__setattr__(self, "shift_target", Fraction(self.shift_target))
-        if self.shift_target < 1:
-            raise ValueError("shift target must be at least 1")
+
+    @cached_property  # every polygamma node and named constant reads it
+    def shift_target(self) -> Fraction:
+        """The psi/psi' shift target: 5/32 of the precision, so 10 at 64 bits."""
+        return Fraction(5 * self.work_precision, 32)
 
     def refined(self) -> "EvalContext":
-        """The next rung of the precision ladder: double both knobs."""
-        return EvalContext(self.work_precision * 2, self.shift_target * 2)
+        """The next rung of the precision ladder: double the precision."""
+        return EvalContext(self.work_precision * 2)
 
 
 class Expr:

@@ -81,10 +81,6 @@ class Interval:
         return self.hi - self.lo
 
     @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
     def is_point(self) -> bool:
         return self.lo == self.hi
 

@@ -181,7 +181,10 @@ def positivity_on_ray(p: Polynomial, s: Fraction | int) -> PositivityVerdict:
     is nonnegative for positive arguments, and a single positive
     coefficient makes the sum strictly positive there.
     """
-    shifted = poly_taylor_shift(p, s)
+    return _positivity_after_shift(poly_taylor_shift(p, s))
+
+
+def _positivity_after_shift(shifted: Polynomial) -> PositivityVerdict:
     if shifted.is_zero:
         return PositivityVerdict.INCONCLUSIVE
     if all(c >= 0 for c in shifted.coeffs):
@@ -403,9 +406,8 @@ def _signs(p: Polynomial) -> str:
 
 
 def _positivity_step(label: str, p: Polynomial, s: Fraction) -> CertificateStep:
-    verdict = positivity_on_ray(p, s)
     shifted = poly_taylor_shift(p, s)
-    ok = verdict is PositivityVerdict.CERTIFIED_POSITIVE
+    ok = _positivity_after_shift(shifted) is PositivityVerdict.CERTIFIED_POSITIVE
     return CertificateStep(
         label,
         "ok" if ok else "inconclusive",

@@ -58,9 +58,11 @@ __all__ = [
     "CertReport",
     "CheckRecord",
     "ComparisonReport",
+    "GridEvidence",
     "InequalityEntry",
     "InequalityPair",
     "MAX_REFINEMENTS",
+    "SymbolicEvidence",
     "catalog",
     "certify_symbolic",
     "check_grid",
@@ -110,13 +112,27 @@ class InequalityEntry:
 
 
 @dataclass(frozen=True)
+class GridEvidence:
+    """Both sides' enclosures at the rung that decided a check, or at the last one."""
+
+    lhs: Interval
+    rhs: Interval
+    ctx: EvalContext
+
+
+@dataclass(frozen=True)
+class SymbolicEvidence:
+    """One certificate step's detail, and the start of the ray it covers."""
+
+    detail: str
+    ray_start: Fraction
+
+
+@dataclass(frozen=True)
 class CheckRecord:
     label: str
     verdict: str
-    evidence: dict[str, str]
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {"label": self.label, "verdict": self.verdict, "evidence": self.evidence}
+    evidence: GridEvidence | SymbolicEvidence
 
 
 @dataclass(frozen=True)
@@ -125,14 +141,6 @@ class CertReport:
     method: str
     total: str
     checks: tuple[CheckRecord, ...]
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "id": self.id,
-            "method": self.method,
-            "total": self.total,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +447,6 @@ def _separation(lhs: Interval, rhs: Interval, strict: bool) -> str | None:
         return "violated"
     return None
 
-def _evidence(lhs: Interval, rhs: Interval, ctx: EvalContext) -> dict[str, str]:
-    return {
-        "lhs_lo": str(lhs.lo),
-        "lhs_hi": str(lhs.hi),
-        "rhs_lo": str(rhs.lo),
-        "rhs_hi": str(rhs.hi),
-        "work_precision": str(ctx.work_precision),
-        "shift_target": str(ctx.shift_target),
-    }
-
 
 def _ladder(base: EvalContext) -> Iterator[EvalContext]:
     """The precision ladder: ``base``, then its ``MAX_REFINEMENTS`` refinements."""
@@ -462,19 +460,19 @@ def _refine(
     sides: Callable[[EvalContext], tuple[Interval, Interval]],
     separation: Callable[[Interval, Interval], str | None],
     base: EvalContext,
-) -> tuple[str, dict[str, str]]:
+) -> tuple[str, GridEvidence]:
     """Climb the precision ladder from ``base`` until ``separation`` decides."""
     for ctx in _ladder(base):
         lhs, rhs = sides(ctx)
         verdict = separation(lhs, rhs)
         if verdict is not None:
-            return verdict, _evidence(lhs, rhs, ctx)
-    return "undecided", _evidence(lhs, rhs, ctx)
+            return verdict, GridEvidence(lhs, rhs, ctx)
+    return "undecided", GridEvidence(lhs, rhs, ctx)
 
 
 def _decide_pair(
     pair: InequalityPair, x: Fraction, base: EvalContext
-) -> tuple[str, dict[str, str]]:
+) -> tuple[str, GridEvidence]:
     return _refine(
         lambda ctx: (evaluate(pair.lhs, x, ctx), evaluate(pair.rhs, x, ctx)),
         lambda lhs, rhs: _separation(lhs, rhs, pair.strict),
@@ -495,13 +493,12 @@ def combined_total(verdicts: Iterable[str]) -> str:
 def check_grid(
     entry_id: str,
     grid: list[Fraction],
-    shift_target: Fraction | int = Fraction(10),
     work_precision: int = 64,
 ) -> CertReport:
     """Certified pointwise verification of one catalog entry on a grid."""
     e = entry(entry_id)
     points = _validated_grid(e, grid)
-    base = EvalContext(work_precision, Fraction(shift_target))
+    base = EvalContext(work_precision)
     checks: list[CheckRecord] = []
     for x in points:
         for pair in e.pairs:
@@ -646,7 +643,7 @@ def certify_symbolic(entry_id: str) -> CertReport:
                 CheckRecord(
                     f"{branch_label}: {step.label}",
                     "holds" if step.verdict == "ok" else "undecided",
-                    {"detail": step.detail, "ray_start": str(threshold)},
+                    SymbolicEvidence(step.detail, threshold),
                 )
             )
     total = combined_total(c.verdict for c in checks)
@@ -668,7 +665,6 @@ def _window_membership(value: Interval, window: Interval) -> str | None:
 
 def tightness_report(
     grid: list[Fraction],
-    shift_target: Fraction | int = Fraction(10),
     work_precision: int = 96,
 ) -> list[dict[str, object]]:
     """Per-point tightness data for the theta windows and bound gaps.
@@ -682,7 +678,7 @@ def tightness_report(
     points = sorted({Fraction(x) for x in grid})
     if points and points[0] < 1:
         raise ValueError("tightness grid points must be >= 1")
-    base = EvalContext(work_precision, Fraction(shift_target))
+    base = EvalContext(work_precision)
     d1_expr = _PSI1_NEXT - _theta(1)
     d2_expr = _PSI1_NEXT - _theta(2)
     thm1_gap_expr = _thm1_upper() - _thm1_lower()
@@ -755,11 +751,7 @@ class ComparisonReport:
         return combined_total(r.verdict for r in self.relations)
 
 
-def compare_bounds(
-    x: Fraction | int,
-    shift_target: Fraction | int = Fraction(10),
-    work_precision: int = 64,
-) -> ComparisonReport:
+def compare_bounds(x: Fraction | int, work_precision: int = 64) -> ComparisonReport:
     """Evaluate every catalog bound at ``x`` and certify the dominance claims.
 
     The dominance relations compare bound *values* (which of two published
@@ -769,7 +761,7 @@ def compare_bounds(
     x = Fraction(x)
     if x < 1:
         raise ValueError("comparison point must be >= 1")
-    ctx = EvalContext(work_precision, Fraction(shift_target))
+    ctx = EvalContext(work_precision)
     labels = {_PSI1_NEXT: "psi'(x+1)", _PSI1_HERE: "psi'(x)"}
     # (id, side) -> (psi' target, bound).  Every catalog pair with psi' on one
     # side bounds it; XP1's sinh cap caps that entry's upper bound.

@@ -15,7 +15,14 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from psicert import Interval, digamma_enclosure, parse_rational, trigamma_enclosure
+from psicert import (
+    Interval,
+    check_grid,
+    compare_bounds,
+    digamma_enclosure,
+    parse_rational,
+    trigamma_enclosure,
+)
 from psicert.cli import _emit, _int_text, _iv_json, _iv_text, _rational_text, _scientific
 
 from _oracles import encloses_truth, scaled_bracket
@@ -109,11 +116,20 @@ class TestBernCommand:
 
 class TestEncloseCommand:
     def test_matches_library(self):
-        data, code = run_json("--shift-target", "12", "enclose", "digamma", "29/7")
+        data, code = run_json("enclose", "digamma", "29/7")
         assert code == 0
-        enclosure = digamma_enclosure(F(29, 7), F(12))
+        enclosure = digamma_enclosure(F(29, 7), F(10))
         assert parse_rational(data["enclosure"]["lo"]) == enclosure.lo
         assert parse_rational(data["enclosure"]["hi"]) == enclosure.hi
+        assert data["shift_target"] == "10"
+
+    def test_precision_sets_the_shift_target(self):
+        data, code = run_json("--precision", "128", "enclose", "digamma", "29/7")
+        assert code == 0
+        enclosure = digamma_enclosure(F(29, 7), F(20))
+        assert parse_rational(data["enclosure"]["lo"]) == enclosure.lo
+        assert parse_rational(data["enclosure"]["hi"]) == enclosure.hi
+        assert data["shift_target"] == "20"
 
     def test_trigamma(self):
         data, code = run_json("enclose", "trigamma", "2")
@@ -295,10 +311,6 @@ class TestGlobalFlags:
         proc = run_cli("--precision", "4", "const", "pi")
         assert proc.returncode == 2
 
-    def test_shift_target_floor_enforced(self):
-        proc = run_cli("--shift-target", "1/2", "enclose", "digamma", "2")
-        assert proc.returncode == 2
-
     def test_unknown_subcommand(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
@@ -372,3 +384,40 @@ class TestExactPrinting:
         assert enclosure["hi_decimal"] == "3.141592653589793238462643383280"
         text = run_cli("--precision", "128", "const", "pi").stdout
         assert "[3.14159265358979323846, 3.14159265358979323847]" in text
+
+
+class TestLargeExactEndpoints:
+    """Endpoints past str()'s digit limit print through the chunked printer."""
+
+    P, Q = 3 * 10**4000 + 1, 10**4000
+    GRID = f"{P}/{Q}:4:2"
+
+    def outputs(self, *command: str) -> dict:
+        """The JSON output, after each format has exited 0 within the limit."""
+        for fmt in ("text", "csv", "json"):
+            proc = run_cli("--format", fmt, *command, "--grid", self.GRID)
+            assert proc.returncode == 0, proc.stderr
+            assert "Exceeds" not in proc.stderr
+        return json.loads(proc.stdout)
+
+    @staticmethod
+    def assert_parses_back(printed: list[dict], records) -> None:
+        assert len(printed) == len(records)
+        for evidence, record in zip(printed, records):
+            lhs, rhs = record.evidence.lhs, record.evidence.rhs
+            assert F(evidence["lhs_lo"]) == lhs.lo and F(evidence["lhs_hi"]) == lhs.hi
+            assert F(evidence["rhs_lo"]) == rhs.lo and F(evidence["rhs_hi"]) == rhs.hi
+
+    def test_certify(self, unlimited_int_str):
+        data = self.outputs("certify", "thm2")
+        printed = [c["evidence"] for c in data["reports"][0]["checks"]]
+        checks = check_grid("THM2", [F(self.P, self.Q), F(4)]).checks
+        assert len(checks) == 4
+        self.assert_parses_back(printed, checks)
+
+    def test_report_compare(self, unlimited_int_str):
+        data = self.outputs("report", "compare")
+        printed = [r["evidence"] for r in data["points"][0]["relations"]]
+        relations = compare_bounds(F(self.P, self.Q)).relations
+        assert len(relations) == 3
+        self.assert_parses_back(printed, relations)

@@ -53,16 +53,24 @@ class TestEvalContext:
         assert ctx.work_precision == 64
         assert ctx.shift_target == 10
 
-    def test_refined_doubles_both_knobs(self):
-        ctx = EvalContext(32, F(5)).refined()
-        assert ctx.work_precision == 64
+    def test_refined_doubles_the_precision(self):
+        ctx = EvalContext(32).refined()
+        assert ctx == EvalContext(64)
         assert ctx.shift_target == 10
+
+    def test_shift_target_follows_the_precision(self):
+        ctx = EvalContext(64)
+        targets = [ctx.shift_target]
+        for _ in range(4):
+            ctx = ctx.refined()
+            targets.append(ctx.shift_target)
+        assert targets == [10, 20, 40, 80, 160]
+        assert EvalContext(8).shift_target == F(5, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EvalContext(work_precision=4)
-        with pytest.raises(ValueError):
-            EvalContext(shift_target=F(1, 2))
+        EvalContext(work_precision=8)
 
 
 class TestArithmeticNodes:
@@ -117,11 +125,11 @@ class TestTranscendentalNodes:
         truth = mp_bracket(
             mpmath.sinh(mpmath.mpf(2) / 3) / 2 - mpmath.exp(mpmath.mpf(1) / 4) + 1
         )
-        assert consistent(evaluate(expr, 3, EvalContext(96, F(10))), truth)
+        assert consistent(evaluate(expr, 3, EvalContext(96)), truth)
 
     def test_precision_refinement_tightens(self):
-        coarse = evaluate(Exp(X), F(1, 3), EvalContext(32, F(10)))
-        fine = evaluate(Exp(X), F(1, 3), EvalContext(128, F(10)))
+        coarse = evaluate(Exp(X), F(1, 3), EvalContext(32))
+        fine = evaluate(Exp(X), F(1, 3), EvalContext(128))
         assert coarse.encloses(fine)
         assert fine.width < coarse.width
 
@@ -129,13 +137,13 @@ class TestTranscendentalNodes:
 class TestPolygammaNodes:
     @pytest.mark.parametrize("x", [F(1, 2), F(1), F(7, 2), F(25)], ids=str)
     def test_digamma_node_matches_library(self, x):
-        ctx = EvalContext(64, F(12))
-        assert evaluate(Digamma(X), x, ctx) == digamma_enclosure(x, F(12))
+        ctx = EvalContext(128)  # shift target 20
+        assert evaluate(Digamma(X), x, ctx) == digamma_enclosure(x, ctx.shift_target)
 
     @pytest.mark.parametrize("x", [F(1, 2), F(1), F(7, 2), F(25)], ids=str)
     def test_trigamma_node_matches_library(self, x):
-        ctx = EvalContext(64, F(12))
-        assert evaluate(Trigamma(X), x, ctx) == trigamma_enclosure(x, F(12))
+        ctx = EvalContext(128)
+        assert evaluate(Trigamma(X), x, ctx) == trigamma_enclosure(x, ctx.shift_target)
 
     def test_nonpositive_argument_raises(self):
         with pytest.raises(DomainError):
@@ -147,7 +155,7 @@ class TestPolygammaNodes:
         # (x + 1/2) exp(-2 psi(x+1)) at x = 2
         expr = (X + F(1, 2)) * Exp(-2 * Digamma(X + 1))
         truth = mp_bracket(mpmath.mpf(5) / 2 * mpmath.exp(-2 * mpmath.digamma(3)))
-        assert consistent(evaluate(expr, 2, EvalContext(96, F(12))), truth)
+        assert consistent(evaluate(expr, 2, EvalContext(96)), truth)
 
 
 class TestNamedConstants:
@@ -158,11 +166,11 @@ class TestNamedConstants:
         assert consistent(evaluate(NamedConstant("e"), 1), e_bracket(40))
 
     def test_euler_gamma(self):
-        enclosure = evaluate(NamedConstant("euler_gamma"), 1, EvalContext(64, F(12)))
+        enclosure = evaluate(NamedConstant("euler_gamma"), 1, EvalContext(128))
         assert consistent(enclosure, euler_gamma_bracket())
 
     def test_batir_bstar(self):
-        enclosure = evaluate(NamedConstant("batir_bstar"), 1, EvalContext(64, F(12)))
+        enclosure = evaluate(NamedConstant("batir_bstar"), 1, EvalContext(128))
         assert consistent(enclosure, bstar_bracket())
         assert enclosure.lo > F(1, 2)
 

@@ -9,6 +9,7 @@ import pytest
 from psicert import (
     EvalContext,
     Exp,
+    Interval,
     Ln,
     Var,
     catalog,
@@ -19,8 +20,11 @@ from psicert import (
     geometric_grid,
     tightness_report,
 )
+from psicert.cli import _report_json
 from psicert.theorems import (
+    GridEvidence,
     InequalityPair,
+    SymbolicEvidence,
     _decide_pair,
     combined_total,
     entry,
@@ -192,14 +196,10 @@ class TestGridChecks:
     def test_evidence_fields(self):
         report = check_grid("THM2", [F(3)])
         for check in report.checks:
-            assert set(check.evidence) == {
-                "lhs_lo",
-                "lhs_hi",
-                "rhs_lo",
-                "rhs_hi",
-                "work_precision",
-                "shift_target",
-            }
+            evidence = check.evidence
+            assert isinstance(evidence, GridEvidence)
+            assert isinstance(evidence.lhs, Interval) and isinstance(evidence.rhs, Interval)
+            assert evidence.ctx == EvalContext(64)
 
     def test_precision_stability(self):
         for wp in (64, 256):
@@ -209,20 +209,38 @@ class TestGridChecks:
 
     def test_report_serializes(self):
         report = check_grid("ELE", [F(1), F(2)])
-        data = report.to_json_dict()
+        data = _report_json(report)
         assert data["id"] == "ELE"
         assert data["method"] == "grid"
         assert data["total"] == "holds"
         assert len(data["checks"]) == 2
+        evidence = data["checks"][0]["evidence"]
+        assert list(evidence) == [
+            "lhs_lo",
+            "lhs_hi",
+            "rhs_lo",
+            "rhs_hi",
+            "work_precision",
+            "shift_target",
+        ]
+        lhs = report.checks[0].evidence.lhs
+        assert (F(evidence["lhs_lo"]), F(evidence["lhs_hi"])) == (lhs.lo, lhs.hi)
+        assert (evidence["work_precision"], evidence["shift_target"]) == ("64", "10")
+        symbolic = certify_symbolic("THM2")
+        assert all(isinstance(c.evidence, SymbolicEvidence) for c in symbolic.checks)
+        step = _report_json(symbolic)["checks"][0]
+        assert list(step["evidence"]) == ["detail", "ray_start"]
+        assert step["evidence"]["ray_start"] == "3"
 
 
 class TestUndecidedPath:
     def test_tautology_cannot_be_decided_by_intervals(self):
         x = Var()
         pair = InequalityPair("tautology", Exp(Ln(x)), x, strict=True)
-        verdict, evidence = _decide_pair(pair, F(2), EvalContext(16, F(2)))
+        verdict, evidence = _decide_pair(pair, F(2), EvalContext(16))
         assert verdict == "undecided"
-        assert int(evidence["work_precision"]) == 16 * 2**4
+        assert evidence.ctx == EvalContext(16 * 2**4)
+        assert evidence.ctx.shift_target == 40
 
 
 class TestCombinedTotal:
