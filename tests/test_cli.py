@@ -25,7 +25,8 @@ from psicert import (
 )
 from psicert.cli import _emit, _int_text, _iv_json, _iv_text, _rational_text, _scientific
 
-from _oracles import encloses_truth, scaled_bracket
+from _oracles import _to_mpf, encloses_truth, scaled_bracket
+from golden.regen import capture
 
 F = Fraction
 
@@ -137,6 +138,22 @@ class TestEncloseCommand:
         enclosure = trigamma_enclosure(F(2), F(10))
         assert parse_rational(data["width"]) == enclosure.width
 
+    @pytest.mark.parametrize("function", ["digamma", "trigamma"])
+    @pytest.mark.parametrize("x", ["1/1000", "7/3", "29/7", "1000000"])
+    @pytest.mark.parametrize("precision", [8, 64, 128, 256, 512])
+    def test_contains_mpmath_value(self, function, x, precision):
+        """``--precision p enclose`` contains psi or psi' as mpmath computes it."""
+        stdout, code = capture(("--precision", str(precision), "enclose", function, x), "json")
+        assert code == 0
+        data = json.loads(stdout)
+        enclosure = Interval(
+            parse_rational(data["enclosure"]["lo"]), parse_rational(data["enclosure"]["hi"])
+        )
+        order = 0 if function == "digamma" else 1
+        point = parse_rational(x)  # converted inside, at the bracket's precision
+        bracket = scaled_bracket(lambda: mpmath.psi(order, _to_mpf(point)), enclosure.width)
+        assert encloses_truth(enclosure, bracket)
+
     def test_rejects_nonpositive_argument(self):
         proc = run_cli("enclose", "digamma", "--", "-3")
         assert proc.returncode == 2
@@ -183,13 +200,24 @@ class TestConstCommand:
                 lambda: mpmath.pi**2 / (6 * mpmath.exp(2 * mpmath.euler)),
             ),
             (
+                ("const", "digamma-zero", "--tol", "1e-12"),
+                F(1, 10**12),
+                lambda: mpmath.findroot(mpmath.digamma, mpmath.mpf("1.4616")),
+            ),
+            (
                 ("const", "digamma-zero", "--tol", "1e-30"),
                 F(1, 10**30),
                 lambda: mpmath.findroot(mpmath.digamma, mpmath.mpf("1.4616")),
             ),
             (("--precision", "16384", "const", "pi"), F(1, 2**16384), lambda: +mpmath.pi),
         ],
-        ids=["gamma-1e-25", "bstar-1e-30", "digamma-zero-1e-30", "pi-16384"],
+        ids=[
+            "gamma-1e-25",
+            "bstar-1e-30",
+            "digamma-zero-1e-12",
+            "digamma-zero-1e-30",
+            "pi-16384",
+        ],
     )
     def test_high_precision_constants(self, args, tolerance, truth, unlimited_int_str):
         data, code = run_json(*args)
