@@ -22,7 +22,6 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from .elementary import iv_pi
-from .expressions import EvalContext
 from .interval import DomainError, Interval, parse_rational
 from .polygamma import (
     batir_bstar_enclosure,
@@ -281,7 +280,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_enclose(args: argparse.Namespace) -> int:
     x = parse_rational(args.x)
-    shift = EvalContext(args.precision).shift_target
     if x <= 0:
         raise UsageError(f"{args.function} enclosure requires x > 0, got {x}")
     fn = digamma_enclosure if args.function == "digamma" else trigamma_enclosure
@@ -290,8 +288,8 @@ def _cmd_enclose(args: argparse.Namespace) -> int:
     return _emit_enclosure(
         args,
         f"{name}({header['x']})",
-        fn(x, shift),
-        {"command": "enclose", **header, "shift_target": _rational_text(shift)},
+        fn(x, args.precision),
+        {"command": "enclose", **header},
         header,
     )
 
@@ -334,21 +332,15 @@ def _cmd_const(args: argparse.Namespace) -> int:
     if name == "digamma-zero":
         enclosure = digamma_zero(tolerance if tolerance is not None else Fraction(1, 10**6))
     else:
-        if name == "pi":
-            parameter: Fraction | int = args.precision
-            produce = iv_pi
-        else:
-            parameter = EvalContext(args.precision).shift_target
-            produce = euler_gamma_enclosure if name == "gamma" else batir_bstar_enclosure
-        enclosure = produce(parameter)
-        attempts = 0
-        while tolerance is not None and enclosure.hi - enclosure.lo > tolerance:
-            attempts += 1
-            if attempts > 30:
-                print("error: tolerance not reached", file=sys.stderr)
-                return EXIT_UNDECIDED
-            parameter = parameter * 2
-            enclosure = produce(parameter)
+        bits = args.precision
+        if tolerance is not None:  # the fewest bits with 2**-bits <= tolerance
+            ceil_inverse = -(-tolerance.denominator // tolerance.numerator)
+            bits = max(bits, (ceil_inverse - 1).bit_length())
+        kernels = {"gamma": euler_gamma_enclosure, "bstar": batir_bstar_enclosure, "pi": iv_pi}
+        enclosure = kernels[name](bits)  # of width at most 2**-bits
+        if tolerance is not None and enclosure.width > tolerance:
+            print("error: tolerance not reached", file=sys.stderr)
+            return EXIT_UNDECIDED
     return _emit_enclosure(
         args,
         name,
@@ -369,7 +361,6 @@ def _evidence_fields(check: CheckRecord) -> dict[str, str]:
         "rhs_lo": _rational_text(evidence.rhs.lo),
         "rhs_hi": _rational_text(evidence.rhs.hi),
         "work_precision": str(evidence.ctx.work_precision),
-        "shift_target": _rational_text(evidence.ctx.shift_target),
     }
 
 
@@ -612,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=64,
-        help="working precision in bits, >= 8 (default 64); sets the psi/psi' shift too",
+        help="working precision in bits, >= 8 (default 64)",
     )
     parser.add_argument(
         "--format",

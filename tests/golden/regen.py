@@ -40,9 +40,9 @@ CASES: dict[str, tuple[str, ...]] = {
     "certify_all_symbolic": ("certify", "all", "--symbolic"),
     "report_tightness": ("report", "tightness", "--grid", "1:1024:4"),
     "report_compare": ("report", "compare", "--grid", "2:10:2"),
-    # base rung 8 bits, shift 5/4: checks decide at every rung up to the last
+    # base rung 8 bits: checks decide at every rung from 8 to 128 bits
     "certify_classical_ladder": (
-        "--precision", "8", "certify", "classical", "--grid", "1:10000:2",
+        "--precision", "8", "certify", "classical", "--grid", "1:10000:3",
     ),
     "report_tightness_ladder": (
         "--precision", "8", "report", "tightness", "--grid", "1:1024:3",

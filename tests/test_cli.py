@@ -119,30 +119,31 @@ class TestEncloseCommand:
     def test_matches_library(self):
         data, code = run_json("enclose", "digamma", "29/7")
         assert code == 0
-        enclosure = digamma_enclosure(F(29, 7), F(10))
+        enclosure = digamma_enclosure(F(29, 7), 64)
         assert parse_rational(data["enclosure"]["lo"]) == enclosure.lo
         assert parse_rational(data["enclosure"]["hi"]) == enclosure.hi
-        assert data["shift_target"] == "10"
+        assert list(data) == ["command", "function", "x", "enclosure", "width"]
 
-    def test_precision_sets_the_shift_target(self):
+    def test_precision_sets_the_bits(self):
         data, code = run_json("--precision", "128", "enclose", "digamma", "29/7")
         assert code == 0
-        enclosure = digamma_enclosure(F(29, 7), F(20))
+        enclosure = digamma_enclosure(F(29, 7), 128)
         assert parse_rational(data["enclosure"]["lo"]) == enclosure.lo
         assert parse_rational(data["enclosure"]["hi"]) == enclosure.hi
-        assert data["shift_target"] == "20"
+        assert parse_rational(data["width"]) <= F(1, 2**128)
 
     def test_trigamma(self):
         data, code = run_json("enclose", "trigamma", "2")
         assert code == 0
-        enclosure = trigamma_enclosure(F(2), F(10))
+        enclosure = trigamma_enclosure(F(2), 64)
         assert parse_rational(data["width"]) == enclosure.width
 
     @pytest.mark.parametrize("function", ["digamma", "trigamma"])
     @pytest.mark.parametrize("x", ["1/1000", "7/3", "29/7", "1000000"])
     @pytest.mark.parametrize("precision", [8, 64, 128, 256, 512])
     def test_contains_mpmath_value(self, function, x, precision):
-        """``--precision p enclose`` contains psi or psi' as mpmath computes it."""
+        """``--precision p enclose`` contains psi or psi' as mpmath computes it,
+        in an enclosure of width at most ``2**-p``."""
         stdout, code = capture(("--precision", str(precision), "enclose", function, x), "json")
         assert code == 0
         data = json.loads(stdout)
@@ -153,6 +154,7 @@ class TestEncloseCommand:
         point = parse_rational(x)  # converted inside, at the bracket's precision
         bracket = scaled_bracket(lambda: mpmath.psi(order, _to_mpf(point)), enclosure.width)
         assert encloses_truth(enclosure, bracket)
+        assert enclosure.width <= F(1, 2**precision)
 
     def test_rejects_nonpositive_argument(self):
         proc = run_cli("enclose", "digamma", "--", "-3")
@@ -194,6 +196,8 @@ class TestConstCommand:
         "args, tolerance, truth",
         [
             (("const", "gamma", "--tol", "1e-25"), F(1, 10**25), lambda: +mpmath.euler),
+            (("const", "gamma", "--tol", "1e-45"), F(1, 10**45), lambda: +mpmath.euler),
+            (("const", "gamma", "--tol", "1e-100"), F(1, 10**100), lambda: +mpmath.euler),
             (
                 ("const", "bstar", "--tol", "1e-30"),
                 F(1, 10**30),
@@ -209,13 +213,21 @@ class TestConstCommand:
                 F(1, 10**30),
                 lambda: mpmath.findroot(mpmath.digamma, mpmath.mpf("1.4616")),
             ),
+            (
+                ("const", "digamma-zero", "--tol", "1e-40"),
+                F(1, 10**40),
+                lambda: mpmath.findroot(mpmath.digamma, mpmath.mpf("1.4616")),
+            ),
             (("--precision", "16384", "const", "pi"), F(1, 2**16384), lambda: +mpmath.pi),
         ],
         ids=[
             "gamma-1e-25",
+            "gamma-1e-45",
+            "gamma-1e-100",
             "bstar-1e-30",
             "digamma-zero-1e-12",
             "digamma-zero-1e-30",
+            "digamma-zero-1e-40",
             "pi-16384",
         ],
     )

@@ -51,21 +51,18 @@ class TestEvalContext:
     def test_defaults(self):
         ctx = EvalContext()
         assert ctx.work_precision == 64
-        assert ctx.shift_target == 10
 
     def test_refined_doubles_the_precision(self):
         ctx = EvalContext(32).refined()
         assert ctx == EvalContext(64)
-        assert ctx.shift_target == 10
 
-    def test_shift_target_follows_the_precision(self):
-        ctx = EvalContext(64)
-        targets = [ctx.shift_target]
-        for _ in range(4):
+    def test_polygamma_width_follows_the_precision(self):
+        """Up the ladder from 8 bits, psi and psi' nodes narrow to 2**-precision."""
+        ctx = EvalContext(8)
+        for _ in range(5):
+            for node in (Digamma(X), Trigamma(X)):
+                assert evaluate(node, F(29, 7), ctx).width <= F(1, 2**ctx.work_precision)
             ctx = ctx.refined()
-            targets.append(ctx.shift_target)
-        assert targets == [10, 20, 40, 80, 160]
-        assert EvalContext(8).shift_target == F(5, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -137,13 +134,13 @@ class TestTranscendentalNodes:
 class TestPolygammaNodes:
     @pytest.mark.parametrize("x", [F(1, 2), F(1), F(7, 2), F(25)], ids=str)
     def test_digamma_node_matches_library(self, x):
-        ctx = EvalContext(128)  # shift target 20
-        assert evaluate(Digamma(X), x, ctx) == digamma_enclosure(x, ctx.shift_target)
+        ctx = EvalContext(128)
+        assert evaluate(Digamma(X), x, ctx) == digamma_enclosure(x, 128)
 
     @pytest.mark.parametrize("x", [F(1, 2), F(1), F(7, 2), F(25)], ids=str)
     def test_trigamma_node_matches_library(self, x):
         ctx = EvalContext(128)
-        assert evaluate(Trigamma(X), x, ctx) == trigamma_enclosure(x, ctx.shift_target)
+        assert evaluate(Trigamma(X), x, ctx) == trigamma_enclosure(x, 128)
 
     def test_nonpositive_argument_raises(self):
         with pytest.raises(DomainError):
@@ -176,7 +173,7 @@ class TestNamedConstants:
 
     def test_trigamma_one(self):
         enclosure = evaluate(NamedConstant("trigamma_one"), 1)
-        assert enclosure == trigamma_enclosure(1, F(10))
+        assert enclosure == trigamma_enclosure(1, 64)
 
     def test_unknown_name_rejected_at_construction(self):
         with pytest.raises(ValueError):

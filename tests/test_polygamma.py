@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import mpmath
@@ -18,7 +17,8 @@ from psicert import (
     trigamma_enclosure,
 )
 from psicert.elementary import iv_exp, iv_ln
-from psicert.polygamma import _reciprocal_sum
+from psicert.polygamma import _reciprocal_sum, _truncation
+from psicert.series import digamma_expansion, trigamma_expansion
 from psicert.theorems import check_grid
 
 from _oracles import (
@@ -56,12 +56,11 @@ class TestDigamma:
             with pytest.raises(ValueError):
                 digamma_enclosure(bad)
 
-    def test_shift_target_tightens(self):
+    def test_width_falls_as_bits_double(self):
         x = F(3, 2)
-        wide = digamma_enclosure(x, shift_target=5)
-        tight = digamma_enclosure(x, shift_target=40)
-        assert tight.hi - tight.lo <= wide.hi - wide.lo
-        assert consistent(tight, digamma_bracket(x))
+        widths = [digamma_enclosure(x, bits).width for bits in (16, 32, 64, 128, 256)]
+        assert all(wide > tight for wide, tight in zip(widths, widths[1:]))
+        assert consistent(digamma_enclosure(x, 256), digamma_bracket(x))
 
     @given(st.fractions(min_value=F(1, 20), max_value=30, max_denominator=20))
     def test_recurrence(self, x):
@@ -108,31 +107,31 @@ MEMOISED = [digamma_enclosure, trigamma_enclosure]
 
 
 class TestMemo:
-    """digamma_enclosure and trigamma_enclosure are memoised per argument and shift."""
+    """digamma_enclosure and trigamma_enclosure are memoised per argument and bits."""
 
     @given(
         st.fractions(min_value=F(1, 20), max_value=200, max_denominator=50),
-        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=8, max_value=160),
     )
-    def test_hit_equals_recomputation(self, x, shift_target):
+    def test_hit_equals_recomputation(self, x, bits):
         for kernel in MEMOISED:
-            first = kernel(x, shift_target)
-            assert kernel(x, shift_target) == first == kernel.__wrapped__(x, shift_target)
+            first = kernel(x, bits)
+            assert kernel(x, bits) == first == kernel.__wrapped__(x, bits)
 
     @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
-    def test_larger_shift_gets_its_own_enclosure(self, kernel):
+    def test_more_bits_get_their_own_enclosure(self, kernel):
         x = F(29, 7)
-        coarse = kernel(x, 10)
-        fine = kernel(x, 80)
-        assert fine == kernel.__wrapped__(x, 80)
+        coarse = kernel(x, 64)
+        fine = kernel(x, 128)
+        assert fine == kernel.__wrapped__(x, 128)
         assert fine.width < coarse.width
-        assert kernel(x, 10) == coarse
+        assert kernel(x, 64) == coarse
 
     @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
     def test_int_and_fraction_arguments_agree(self, kernel):
         for n in (1, 2, 12):
-            expected = kernel.__wrapped__(F(n), F(10))
-            assert kernel(n) == kernel(F(n), 10) == kernel(n, F(10)) == expected
+            expected = kernel.__wrapped__(F(n), 64)
+            assert kernel(n) == kernel(F(n), 64) == kernel(n, 64) == expected
 
     @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
     def test_cache_is_bounded(self, kernel):
@@ -148,14 +147,6 @@ class TestMemo:
             assert kernel.cache_info().hits > 0, kernel.__name__
 
 
-def _shifted(x: Fraction, shift_target: int) -> Fraction:
-    """The argument y at which the asymptotic window is taken."""
-    return x + max(0, math.ceil(shift_target + 1 - x)) - 1
-
-
-LARGE_SHIFTS = [(F(1), 10**4), (F(29, 7), 10**4), (F(3, 2), 40_000), (F(1, 3), 10**5)]
-
-
 @pytest.mark.parametrize("power", [1, 2])
 @pytest.mark.parametrize("x", [F(1), F(29, 7), F(1, 3), F(1000, 999)], ids=str)
 def test_reciprocal_sum_encloses_exact_sum(x, power):
@@ -167,42 +158,80 @@ def test_reciprocal_sum_encloses_exact_sum(x, power):
     assert enclosure.width < F(1, 2**64)
 
 
-class TestLargeShift:
-    """Fixed-point recurrence sums over 10^4..10^5 steps against mpmath.
+LARGE_SHIFTS = [(F(1), 10**4), (F(29, 7), 10**4), (F(3, 2), 40_000), (F(1, 3), 10**5)]
 
-    With exactly summed corrections the width would be the asymptotic
-    window (plus, for psi, the logarithm's rounding far below it); the
-    counted ulps of the fixed-point sum must not double it.
+
+class TestLargeShift:
+    """Recurrence sums over 10^4..10^5 shift steps against mpmath.
+
+    ``sum_{k<n} 1/(x+k) = psi(x+n) - psi(x)`` and ``sum_{k<n} 1/(x+k)**2 =
+    psi'(x) - psi'(x+n)``; the ``n`` counted ulps of the fixed-point sum
+    must stay below ``2**-bits``.
     """
 
-    @pytest.mark.parametrize("x, shift_target", LARGE_SHIFTS, ids=str)
-    def test_digamma(self, x, shift_target):
-        enclosure = digamma_enclosure(x, shift_target)
-        window = F(1, 252) / _shifted(x, shift_target) ** 6
-        assert enclosure.width <= 2 * window
-        bracket = scaled_bracket(lambda: mpmath.digamma(_to_mpf(x)), enclosure.width)
-        assert encloses_truth(enclosure, bracket)
+    @staticmethod
+    def check(x: Fraction, n: int, power: int, truth) -> None:
+        for bits in (64, 200):
+            enclosure = _reciprocal_sum(x, n, power, bits)
+            assert enclosure.width < F(1, 2**bits)
+            assert encloses_truth(enclosure, scaled_bracket(truth, enclosure.width))
 
-    @pytest.mark.parametrize("x, shift_target", LARGE_SHIFTS, ids=str)
-    def test_trigamma(self, x, shift_target):
-        enclosure = trigamma_enclosure(x, shift_target)
-        window = F(1, 30) / _shifted(x, shift_target) ** 9
-        assert enclosure.width <= 2 * window
-        bracket = scaled_bracket(lambda: mpmath.psi(1, _to_mpf(x)), enclosure.width)
-        assert encloses_truth(enclosure, bracket)
+    @pytest.mark.parametrize("x, n", LARGE_SHIFTS, ids=str)
+    def test_digamma(self, x, n):
+        self.check(x, n, 1, lambda: mpmath.digamma(_to_mpf(x) + n) - mpmath.digamma(_to_mpf(x)))
+
+    @pytest.mark.parametrize("x, n", LARGE_SHIFTS, ids=str)
+    def test_trigamma(self, x, n):
+        self.check(x, n, 2, lambda: mpmath.psi(1, _to_mpf(x)) - mpmath.psi(1, _to_mpf(x) + n))
+
+
+def _last_term(power: int, y: Fraction, order: int) -> Fraction:
+    expansion = digamma_expansion if power == 1 else trigamma_expansion
+    k, c = expansion(order).coeffs[-1]
+    return abs(c) / y**k
+
+
+class TestTruncation:
+    """The shortest enveloped truncation whose last term is at most 2**-w."""
+
+    @given(
+        st.fractions(min_value=0, max_value=10**6, max_denominator=1000),
+        st.integers(min_value=8, max_value=300),
+        st.sampled_from([1, 2]),
+    )
+    def test_shortest_within_target(self, offset, w, power):
+        """From the kernels' least shift ``floor(3w/25) + 2`` outward."""
+        y = 3 * w // 25 + 2 + offset
+        terms = _truncation(power, y, w)
+        order = terms[-1][0]
+        assert _last_term(power, y, order) <= F(1, 2**w)
+        if order > power + 1:
+            assert _last_term(power, y, order - 2) > F(1, 2**w)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_diverging_expansion_raises(self, power):
+        """At y = 1/2 the terms grow long before they reach 2**-200."""
+        with pytest.raises(ArithmeticError):
+            _truncation(power, F(1, 2), 200)
 
 
 class TestAsymptoticWindow:
-    """At shift target 1 and x >= 2 no recurrence step is taken, so y = x - 1."""
+    """For x far enough out no recurrence step is taken, so y = x - 1."""
 
-    @given(st.fractions(min_value=2, max_value=10**6, max_denominator=1000))
-    def test_against_mpmath_without_recurrence(self, x):
-        assert trigamma_enclosure(x, 1).width == F(1, 30) / (x - 1) ** 9
+    @given(
+        st.fractions(min_value=40, max_value=10**6, max_denominator=1000),
+        st.integers(min_value=8, max_value=200),
+    )
+    def test_against_mpmath_without_recurrence(self, x, bits):
+        y = x - 1
+        k, c = _truncation(2, y, bits + 2)[-1]
+        assert trigamma_enclosure(x, bits).width == abs(c) / y**k
         for kernel, reference in (
             (digamma_enclosure, mpmath.digamma),
             (trigamma_enclosure, lambda t: mpmath.psi(1, t)),
         ):
-            enclosure = kernel(x, 1)
+            enclosure = kernel(x, bits)
+            assert enclosure.width <= F(1, 2**bits)
             bracket = scaled_bracket(lambda: reference(_to_mpf(x)), enclosure.width)
             assert encloses_truth(enclosure, bracket), kernel.__name__
 
@@ -219,10 +248,19 @@ class TestConstants:
         assert enclosure.lo > F(1, 2)
         assert enclosure.hi - enclosure.lo <= F(1, 10**6)
 
-    def test_bstar_tightens_with_shift_target(self):
-        wide = batir_bstar_enclosure(10)
-        tight = batir_bstar_enclosure(40)
-        assert tight.hi - tight.lo <= wide.hi - wide.lo
+    @pytest.mark.parametrize(
+        "constant, truth",
+        [
+            (euler_gamma_enclosure, lambda: +mpmath.euler),
+            (batir_bstar_enclosure, lambda: mpmath.pi**2 / (6 * mpmath.exp(2 * mpmath.euler))),
+        ],
+        ids=["gamma", "bstar"],
+    )
+    def test_width_at_most_two_to_the_minus_bits(self, constant, truth):
+        for bits in (8, 64, 128, 256):
+            enclosure = constant(bits)
+            assert enclosure.width <= F(1, 2**bits)
+            assert encloses_truth(enclosure, scaled_bracket(truth, enclosure.width))
 
     def test_digamma_zero(self):
         tolerance = F(1, 10**7)

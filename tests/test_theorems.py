@@ -221,11 +221,10 @@ class TestGridChecks:
             "rhs_lo",
             "rhs_hi",
             "work_precision",
-            "shift_target",
         ]
         lhs = report.checks[0].evidence.lhs
         assert (F(evidence["lhs_lo"]), F(evidence["lhs_hi"])) == (lhs.lo, lhs.hi)
-        assert (evidence["work_precision"], evidence["shift_target"]) == ("64", "10")
+        assert evidence["work_precision"] == "64"
         symbolic = certify_symbolic("THM2")
         assert all(isinstance(c.evidence, SymbolicEvidence) for c in symbolic.checks)
         step = _report_json(symbolic)["checks"][0]
@@ -240,7 +239,6 @@ class TestUndecidedPath:
         verdict, evidence = _decide_pair(pair, F(2), EvalContext(16))
         assert verdict == "undecided"
         assert evidence.ctx == EvalContext(16 * 2**4)
-        assert evidence.ctx.shift_target == 40
 
 
 class TestCombinedTotal:
