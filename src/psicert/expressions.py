@@ -12,11 +12,10 @@ Operator overloading builds trees readably: ``(X + F(1, 2)) * Exp(-2 * Digamma(X
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .elementary import iv_exp, iv_ln, iv_pi, iv_sinh
-from .interval import DomainError, Interval
+from .interval import DomainError, Frozen, Interval
 from .polycert import RationalFunction
 from .polygamma import (
     batir_bstar_enclosure,
@@ -46,23 +45,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(Frozen):
     """The working precision threaded through an evaluation."""
 
-    work_precision: int = 64
+    __slots__ = ("work_precision",)
+    work_precision: int
 
-    def __post_init__(self) -> None:
-        if self.work_precision < 8:
+    def __init__(self, work_precision: int = 64) -> None:
+        if work_precision < 8:
             raise ValueError("work precision must be at least 8")
+        super().__init__(work_precision)
 
     def refined(self) -> "EvalContext":
         """The next rung of the precision ladder: double the precision."""
         return EvalContext(self.work_precision * 2)
 
 
-class Expr:
-    """Base node; subclasses are frozen dataclasses implementing `_eval`."""
+class Expr(Frozen):
+    """Base node; subclasses are immutable values (see
+    :class:`~psicert.interval.Frozen`) implementing `_eval`."""
+
+    __slots__ = ()
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
         raise NotImplementedError
@@ -106,22 +109,23 @@ def as_expr(value: "Expr | Fraction | int") -> Expr:
     return Const(Fraction(value))
 
 
-@dataclass(frozen=True)
 class Const(Expr):
+    __slots__ = ("value",)
     value: Fraction
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
         return Interval.point(self.value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
+    __slots__ = ()
+
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
         return Interval.point(x)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
@@ -129,8 +133,8 @@ class Add(Expr):
         return self.left._eval(x, ctx) + self.right._eval(x, ctx)
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
@@ -138,8 +142,8 @@ class Mul(Expr):
         return self.left._eval(x, ctx) * self.right._eval(x, ctx)
 
 
-@dataclass(frozen=True)
 class Div(Expr):
+    __slots__ = ("num", "den")
     num: Expr
     den: Expr
 
@@ -147,58 +151,59 @@ class Div(Expr):
         return self.num._eval(x, ctx) / self.den._eval(x, ctx)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
         return -self.arg._eval(x, ctx)
 
 
-@dataclass(frozen=True)
 class PowInt(Expr):
+    __slots__ = ("base", "exponent")
     base: Expr
     exponent: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int):
+    def __init__(self, base: Expr, exponent: int) -> None:
+        if not isinstance(exponent, int):
             raise TypeError(
-                f"exponent must be an integer, got {self.exponent!r}; "
+                f"exponent must be an integer, got {exponent!r}; "
                 "only integer powers are supported"
             )
+        super().__init__(base, exponent)
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
         return self.base._eval(x, ctx) ** self.exponent
 
 
-@dataclass(frozen=True)
 class Exp(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
         return iv_exp(self.arg._eval(x, ctx), ctx.work_precision)
 
 
-@dataclass(frozen=True)
 class Ln(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
         return iv_ln(self.arg._eval(x, ctx), ctx.work_precision)
 
 
-@dataclass(frozen=True)
 class Sinh(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
         return iv_sinh(self.arg._eval(x, ctx), ctx.work_precision)
 
 
-@dataclass(frozen=True)
 class Digamma(Expr):
     """psi applied to a subexpression; monotonicity gives interval images."""
 
+    __slots__ = ("arg",)
     arg: Expr
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
@@ -210,10 +215,10 @@ class Digamma(Expr):
         return Interval(lo.lo, hi.hi)
 
 
-@dataclass(frozen=True)
 class Trigamma(Expr):
     """psi' applied to a subexpression; decreasing, so endpoints swap."""
 
+    __slots__ = ("arg",)
     arg: Expr
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
@@ -236,17 +241,18 @@ _CONSTANTS: dict[str, Callable[[int], Interval]] = {
 }
 
 
-@dataclass(frozen=True)
 class NamedConstant(Expr):
     """One of: pi, e, euler_gamma, batir_bstar, trigamma_one."""
 
+    __slots__ = ("name",)
     name: str
 
-    def __post_init__(self) -> None:
-        if self.name not in _CONSTANTS:
+    def __init__(self, name: str) -> None:
+        if name not in _CONSTANTS:
             raise ValueError(
-                f"unknown constant {self.name!r}; expected one of {tuple(_CONSTANTS)}"
+                f"unknown constant {name!r}; expected one of {tuple(_CONSTANTS)}"
             )
+        super().__init__(name)
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
         return _CONSTANTS[self.name](ctx.work_precision)

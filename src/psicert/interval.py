@@ -12,11 +12,11 @@ shrink an interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "DomainError",
+    "Frozen",
     "Interval",
     "ROUNDING_GUARD_BITS",
     "iv_arith",
@@ -56,18 +56,88 @@ def _as_fraction(value: Fraction | int | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Frozen:
+    """Base of psicert's immutable value types; the fields are the ``__slots__``.
+
+    A subclass lists its fields in ``__slots__`` and gets a constructor that
+    takes them positionally or by keyword, ``__eq__`` (same type and equal
+    fields), ``__hash__``, ``__repr__`` and ``__match_args__``.  Assigning or
+    deleting an attribute raises ``AttributeError``.  A subclass with rules
+    of its own (coercion, validation, a default or a derived field) writes
+    an ``__init__`` that passes the final values on to ``Frozen.__init__``.
+
+    psicert does not use ``dataclasses``: every CLI call is a fresh
+    interpreter, and importing ``dataclasses`` (with ``inspect``) and
+    generating the methods of 29 frozen dataclasses through ``exec`` at each
+    import cost about 40 ms of it.  A fresh ``python -m psicert bern 0`` took
+    about 0.20 s with them and 0.16 s without (medians of 21 runs, Python
+    3.11 without bytecode files, two vCPUs).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__name__} must declare its fields in __slots__")
+        cls._fields = tuple(
+            name for klass in reversed(cls.__mro__) for name in klass.__dict__.get("__slots__", ())
+        )
+        if "__match_args__" not in cls.__dict__:
+            cls.__match_args__ = cls._fields
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{type(self).__name__} got a repeated or unknown field {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{type(self).__name__} is missing field(s) {', '.join(missing)}")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class Interval(Frozen):
     """A closed interval ``[lo, hi]`` with exact rational endpoints."""
 
+    __slots__ = ("lo", "hi")
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _as_fraction(self.lo))
-        object.__setattr__(self, "hi", _as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+    def __init__(self, lo: Fraction | int | str, hi: Fraction | int | str) -> None:
+        lo, hi = _as_fraction(lo), _as_fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        # the hot constructor: set the two fields without Frozen.__init__'s matching
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def point(cls, value: Fraction | int | str) -> "Interval":

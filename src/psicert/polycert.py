@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .elementary import iv_ln
-from .interval import DomainError, Interval
+from .interval import DomainError, Frozen, Interval
 
 __all__ = [
     "CertificateReport",
@@ -40,17 +39,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """Ascending coefficient tuple; trailing zeros trimmed; () is the zero polynomial."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(Fraction(c) for c in self.coeffs)
+    def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
+        cleaned = tuple(Fraction(c) for c in coeffs)
         while cleaned and cleaned[-1] == 0:
             cleaned = cleaned[:-1]
-        object.__setattr__(self, "coeffs", cleaned)
+        super().__init__(cleaned)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Fraction | int]) -> "Polynomial":
@@ -192,17 +191,16 @@ def _positivity_after_shift(shifted: Polynomial) -> PositivityVerdict:
     return PositivityVerdict.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Frozen):
     """Quotient of polynomials in canonical form: coprime, monic denominator."""
 
+    __slots__ = ("num", "den")
     num: Polynomial
     den: Polynomial
 
-    def __post_init__(self) -> None:
-        if self.den.is_zero:
+    def __init__(self, num: Polynomial, den: Polynomial) -> None:
+        if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        num, den = self.num, self.den
         g = _poly_gcd(num, den)
         if not g.is_zero and g.degree > 0:
             num = divmod(num, g)[0]
@@ -211,8 +209,7 @@ class RationalFunction:
         if lead != 1:
             num = num * (1 / lead)
             den = den * (1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        super().__init__(num, den)
 
     @classmethod
     def from_poly(cls, p: Polynomial) -> "RationalFunction":
@@ -325,10 +322,10 @@ class LimitClass(enum.Enum):
     DIVERGES = "diverges"
 
 
-@dataclass(frozen=True)
-class LogRationalExpr:
+class LogRationalExpr(Frozen):
     """``sum c_i ln(r_i(x)) + q(x)`` with rational ``c_i`` and rational functions."""
 
+    __slots__ = ("log_terms", "rational_part")
     log_terms: tuple[tuple[Fraction, RationalFunction], ...]
     rational_part: RationalFunction
 
@@ -378,17 +375,17 @@ def logexpr_limit_at_infinity(e: LogRationalExpr) -> LimitClass:
     return LimitClass.ZERO if rational_limit == 0 else LimitClass.FINITE_NONZERO
 
 
-@dataclass(frozen=True)
-class CertificateStep:
+class CertificateStep(Frozen):
     """One verified condition in a negativity certificate, with its evidence."""
 
+    __slots__ = ("label", "verdict", "detail")
     label: str
     verdict: str
     detail: str
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Frozen):
+    __slots__ = ("certified", "threshold", "steps")
     certified: bool
     threshold: Fraction
     steps: tuple[CertificateStep, ...]

@@ -63,9 +63,13 @@ def _shift_count(x: Fraction, w: int) -> int:
     return max(0, math.ceil(3 * w // 25 + 3 - x))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _expansion_terms(power: int, order: int) -> tuple[tuple[int, Fraction], ...]:
-    """Coefficients of the expansion of psi(y+1) (power 1) or psi'(y+1) (power 2)."""
+    """Coefficients of the expansion of psi(y+1) (power 1) or psi'(y+1) (power 2).
+
+    :func:`_truncation` asks only for orders ``(power + 1) * 2**j``, so the
+    cache holds a few dozen of them at most.
+    """
     return (digamma_expansion if power == 1 else trigamma_expansion)(order).coeffs
 
 
@@ -73,24 +77,33 @@ def _truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], 
     """The shortest expansion of ``psi(y+1)`` or ``psi'(y+1)`` whose last term
     is at most ``2**-w`` at ``y``.
 
-    The orders step over the Bernoulli terms ``y**-(2m)`` of psi and
-    ``y**-(2m+1)`` of psi', starting at ``m = 1``.  A term that does not
-    shrink before it reaches ``2**-w`` raises ``ArithmeticError``, so the
+    The candidate last terms are the Bernoulli terms ``y**-(2m)`` of psi and
+    ``y**-(2m+1)`` of psi', for ``m = 1, 2, ...``, and the expansion that
+    ends at one is the prefix of any longer expansion up to it.  So one
+    candidate expansion is scanned term by term, and its order doubles when
+    its terms run out: each term is looked at once, and the expansions built
+    have a total length below four times the one returned.  A term that does
+    not shrink before it reaches ``2**-w`` raises ``ArithmeticError``, so the
     loop is bounded; at the shifts of :func:`_shift_count` it never does.
     """
     target = Fraction(1, 1 << w)
     order = power + 1
+    scanned = 0
     previous = None
     while True:
         terms = _expansion_terms(power, order)
-        k, c = terms[-1]
-        size = abs(c) / y**k
-        if size <= target:
-            return terms
-        if previous is not None and size >= previous:
-            raise ArithmeticError(f"the expansion at y = {y} does not reach 2**-{w}")
-        previous = size
-        order += 2
+        for i in range(scanned, len(terms)):
+            k, c = terms[i]
+            if k <= power:  # the 1/(2y) of psi and the 1/y, -1/(2y**2) of psi'
+                continue
+            size = abs(c) / y**k
+            if size <= target:
+                return terms[: i + 1]
+            if previous is not None and size >= previous:
+                raise ArithmeticError(f"the expansion at y = {y} does not reach 2**-{w}")
+            previous = size
+        scanned = len(terms)
+        order *= 2
 
 
 _SUM_GUARD_BITS = 4

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
+
+from .interval import Frozen
 
 __all__ = [
     "AsymptoticExpansion",
@@ -107,26 +108,32 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     return _BERNOULLI.upto(n)
 
 
-@dataclass(frozen=True)
-class AsymptoticExpansion:
-    """``log_coeff * ln(x) + sum a_k x**(-k)``, coefficients exact through order."""
+class AsymptoticExpansion(Frozen):
+    """``log_coeff * ln(x) + sum a_k x**(-k)``, coefficients exact through order.
 
+    ``low_degree``, the degree of the polynomially growing part (0 if none),
+    is derived from the coefficients.
+    """
+
+    __slots__ = ("log_coeff", "coeffs", "order", "low_degree")
     log_coeff: Fraction
     coeffs: tuple[tuple[int, Fraction], ...]
     order: int
-    low_degree: int = field(init=False)
+    low_degree: int
 
-    def __post_init__(self) -> None:
-        keys = [k for k, _ in self.coeffs]
+    def __init__(
+        self, log_coeff: Fraction, coeffs: tuple[tuple[int, Fraction], ...], order: int
+    ) -> None:
+        keys = [k for k, _ in coeffs]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("coefficient indices must be strictly increasing")
-        if any(c == 0 for _, c in self.coeffs):
+        if any(c == 0 for _, c in coeffs):
             raise ValueError("zero coefficients must be omitted")
-        if keys and keys[-1] > self.order:
+        if keys and keys[-1] > order:
             raise ValueError(
-                f"coefficient index {keys[-1]} exceeds truncation order {self.order}"
+                f"coefficient index {keys[-1]} exceeds truncation order {order}"
             )
-        object.__setattr__(self, "low_degree", max(0, -keys[0]) if keys else 0)
+        super().__init__(log_coeff, coeffs, order, max(0, -keys[0]) if keys else 0)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of ``x**(-k)``; raises beyond the truncation order."""

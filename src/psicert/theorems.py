@@ -27,7 +27,6 @@ statement's published reduction to its auxiliary function does not hold.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,7 +44,7 @@ from .expressions import (
     evaluate,
     rational_function,
 )
-from .interval import Interval
+from .interval import Frozen, Interval
 from .polycert import (
     LogRationalExpr,
     RationalFunction,
@@ -85,24 +84,38 @@ DEFAULT_GRID_STOP = Fraction(10_000)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InequalityPair:
+class InequalityPair(Frozen):
     """One ordered claim ``lhs < rhs`` (or ``<=`` when not strict)."""
 
+    __slots__ = ("label", "lhs", "rhs", "strict")
     label: str
     lhs: Expr
     rhs: Expr
-    strict: bool = True
+    strict: bool
+
+    def __init__(self, label: str, lhs: Expr, rhs: Expr, strict: bool = True) -> None:
+        super().__init__(label, lhs, rhs, strict)
 
 
-@dataclass(frozen=True)
-class InequalityEntry:
+class InequalityEntry(Frozen):
+    __slots__ = ("id", "description", "domain_start", "open_start", "pairs", "monotone_expr")
     id: str
     description: str
     domain_start: Fraction
     open_start: bool
     pairs: tuple[InequalityPair, ...]
-    monotone_expr: Expr | None = None
+    monotone_expr: Expr | None
+
+    def __init__(
+        self,
+        id: str,
+        description: str,
+        domain_start: Fraction,
+        open_start: bool,
+        pairs: tuple[InequalityPair, ...],
+        monotone_expr: Expr | None = None,
+    ) -> None:
+        super().__init__(id, description, domain_start, open_start, pairs, monotone_expr)
 
     def grid_floor(self) -> Fraction:
         """Smallest admissible grid start for this entry."""
@@ -111,32 +124,32 @@ class InequalityEntry:
         return max(self.domain_start, Fraction(1, 10))
 
 
-@dataclass(frozen=True)
-class GridEvidence:
+class GridEvidence(Frozen):
     """Both sides' enclosures at the rung that decided a check, or at the last one."""
 
+    __slots__ = ("lhs", "rhs", "ctx")
     lhs: Interval
     rhs: Interval
     ctx: EvalContext
 
 
-@dataclass(frozen=True)
-class SymbolicEvidence:
+class SymbolicEvidence(Frozen):
     """One certificate step's detail, and the start of the ray it covers."""
 
+    __slots__ = ("detail", "ray_start")
     detail: str
     ray_start: Fraction
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Frozen):
+    __slots__ = ("label", "verdict", "evidence")
     label: str
     verdict: str
     evidence: GridEvidence | SymbolicEvidence
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(Frozen):
+    __slots__ = ("id", "method", "total", "checks")
     id: str
     method: str
     total: str
@@ -731,16 +744,16 @@ def tightness_report(
     return rows
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(Frozen):
+    __slots__ = ("entry_id", "side", "target", "enclosure")
     entry_id: str
     side: str
     target: str
     enclosure: Interval
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Frozen):
+    __slots__ = ("x", "targets", "rows", "relations")
     x: Fraction
     targets: dict[str, Interval]
     rows: tuple[BoundRow, ...]

@@ -20,6 +20,7 @@ from psicert.elementary import (
     _exp_partial_sum,
     _exp_point,
     _exp_terms,
+    _ln_point,
     _pow2,
     _quantized,
 )
@@ -166,6 +167,9 @@ class TestExp:
         assert encloses_truth(enclosure, truth)
 
 
+HIGH_PRECISION_LN_POINTS = [F(7, 3), F(29, 7), F(1, 1000), F(10**6)]
+
+
 class TestLn:
     @pytest.mark.parametrize(
         "x", [F(1), F(2), F(1, 2), F(3, 2), F(10), F(1, 1000), F(10**6)], ids=str
@@ -174,6 +178,25 @@ class TestLn:
         enclosure = iv_ln(x, 64)
         assert consistent(enclosure, ln_bracket(x))
         assert enclosure.hi - enclosure.lo <= F(1, 2**50)
+
+    @pytest.mark.parametrize("precision", [128, 192, 256])
+    @pytest.mark.parametrize("x", HIGH_PRECISION_LN_POINTS, ids=str)
+    def test_high_precision_contains_truth(self, x, precision):
+        enclosure = iv_ln(x, precision)
+        assert enclosure.width <= F(1, 2**precision)
+        truth = scaled_bracket(lambda: mpmath.log(_to_mpf(x)), enclosure.width)
+        assert encloses_truth(enclosure, truth)
+
+    @pytest.mark.parametrize("precision", [128, 192, 256])
+    @pytest.mark.parametrize("x", HIGH_PRECISION_LN_POINTS, ids=str)
+    def test_high_precision_series_enclosure_contains_truth(self, x, precision):
+        """The atanh-series enclosure before ``iv_ln`` rounds it outward: an
+        error below the rounding grid, such as a dropped tail, shows only here."""
+        work = _quantized(precision + 40)
+        enclosure = _ln_point(x, work)
+        assert enclosure.width <= F(1, 2**work)
+        truth = scaled_bracket(lambda: mpmath.log(_to_mpf(x)), enclosure.width)
+        assert encloses_truth(enclosure, truth)
 
     def test_ln_one_contains_zero(self):
         enclosure = iv_ln(F(1), 64)

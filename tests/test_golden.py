@@ -3,7 +3,9 @@
 The goldens under ``tests/golden`` were captured from in-process
 ``psicert.cli.main`` calls, one file per case and ``--format`` (json, text,
 csv).  Each call runs twice, the first time with the enclosure kernels'
-caches emptied, so a warm cache must reproduce the cold bytes.  After an
+caches emptied, so a warm cache must reproduce the cold bytes.  One case
+also runs as ``python -m psicert`` in a fresh interpreter, which takes the
+path through ``__main__`` and the package's imports.  After an
 intended change of output, rewrite them with
 ``PYTHONPATH=src python tests/golden/regen.py [NAME ...]`` and list the
 change in CHANGES.md.
@@ -12,6 +14,8 @@ change in CHANGES.md.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -43,3 +47,15 @@ def test_every_golden_file_has_a_case():
         files = {path.stem for path in GOLDEN_DIR.glob(f"*.{suffix}")} - {EXIT_CODES.stem}
         assert files == set(CASES), suffix
     assert set(json.loads(EXIT_CODES.read_text(encoding="utf-8"))) == set(CASES)
+
+
+def test_fresh_process_output_matches_golden():
+    name = "const_pi_p128"
+    expected_code = json.loads(EXIT_CODES.read_text(encoding="utf-8"))[name]
+    result = subprocess.run(
+        [sys.executable, "-m", "psicert", "--format", "json", *CASES[name]],
+        capture_output=True,
+        check=False,
+    )
+    assert result.returncode == expected_code, result.stderr.decode()
+    assert result.stdout == golden_path(name, "json").read_bytes()

@@ -17,7 +17,7 @@ from psicert import (
     trigamma_enclosure,
 )
 from psicert.elementary import iv_exp, iv_ln
-from psicert.polygamma import _reciprocal_sum, _truncation
+from psicert.polygamma import _GUARD_BITS, _reciprocal_sum, _shift_count, _truncation
 from psicert.series import digamma_expansion, trigamma_expansion
 from psicert.theorems import check_grid
 
@@ -191,6 +191,23 @@ def _last_term(power: int, y: Fraction, order: int) -> Fraction:
     return abs(c) / y**k
 
 
+def _per_order_truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], ...]:
+    """Reference search: one expansion per order, stopping at the first whose
+    last term is at most ``2**-w`` and refusing a term that does not shrink."""
+    expansion = digamma_expansion if power == 1 else trigamma_expansion
+    order, previous = power + 1, None
+    while True:
+        terms = expansion(order).coeffs
+        k, c = terms[-1]
+        size = abs(c) / y**k
+        if size <= F(1, 2**w):
+            return terms
+        if previous is not None and size >= previous:
+            raise ArithmeticError(f"no truncation at y = {y}")
+        previous = size
+        order += 2
+
+
 class TestTruncation:
     """The shortest enveloped truncation whose last term is at most 2**-w."""
 
@@ -207,6 +224,16 @@ class TestTruncation:
         assert _last_term(power, y, order) <= F(1, 2**w)
         if order > power + 1:
             assert _last_term(power, y, order - 2) > F(1, 2**w)
+
+    @pytest.mark.parametrize("bits", [8, 9, 16, 31, 64, 65, 100, 128, 192, 256, 384, 509, 600])
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_matches_per_order_search(self, power, bits):
+        """The doubling scan picks the same terms as building one expansion
+        per candidate order, at the kernels' own shifts."""
+        w = bits + _GUARD_BITS
+        for x in (F(1), F(29, 7), F(1, 1000), F(10**6)):
+            y = x + _shift_count(x, w) - 1
+            assert _truncation(power, y, w) == _per_order_truncation(power, y, w), x
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_diverging_expansion_raises(self, power):
