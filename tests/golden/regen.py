@@ -11,6 +11,14 @@ txt, csv) and its exit code to ``exit_codes.json``; the other cases' files
 and exit codes are left as they are.  A case whose exit code differs between
 formats is refused.  Regenerate only for an intended change of output, and
 list that change in CHANGES.md.
+
+``verdicts.json`` holds each case's verdict signature: its exit code, its
+overall verdict, and the label, verdict and rung (``work_precision``) of
+every check it prints (see :func:`verdict_signature`).  A regeneration that
+would change a signature already recorded is refused, so new bytes can move
+digits but not a verdict or a rung.  A case without a signature gets one.
+To change a verdict on purpose, edit its entry by hand and say why in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from psicert import cli
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 EXIT_CODES = GOLDEN_DIR / "exit_codes.json"
+VERDICTS = GOLDEN_DIR / "verdicts.json"
 
 # --format value -> golden file suffix
 FORMATS = {"json": "json", "text": "txt", "csv": "csv"}
@@ -75,6 +84,37 @@ def capture(args: tuple[str, ...], fmt: str) -> tuple[str, int]:
     return out.getvalue(), code
 
 
+def verdict_signature(stdout: str, code: int) -> dict[str, object]:
+    """Exit code, overall verdict and ``[label, verdict, rung]`` of every check
+    in one ``--format json`` output, in printed order.
+
+    A check is an object with a ``verdict`` (certify checks and compare
+    relations; the rung is its evidence's ``work_precision``, ``None`` when
+    it has none) or a tightness row's ``x5_verdict``/``x7_verdict`` (no rung
+    is printed).  Outputs without verdicts (enclose, const, series, bern)
+    have an empty list.
+    """
+    checks: list[list[object]] = []
+
+    def walk(node: object) -> None:
+        if isinstance(node, list):
+            for item in node:
+                walk(item)
+        elif isinstance(node, dict):
+            if "verdict" in node:
+                rung = node.get("evidence", {}).get("work_precision")
+                checks.append([node["label"], node["verdict"], rung])
+            for window in ("x5", "x7"):
+                if f"{window}_verdict" in node:
+                    checks.append([f"{window} at x={node['x']}", node[f"{window}_verdict"], None])
+            for value in node.values():
+                walk(value)
+
+    output = json.loads(stdout)
+    walk(output)
+    return {"exit_code": code, "total": output.get("total"), "checks": checks}
+
+
 def main(names: list[str]) -> int:
     unknown = sorted(set(names) - set(CASES))
     if unknown:
@@ -83,17 +123,37 @@ def main(names: list[str]) -> int:
     exit_codes = {}
     if EXIT_CODES.exists():
         exit_codes = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
-    for name in names or CASES:
+    verdicts = {}
+    if VERDICTS.exists():
+        verdicts = json.loads(VERDICTS.read_text(encoding="utf-8"))
+    outputs = {}
+    for name in names or CASES:  # check every case before writing any
         captured = {fmt: capture(CASES[name], fmt) for fmt in FORMATS}
         codes = {code for _, code in captured.values()}
         if len(codes) != 1:
             print(f"{name}: exit code differs between formats", file=sys.stderr)
             return 1
         exit_codes[name] = codes.pop()
+        signature = verdict_signature(captured["json"][0], exit_codes[name])
+        if verdicts.setdefault(name, signature) != signature:
+            print(f"{name}: a verdict, rung or exit code changed; see verdicts.json", file=sys.stderr)
+            return 1
+        outputs[name] = captured
+    for name, captured in outputs.items():
         for fmt, (stdout, _) in captured.items():
             golden_path(name, fmt).write_bytes(stdout.encode("utf-8"))
     ordered = {name: exit_codes[name] for name in CASES if name in exit_codes}
     EXIT_CODES.write_text(json.dumps(ordered, indent=2) + "\n", encoding="utf-8")
+    entries = []
+    for name in CASES:
+        if name in verdicts:  # one check a line, so a diff shows which moved
+            signature = verdicts[name]
+            checks = "".join(f"\n    {json.dumps(check)}," for check in signature["checks"])
+            entries.append(
+                f'  "{name}": {{"exit_code": {signature["exit_code"]}, '
+                f'"total": {json.dumps(signature["total"])}, "checks": [{checks.rstrip(",")}]}}'
+            )
+    VERDICTS.write_text("{\n" + ",\n".join(entries) + "\n}\n", encoding="utf-8")
     return 0
 
 

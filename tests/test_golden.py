@@ -8,7 +8,8 @@ also runs as ``python -m psicert`` in a fresh interpreter, which takes the
 path through ``__main__`` and the package's imports.  After an
 intended change of output, rewrite them with
 ``PYTHONPATH=src python tests/golden/regen.py [NAME ...]`` and list the
-change in CHANGES.md.
+change in CHANGES.md; ``verdicts.json`` pins each case's exit code, verdicts
+and rungs, which a regeneration may not change.
 """
 
 from __future__ import annotations
@@ -19,7 +20,16 @@ import sys
 
 import pytest
 
-from golden.regen import CASES, EXIT_CODES, FORMATS, GOLDEN_DIR, capture, golden_path
+from golden.regen import (
+    CASES,
+    EXIT_CODES,
+    FORMATS,
+    GOLDEN_DIR,
+    VERDICTS,
+    capture,
+    golden_path,
+    verdict_signature,
+)
 from psicert.elementary import iv_exp, iv_ln
 from psicert.polygamma import digamma_enclosure, trigamma_enclosure
 
@@ -44,9 +54,10 @@ def test_cli_output_matches_golden(name):
 
 def test_every_golden_file_has_a_case():
     for suffix in FORMATS.values():
-        files = {path.stem for path in GOLDEN_DIR.glob(f"*.{suffix}")} - {EXIT_CODES.stem}
+        files = {path.stem for path in GOLDEN_DIR.glob(f"*.{suffix}")} - {EXIT_CODES.stem, VERDICTS.stem}
         assert files == set(CASES), suffix
     assert set(json.loads(EXIT_CODES.read_text(encoding="utf-8"))) == set(CASES)
+    assert set(json.loads(VERDICTS.read_text(encoding="utf-8"))) == set(CASES)
 
 
 def test_fresh_process_output_matches_golden():
@@ -59,3 +70,26 @@ def test_fresh_process_output_matches_golden():
     )
     assert result.returncode == expected_code, result.stderr.decode()
     assert result.stdout == golden_path(name, "json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_verdicts_match_signature(name):
+    """The golden json output's exit code, verdicts and rungs are the ones in
+    verdicts.json, so regenerating a golden cannot move them unnoticed."""
+    expected = json.loads(VERDICTS.read_text(encoding="utf-8"))[name]
+    code = json.loads(EXIT_CODES.read_text(encoding="utf-8"))[name]
+    stdout = golden_path(name, "json").read_bytes().decode("utf-8")
+    assert verdict_signature(stdout, code) == expected
+
+
+def test_signature_lists_checks_rungs_and_windows():
+    output = {
+        "total": "holds",
+        "reports": [{"checks": [{"label": "a", "verdict": "holds", "evidence": {"work_precision": "128"}}]}],
+        "rows": [{"x": "2", "x5_verdict": "in", "x7_verdict": "out"}],
+    }
+    assert verdict_signature(json.dumps(output), 1) == {
+        "exit_code": 1,
+        "total": "holds",
+        "checks": [["a", "holds", "128"], ["x5 at x=2", "in", None], ["x7 at x=2", "out", None]],
+    }
