@@ -4,6 +4,18 @@ Each routine returns a rational :class:`~psicert.interval.Interval` that
 provably contains the true real value.  Error control is explicit: every
 truncated series is accompanied by a closed-form tail bound, added outward.
 
+ln and pi sum their series in fixed point at a scale ``2**-w``: each term is
+an integer, rounded down by exact floor division, and every rounding is
+counted in ulps and added to the upper end (see :func:`_arctan_inverse`
+and :func:`_atanh_small`).  ``ln y`` reduces ``y`` to ``z = y / 2**k`` in
+``[1, 2)``, with ``k`` read off the bit lengths of ``y``'s numerator and
+denominator, and is ``2 atanh((z-1)/(z+1)) + k ln 2`` with ``ln 2 = 2
+atanh(1/3)``.  The atanh series at ``u < 1/2`` stops at the first term that
+is zero in fixed point, ``n`` terms in, and errs by less than three ulps a
+term and two for the tail: ``3n + 2`` ulps, which ``w = work +
+work.bit_length() + 4`` keeps below ``2**-work``.  exp sums its Taylor series
+exactly and rounds outward after each squaring.
+
 Internal working precision is quantized to multiples of 64 bits.  Together
 with the nested rounding grids of :func:`~psicert.interval.round_outward`,
 this makes enclosure width weakly decreasing in the requested precision,
@@ -45,10 +57,6 @@ ENCLOSURE_CACHE_SIZE = 1024
 def _quantized(bits: int) -> int:
     """Smallest positive multiple of 64 that is >= ``bits``."""
     return max(1, -(-bits // _QUANTUM)) * _QUANTUM
-
-
-def _pow2(bits: int) -> Fraction:
-    return Fraction(1, 1 << bits) if bits >= 0 else Fraction(1 << -bits)
 
 
 def _coerce(value: Interval | Fraction | int) -> Interval:
@@ -166,20 +174,35 @@ def iv_exp(a: Interval | Fraction | int, work_precision: int) -> Interval:
 
 
 def _atanh_small(u: Fraction, work: int) -> Interval:
-    """Enclosure of atanh(u) for 0 <= u < 1/2 via the odd power series."""
-    target = _pow2(work)
-    u2 = u * u
-    one_minus = 1 - u2
-    total = Fraction(0)
-    power = u  # u^(2n+1)
+    """Enclosure of atanh(u) for 0 <= u < 1/2, of width at most ``2**-work``.
+
+    Fixed point at scale ``2**-w``, as in :func:`_arctan_inverse`.  With
+    ``u = p/q``, ``P_0 = floor(2**w u)`` and ``P_k = floor(P_{k-1} p**2 / q**2)``
+    by exact floor division; term ``k`` is taken as ``t_k = P_k // (2k+1)``
+    and summation stops at the first ``n`` with ``P_n = 0``.
+
+    Let ``E_k = 2**w u**(2k+1)``, term ``k`` of the series times ``2k+1`` in
+    ulps, and ``d_k = E_k - P_k``.  Then ``0 <= d_0 < 1`` and ``0 <= d_k <
+    u**2 d_{k-1} + 1``, so ``d_k < 1/(1 - u**2) < 4/3`` since ``u < 1/2``.
+    Term ``k``, ``E_k / (2k+1)``, lies in ``[t_k, t_k + 1 + d_k/(2k+1))``,
+    within 3 ulps above ``t_k``.  The tail from ``n`` is at most
+    ``E_n / ((2n+1)(1 - u**2))`` with ``E_n = d_n < 4/3``, below 2 ulps.  So
+    atanh(u) lies in ``[T, T + 3n + 2]`` ulps, ``T = sum_{k<n} t_k``.  As
+    ``P_k < 2**(w-2k-1)`` vanishes once ``2k+1 >= w``, ``n <= w/2`` and the
+    width is at most ``1.5 w + 2`` ulps; ``w = work + work.bit_length() + 4``
+    keeps that below ``2**-work``.
+    """
+    p, q = u.numerator, u.denominator
+    w = work + work.bit_length() + 4
+    p2, q2 = p * p, q * q
+    power = (p << w) // q  # P_k
+    total = 0
     n = 0
-    while True:
-        total += power / (2 * n + 1)
+    while power:
+        total += power // (2 * n + 1)
         n += 1
-        power *= u2
-        tail = power / ((2 * n + 1) * one_minus)
-        if tail <= target:
-            return Interval(total, total + tail)
+        power = power * p2 // q2
+    return Interval(Fraction(total, 1 << w), Fraction(total + 3 * n + 2, 1 << w))
 
 
 @lru_cache(maxsize=None)
@@ -193,20 +216,20 @@ def ln2_enclosure(precision: int) -> Interval:
     return _ln2_quantized(_quantized(precision + 8))
 
 
+def _floor_log2(q: Fraction) -> int:
+    """``floor(log2(q))`` for ``q > 0``, from the bit lengths of its numerator and denominator."""
+    a, b = q.numerator, q.denominator
+    k = a.bit_length() - b.bit_length()  # 2**(k-1) < q < 2**(k+1)
+    return k if (a << max(0, -k)) >= (b << max(0, k)) else k - 1
+
+
 def _ln_point(y: Fraction, work: int) -> Interval:
     if y <= 0:
         raise DomainError(f"logarithm of a nonpositive number: {y}")
-    k = 0
-    z = y
-    while z >= 2:
-        z /= 2
-        k += 1
-    while z < 1:
-        z *= 2
-        k -= 1
-    # z in [1, 2): atanh argument (z-1)/(z+1) lies in [0, 1/3).
-    u = (z - 1) / (z + 1)
-    ln_z = _atanh_small(u, work + 2) * 2
+    k = _floor_log2(y)
+    # z = y / 2**k = a/b in [1, 2): atanh argument (z-1)/(z+1) lies in [0, 1/3).
+    a, b = y.numerator << max(0, -k), y.denominator << max(0, k)
+    ln_z = _atanh_small(Fraction(a - b, a + b), work + 2) * 2
     if k == 0:
         return ln_z
     return ln_z + k * _ln2_quantized(_quantized(work + max(k, -k).bit_length() + 2))
@@ -220,11 +243,7 @@ def iv_ln(a: Interval | Fraction | int, work_precision: int) -> Interval:
         raise DomainError(f"logarithm requires a strictly positive interval, got {iv}")
     # ln amplifies absolute perturbations by 1/lo, so scale the snapping
     # grid with the number of doublings separating lo from 1.
-    amplification = 0
-    low = iv.lo
-    while low < 1:
-        low *= 2
-        amplification += 2
+    amplification = 2 * max(0, -_floor_log2(iv.lo))
     iv = _snap(iv, work_precision + 8 + amplification)
     work = _quantized(work_precision + 40)
     lo = _ln_point(iv.lo, work)

@@ -6,6 +6,20 @@ trigamma functions, and a few named constants.  Evaluation is recursive and
 interval-valued throughout, so the result provably contains the true value
 of the expression; precision is controlled by an :class:`EvalContext`.
 
+Every interval node rounds its result outward onto the node grid
+``2**-(p + 64)`` for the context's precision ``p``: ``Var``, ``Add``,
+``Mul``, ``Div``, ``PowInt``, ``Digamma`` and ``Trigamma`` through
+:func:`~psicert.interval.round_outward`, and ``Exp``, ``Ln`` and ``Sinh``
+through their kernels, which round onto ``2**-(p + 32)``.  Rounding outward
+after a node keeps its result an enclosure of the node's true value, so
+the result stays sound; it costs at most one grid step per end, 64 bits
+below the target, and it keeps endpoint sizes near ``p`` bits whatever the
+size of ``x`` or the depth of the tree.  ``Var`` keeps an end of ``x``
+exact where rounding would reach or cross zero, so a domain check sees the
+sign of the caller's ``x``.  ``Const`` and ``Neg`` are exact, and
+:func:`rational_function` lowers a rational tree exactly, without
+evaluating it.
+
 Operator overloading builds trees readably: ``(X + F(1, 2)) * Exp(-2 * Digamma(X + 1))``.
 """
 
@@ -14,8 +28,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
-from .elementary import iv_exp, iv_ln, iv_pi, iv_sinh
-from .interval import DomainError, Frozen, Interval
+from .elementary import _snap, iv_exp, iv_ln, iv_pi, iv_sinh
+from .interval import DomainError, Frozen, Interval, round_outward
 from .polycert import RationalFunction
 from .polygamma import (
     batir_bstar_enclosure,
@@ -59,6 +73,11 @@ class EvalContext(Frozen):
     def refined(self) -> "EvalContext":
         """The next rung of the precision ladder: double the precision."""
         return EvalContext(self.work_precision * 2)
+
+
+def _outward(iv: Interval, ctx: EvalContext) -> Interval:
+    """``iv`` rounded outward onto the node grid, ``2**-(ctx.work_precision + 64)``."""
+    return round_outward(iv, ctx.work_precision + 32)
 
 
 class Expr(Frozen):
@@ -121,7 +140,8 @@ class Var(Expr):
     __slots__ = ()
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return Interval.point(x)
+        # on the node grid, but never rounded onto or across zero
+        return _snap(Interval.point(x), ctx.work_precision + 32)
 
 
 class Add(Expr):
@@ -130,7 +150,7 @@ class Add(Expr):
     right: Expr
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return self.left._eval(x, ctx) + self.right._eval(x, ctx)
+        return _outward(self.left._eval(x, ctx) + self.right._eval(x, ctx), ctx)
 
 
 class Mul(Expr):
@@ -139,7 +159,7 @@ class Mul(Expr):
     right: Expr
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return self.left._eval(x, ctx) * self.right._eval(x, ctx)
+        return _outward(self.left._eval(x, ctx) * self.right._eval(x, ctx), ctx)
 
 
 class Div(Expr):
@@ -148,7 +168,7 @@ class Div(Expr):
     den: Expr
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return self.num._eval(x, ctx) / self.den._eval(x, ctx)
+        return _outward(self.num._eval(x, ctx) / self.den._eval(x, ctx), ctx)
 
 
 class Neg(Expr):
@@ -173,7 +193,7 @@ class PowInt(Expr):
         super().__init__(base, exponent)
 
     def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return self.base._eval(x, ctx) ** self.exponent
+        return _outward(self.base._eval(x, ctx) ** self.exponent, ctx)
 
 
 class Exp(Expr):
@@ -212,7 +232,7 @@ class Digamma(Expr):
             raise DomainError(f"digamma argument must be positive, got {iv}")
         lo = digamma_enclosure(iv.lo, ctx.work_precision)
         hi = lo if iv.is_point else digamma_enclosure(iv.hi, ctx.work_precision)
-        return Interval(lo.lo, hi.hi)
+        return _outward(Interval(lo.lo, hi.hi), ctx)
 
 
 class Trigamma(Expr):
@@ -227,7 +247,7 @@ class Trigamma(Expr):
             raise DomainError(f"trigamma argument must be positive, got {iv}")
         hi_end = trigamma_enclosure(iv.lo, ctx.work_precision)
         lo_end = hi_end if iv.is_point else trigamma_enclosure(iv.hi, ctx.work_precision)
-        return Interval(lo_end.lo, hi_end.hi)
+        return _outward(Interval(lo_end.lo, hi_end.hi), ctx)
 
 
 # name -> enclosure at the work precision; each lambda looks its kernel up

@@ -4,14 +4,16 @@ Every quantity in this package that cannot be represented exactly is carried
 as a closed interval with rational endpoints.  All operations are *outward*:
 a result interval always contains the true image of its inputs, so a strict
 comparison between two disjoint intervals is a proof about the underlying
-real numbers.  Field operations on intervals are themselves exact; rounding
-only ever happens through :func:`round_outward`, which may widen but never
-shrink an interval.
+real numbers.  Field operations on :class:`Interval` are exact.  Rounding
+happens only through :func:`round_outward`, which may widen but never
+shrink an interval: the kernels in :mod:`psicert.elementary` round their
+results with it, and so does every interval node of
+:mod:`psicert.expressions`, which keeps endpoint sizes bounded by the
+working precision.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 __all__ = [
@@ -286,11 +288,23 @@ def round_outward(iv: Interval, precision: int) -> Interval:
     ``2^(precision + ROUNDING_GUARD_BITS)``, which keeps endpoint bit-size
     bounded across long computations.  Grids for increasing precision are
     nested, so re-rounding at higher precision never loses containment.
+    An endpoint already on the grid is returned as it is; the others are
+    floor and ceiling quotients of integers, ``(n << s) // d``.
     """
     if precision < 0:
         raise ValueError("precision must be nonnegative")
     shift = precision + ROUNDING_GUARD_BITS
-    scale = 1 << shift
-    lo = Fraction(math.floor(iv.lo * scale), scale)
-    hi = Fraction(-math.floor(-iv.hi * scale), scale)
+    lo, hi = iv.lo, iv.hi
+    if not _on_grid(lo, shift):
+        lo = Fraction((lo.numerator << shift) // lo.denominator, 1 << shift)
+    if not _on_grid(hi, shift):
+        hi = Fraction(-((-hi.numerator << shift) // hi.denominator), 1 << shift)
+    if lo is iv.lo and hi is iv.hi:
+        return iv
     return Interval(lo, hi)
+
+
+def _on_grid(q: Fraction, shift: int) -> bool:
+    """Whether ``q`` is a multiple of ``2^-shift``: its denominator is ``2^j``, ``j <= shift``."""
+    d = q.denominator
+    return d & (d - 1) == 0 and d.bit_length() <= shift + 1

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .elementary import ENCLOSURE_CACHE_SIZE, iv_exp, iv_ln, iv_pi
+from .elementary import ENCLOSURE_CACHE_SIZE, _floor_log2, iv_exp, iv_ln, iv_pi
 from .interval import DomainError, Interval
 from .series import digamma_expansion, trigamma_expansion
 
@@ -194,11 +194,11 @@ def _dyadic_cover(a: Fraction, b: Fraction, level: int) -> tuple[Fraction, Fract
 
     ``j`` is the finest level up to ``level`` whose cell is at least
     ``b - a`` wide, so the rounded bracket is at most two cells, and its
-    midpoint, when it is two, lies on the grid.
+    midpoint, when it is two, lies on the grid.  The cell ``2**-j`` is at
+    least ``b - a > 0`` wide for ``j <= floor(log2(1 / (b - a)))``.
     """
-    j = 0
-    while j < level and Fraction(1, 2 << j) >= b - a:
-        j += 1
+    width = b - a
+    j = level if width <= 0 else min(level, max(0, _floor_log2(1 / width)))
     lo = Fraction((a.numerator << j) // a.denominator, 1 << j)
     hi = Fraction(-((-b.numerator << j) // b.denominator), 1 << j)
     return lo, hi

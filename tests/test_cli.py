@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import random
 import subprocess
@@ -138,10 +139,20 @@ class TestEncloseCommand:
         enclosure = trigamma_enclosure(F(2), 64)
         assert parse_rational(data["width"]) == enclosure.width
 
-    @pytest.mark.parametrize("function", ["digamma", "trigamma"])
-    @pytest.mark.parametrize("x", ["1/1000", "7/3", "29/7", "1000000"])
-    @pytest.mark.parametrize("precision", [8, 64, 128, 256, 512])
-    def test_contains_mpmath_value(self, function, x, precision):
+    @pytest.mark.parametrize(
+        "precision, x, function",
+        [
+            *itertools.product(
+                [8, 64, 128, 256, 512],
+                ["1/1000", "7/3", "29/7", "1000000"],
+                ["digamma", "trigamma"],
+            ),
+            # ln of a huge y, and ln at a high bit count: once 23 s and 98 s
+            (64, "1e4000", "digamma"),
+            (1024, "29/7", "digamma"),
+        ],
+    )
+    def test_contains_mpmath_value(self, function, x, precision, unlimited_int_str):
         """``--precision p enclose`` contains psi or psi' as mpmath computes it,
         in an enclosure of width at most ``2**-p``."""
         stdout, code = capture(("--precision", str(precision), "enclose", function, x), "json")

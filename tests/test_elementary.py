@@ -17,11 +17,12 @@ from hypothesis import given, strategies as st
 from psicert import DomainError, Interval, iv_exp, iv_ln, iv_pi, iv_sinh, ln2_enclosure
 from psicert.elementary import (
     _arctan_inverse,
+    _atanh_small,
     _exp_partial_sum,
     _exp_point,
     _exp_terms,
+    _floor_log2,
     _ln_point,
-    _pow2,
     _quantized,
 )
 from psicert.interval import round_outward
@@ -51,7 +52,7 @@ def _dyadic_halves(draw) -> Fraction:
 
 def reference_exp_terms(t: Fraction, work: int) -> tuple[int, Fraction]:
     """``_exp_terms`` as a loop of ``Fraction`` comparisons."""
-    target = _pow2(work)
+    target = F(1, 2**work)
     at = abs(t)
     one_minus = 1 - at
     n = 0
@@ -167,7 +168,15 @@ class TestExp:
         assert encloses_truth(enclosure, truth)
 
 
-HIGH_PRECISION_LN_POINTS = [F(7, 3), F(29, 7), F(1, 1000), F(10**6)]
+HIGH_PRECISION_LN_POINTS = [
+    F(7, 3),
+    F(29, 7),
+    F(1, 1000),
+    F(10**6),
+    pytest.param(F(10**4000), id="1e4000"),
+    pytest.param(F(1, 10**4000), id="1e-4000"),
+]
+LN_PRECISIONS = [128, 192, 256, 512, 1024, 2048, 4096]
 
 
 class TestLn:
@@ -179,7 +188,7 @@ class TestLn:
         assert consistent(enclosure, ln_bracket(x))
         assert enclosure.hi - enclosure.lo <= F(1, 2**50)
 
-    @pytest.mark.parametrize("precision", [128, 192, 256])
+    @pytest.mark.parametrize("precision", LN_PRECISIONS)
     @pytest.mark.parametrize("x", HIGH_PRECISION_LN_POINTS, ids=str)
     def test_high_precision_contains_truth(self, x, precision):
         enclosure = iv_ln(x, precision)
@@ -187,7 +196,7 @@ class TestLn:
         truth = scaled_bracket(lambda: mpmath.log(_to_mpf(x)), enclosure.width)
         assert encloses_truth(enclosure, truth)
 
-    @pytest.mark.parametrize("precision", [128, 192, 256])
+    @pytest.mark.parametrize("precision", LN_PRECISIONS)
     @pytest.mark.parametrize("x", HIGH_PRECISION_LN_POINTS, ids=str)
     def test_high_precision_series_enclosure_contains_truth(self, x, precision):
         """The atanh-series enclosure before ``iv_ln`` rounds it outward: an
@@ -197,6 +206,36 @@ class TestLn:
         assert enclosure.width <= F(1, 2**work)
         truth = scaled_bracket(lambda: mpmath.log(_to_mpf(x)), enclosure.width)
         assert encloses_truth(enclosure, truth)
+
+    @pytest.mark.parametrize(
+        "u",
+        [F(0), F(1, 2**20), F(1, 2**40), F(1, 3) - F(1, 10**12), F(1, 3), F(49, 100)],
+        ids=str,
+    )
+    def test_atanh_small_contains_truth_at_every_low_work(self, u):
+        """``_atanh_small`` at its edges: ``u = 0``, a u so small that few terms
+        are nonzero, ``u`` at and near the 1/3 that ``_ln_point`` stays below, and
+        a ``u`` close to the 1/2 its bound needs; width at most ``2**-work``."""
+        # u <= atanh(u) <= u + u**3 / (3 (1 - u**2)), exactly: the mpmath bracket
+        # alone is too wide to judge an enclosure whose lower end is u itself
+        series = (u, u + u**3 / (3 * (1 - u * u)))
+        for work in range(1, 64):
+            enclosure = _atanh_small(u, work)
+            assert enclosure.width <= F(1, 2**work), work
+            lo, hi = scaled_bracket(lambda: mpmath.atanh(_to_mpf(u)), enclosure.width)
+            truth = (max(lo, series[0]), min(hi, series[1]))
+            assert encloses_truth(enclosure, truth), work
+
+    @given(st.fractions(min_value=F(1, 10**30), max_value=10**30, max_denominator=10**30))
+    def test_floor_log2_matches_halving(self, x):
+        k, z = 0, x
+        while z >= 2:
+            z /= 2
+            k += 1
+        while z < 1:
+            z *= 2
+            k -= 1
+        assert _floor_log2(x) == k
 
     def test_ln_one_contains_zero(self):
         enclosure = iv_ln(F(1), 64)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,23 @@ class TestOutwardRounding:
         assert fine.encloses(a)
         # the coarse grid is a subset of the fine grid, so coarse is no tighter
         assert coarse.encloses(fine)
+
+    @given(intervals(), st.integers(min_value=0, max_value=80))
+    def test_matches_floor_and_ceiling_of_scaled_endpoints(self, a, precision):
+        """The integer quotients give the values of ``math.floor``/``math.ceil``."""
+        scale = 1 << (precision + ROUNDING_GUARD_BITS)
+        expected = Interval(
+            F(math.floor(a.lo * scale), scale), F(math.ceil(a.hi * scale), scale)
+        )
+        assert round_outward(a, precision) == expected
+
+    def test_endpoints_on_the_grid_are_returned_as_they_are(self):
+        on_grid = iv("-3/4", F(1, 2**ROUNDING_GUARD_BITS))
+        assert round_outward(on_grid, 0) is on_grid
+        half = iv("-3/4", "1/3")
+        rounded = round_outward(half, 0)
+        assert rounded.lo is half.lo
+        assert rounded.hi > half.hi
 
 
 class TestParseRational:

@@ -17,7 +17,13 @@ from psicert import (
     trigamma_enclosure,
 )
 from psicert.elementary import iv_exp, iv_ln
-from psicert.polygamma import _GUARD_BITS, _reciprocal_sum, _shift_count, _truncation
+from psicert.polygamma import (
+    _GUARD_BITS,
+    _dyadic_cover,
+    _reciprocal_sum,
+    _shift_count,
+    _truncation,
+)
 from psicert.series import digamma_expansion, trigamma_expansion
 from psicert.theorems import check_grid
 
@@ -333,3 +339,36 @@ class TestDigammaZeroNewton:
         digamma_enclosure.cache_clear()
         digamma_zero(F(1, 10**30))
         assert digamma_enclosure.cache_info().misses <= 30
+
+
+def _dyadic_cover_reference(a: Fraction, b: Fraction, level: int) -> tuple[Fraction, Fraction]:
+    """``_dyadic_cover`` with its level found by a loop over ``Fraction`` cell widths."""
+    j = 0
+    while j < level and Fraction(1, 2 << j) >= b - a:
+        j += 1
+    lo = Fraction((a.numerator << j) // a.denominator, 1 << j)
+    hi = Fraction(-((-b.numerator << j) // b.denominator), 1 << j)
+    return lo, hi
+
+
+class TestDyadicCover:
+    @given(
+        st.fractions(min_value=1, max_value=2, max_denominator=10**12),
+        st.fractions(min_value=0, max_value=1, max_denominator=10**12),
+        st.integers(min_value=0, max_value=120),
+    )
+    def test_matches_the_loop(self, a, width, level):
+        assert _dyadic_cover(a, a + width, level) == _dyadic_cover_reference(a, a + width, level)
+
+    @pytest.mark.parametrize("exponent", [0, 1, 5, 40, 100])
+    @pytest.mark.parametrize("level", [0, 3, 60, 200])
+    def test_matches_the_loop_at_power_of_two_widths(self, exponent, level):
+        """A width of exactly one cell, and one a hair either side of it."""
+        a = F(4, 3)
+        for width in (F(1, 2**exponent), F(1, 2**exponent) * F(1001, 1000), F(1, 2**exponent) * F(999, 1000)):
+            assert _dyadic_cover(a, a + width, level) == _dyadic_cover_reference(a, a + width, level)
+
+    def test_empty_or_point_bracket_takes_the_finest_level(self):
+        a = F(7, 5)
+        assert _dyadic_cover(a, a, 30) == _dyadic_cover_reference(a, a, 30)
+        assert _dyadic_cover(a, a - F(1, 10**9), 30) == _dyadic_cover_reference(a, a - F(1, 10**9), 30)
