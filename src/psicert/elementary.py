@@ -193,6 +193,8 @@ def _atanh_small(u: Fraction, work: int) -> Interval:
     keeps that below ``2**-work``.
     """
     p, q = u.numerator, u.denominator
+    if not 0 <= 2 * p < q:  # outside it the bound fails, and below 0 the loop never ends
+        raise ValueError(f"atanh series needs 0 <= u < 1/2, got {u}")
     w = work + work.bit_length() + 4
     p2, q2 = p * p, q * q
     power = (p << w) // q  # P_k

@@ -226,6 +226,11 @@ class TestLn:
             truth = (max(lo, series[0]), min(hi, series[1]))
             assert encloses_truth(enclosure, truth), work
 
+    @pytest.mark.parametrize("u", [F(-1, 3), F(1, 2), F(3, 4)], ids=str)
+    def test_atanh_small_rejects_u_outside_its_bound(self, u):
+        with pytest.raises(ValueError):
+            _atanh_small(u, 64)
+
     @given(st.fractions(min_value=F(1, 10**30), max_value=10**30, max_denominator=10**30))
     def test_floor_log2_matches_halving(self, x):
         k, z = 0, x

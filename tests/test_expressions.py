@@ -33,6 +33,7 @@ from psicert import (
     trigamma_enclosure,
 )
 from psicert.expressions import rational_function
+from psicert.interval import round_outward
 from psicert.theorems import _M_expr, _X, _alpha, _beta, _digamma_tail_rf, _m_expr
 
 from _oracles import (
@@ -113,7 +114,8 @@ class TestArithmeticNodes:
         st.fractions(min_value=F(-20), max_value=F(20), max_denominator=40),
         st.fractions(min_value=F(-5), max_value=F(5), max_denominator=12),
     )
-    def test_polynomial_evaluation_contains_the_fraction_value(self, x, a):
+    def test_polynomial_evaluation_matches_fractions(self, x, a):
+        """The enclosure contains the exact ``Fraction`` value, on the node grid."""
         expr = a * X**2 + (a - 1) * X + 7
         expected = a * x * x + (a - 1) * x + 7
         enclosure = evaluate(expr, x)
@@ -158,18 +160,21 @@ class TestTranscendentalNodes:
 
 class TestPolygammaNodes:
     @pytest.mark.parametrize("x", [F(1, 2), F(1), F(7, 2), F(25)], ids=str)
-    def test_digamma_node_contains_library_enclosure(self, x):
+    def test_digamma_node_matches_library(self, x):
+        """At a dyadic x the node is the library's enclosure rounded outward
+        onto the node grid, so it contains it."""
         enclosure = evaluate(Digamma(X), x, EvalContext(128))
+        assert enclosure == round_outward(digamma_enclosure(x, 128), 128 + 32)
         assert enclosure.encloses(digamma_enclosure(x, 128))
         assert on_node_grid(enclosure, 128)
-        assert enclosure.width <= digamma_enclosure(x, 128).width + F(2, 2**192)
 
     @pytest.mark.parametrize("x", [F(1, 2), F(1), F(7, 2), F(25)], ids=str)
-    def test_trigamma_node_contains_library_enclosure(self, x):
+    def test_trigamma_node_matches_library(self, x):
+        """As for psi: the library's enclosure, rounded outward onto the node grid."""
         enclosure = evaluate(Trigamma(X), x, EvalContext(128))
+        assert enclosure == round_outward(trigamma_enclosure(x, 128), 128 + 32)
         assert enclosure.encloses(trigamma_enclosure(x, 128))
         assert on_node_grid(enclosure, 128)
-        assert enclosure.width <= trigamma_enclosure(x, 128).width + F(2, 2**192)
 
     def test_nonpositive_argument_raises(self):
         with pytest.raises(DomainError):
@@ -250,7 +255,9 @@ class TestRationalFunction:
         _rational_trees(),
         st.fractions(min_value=-20, max_value=20, max_denominator=50),
     )
-    def test_evaluation_contains_the_lowered_value(self, tree, x):
+    def test_lowering_agrees_with_evaluation(self, tree, x):
+        """The enclosure contains the lowered function's value at x, and every
+        node that rounds leaves it on the node grid."""
         try:
             lowered = rational_function(tree)
         except ZeroDivisionError:

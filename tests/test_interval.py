@@ -191,6 +191,8 @@ class TestOutwardRounding:
         rounded = round_outward(half, 0)
         assert rounded.lo is half.lo
         assert rounded.hi > half.hi
+        finer = F(1, 2 ** (ROUNDING_GUARD_BITS + 1))  # one bit below the grid
+        assert round_outward(iv(finer, finer), 0) == iv(0, F(1, 2**ROUNDING_GUARD_BITS))
 
 
 class TestParseRational:
