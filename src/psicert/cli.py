@@ -21,7 +21,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
-from .elementary import iv_pi
+from .elementary import _tolerance_bits, iv_pi
 from .interval import DomainError, Interval, parse_rational
 from .polygamma import (
     batir_bstar_enclosure,
@@ -333,9 +333,8 @@ def _cmd_const(args: argparse.Namespace) -> int:
         enclosure = digamma_zero(tolerance if tolerance is not None else Fraction(1, 10**6))
     else:
         bits = args.precision
-        if tolerance is not None:  # the fewest bits with 2**-bits <= tolerance
-            ceil_inverse = -(-tolerance.denominator // tolerance.numerator)
-            bits = max(bits, (ceil_inverse - 1).bit_length())
+        if tolerance is not None:
+            bits = max(bits, _tolerance_bits(tolerance))
         kernels = {"gamma": euler_gamma_enclosure, "bstar": batir_bstar_enclosure, "pi": iv_pi}
         enclosure = kernels[name](bits)  # of width at most 2**-bits
         if tolerance is not None and enclosure.width > tolerance:

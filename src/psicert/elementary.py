@@ -4,28 +4,33 @@ Each routine returns a rational :class:`~psicert.interval.Interval` that
 provably contains the true real value.  Error control is explicit: every
 truncated series is accompanied by a closed-form tail bound, added outward.
 
-ln and pi sum their series in fixed point at a scale ``2**-w``: each term is
-an integer, rounded down by exact floor division, and every rounding is
-counted in ulps and added to the upper end (see :func:`_arctan_inverse`
-and :func:`_atanh_small`).  ``ln y`` reduces ``y`` to ``z = y / 2**k`` in
-``[1, 2)``, with ``k`` read off the bit lengths of ``y``'s numerator and
-denominator, and is ``2 atanh((z-1)/(z+1)) + k ln 2`` with ``ln 2 = 2
-atanh(1/3)``.  The atanh series at ``u < 1/2`` stops at the first term that
-is zero in fixed point, ``n`` terms in, and errs by less than three ulps a
-term and two for the tail: ``3n + 2`` ulps, which ``w = work +
-work.bit_length() + 4`` keeps below ``2**-work``.  exp sums its Taylor series
-exactly and rounds outward after each squaring.
+exp, ln and pi sum their series in fixed point at a scale ``2**-w``: each
+term is an integer, rounded down by exact floor division, and every rounding
+is counted in ulps and added to the enclosure (see :func:`_exp_point`,
+:func:`_atanh_small` and :func:`_arctan_inverse`).  ``e**x`` is
+``(e**t)**(2**j)`` with ``|t| < 1/2``: ``t`` is truncated onto the ``2**-w``
+grid once, its Taylor series is summed to the first term that is zero in
+fixed point, and the ``j`` squarings round the lower end down and the upper
+end up.  ``ln y`` reduces ``y`` to ``z = y / 2**k`` in ``[1, 2)``, with ``k``
+read off the bit lengths of ``y``'s numerator and denominator, and is ``2
+atanh((z-1)/(z+1)) + k ln 2`` with ``ln 2 = 2 atanh(1/3)``.  The atanh series
+at ``u < 1/2`` stops at the first term that is zero in fixed point, ``n``
+terms in, and errs by less than three ulps a term and two for the tail:
+``3n + 2`` ulps, which ``w = work + work.bit_length() + 4`` keeps below
+``2**-work``.
 
 Internal working precision is quantized to multiples of 64 bits.  Together
 with the nested rounding grids of :func:`~psicert.interval.round_outward`,
 this makes enclosure width weakly decreasing in the requested precision,
 which downstream refinement loops rely on.
 
-:func:`iv_exp` and :func:`iv_ln` are memoised per argument and per working
-precision in a bounded LRU cache of :data:`ENCLOSURE_CACHE_SIZE` entries.
-They are pure functions of immutable arguments and return frozen
-intervals, so a hit is the value a recomputation would give; a new
-precision is a new key and gets its own enclosure.
+:func:`iv_exp` is memoised per argument and per working precision in a
+bounded LRU cache of :data:`ENCLOSURE_CACHE_SIZE` entries.  It is a pure
+function of immutable arguments and returns frozen intervals, so a hit is
+the value a recomputation would give; a new precision is a new key and
+gets its own enclosure.  :func:`iv_ln` is not memoised: its arguments
+rarely repeat (32 of 403 calls in ``certify all``), and a fixed-point ln
+costs little more than the lookup.
 """
 
 from __future__ import annotations
@@ -79,74 +84,68 @@ def _snap(iv: Interval, bits: int) -> Interval:
     return Interval(lo, hi)
 
 
+def _floor_log2(q: Fraction) -> int:
+    """``floor(log2(q))`` for ``q > 0``, from the bit lengths of its numerator and denominator."""
+    a, b = q.numerator, q.denominator
+    k = a.bit_length() - b.bit_length()  # 2**(k-1) < q < 2**(k+1)
+    return k if (a << max(0, -k)) >= (b << max(0, k)) else k - 1
+
+
+def _tolerance_bits(tolerance: Fraction) -> int:
+    """The fewest bits ``k >= 0`` with ``2**-k <= tolerance``, for ``tolerance > 0``."""
+    return max(0, -_floor_log2(tolerance))
+
+
 # ---------------------------------------------------------------------------
 # exponential
 # ---------------------------------------------------------------------------
 
 
-def _exp_partial_sum(t: Fraction, n: int) -> Fraction:
-    """``sum_{k=0}^{n} t**k / k!``, exactly.
-
-    Horner's rule in integers (Brent & Zimmermann, *Modern Computer
-    Arithmetic*, ch. 4): with ``t = p/q`` and ``num/den = 1/1``, the step
-    for ``k = n, ..., 1`` replaces ``num/den`` by ``1 + t/k * num/den``,
-    that is ``den <- q*k*den`` and then ``num <- den + p*num``.  No step
-    rounds, so ``num/den`` is the partial sum itself, and it is reduced by
-    one gcd at the end instead of one per term.
-    """
-    p, q = t.numerator, t.denominator
-    num = den = 1
-    for k in range(n, 0, -1):
-        den *= q * k
-        num = den + p * num
-    return Fraction(num, den)
-
-
-def _exp_terms(t: Fraction, work: int) -> tuple[int, Fraction]:
-    """Smallest ``N`` whose Taylor tail bound for ``e**t`` is at most
-    ``2**-work``, and that bound; requires ``|t| < 1``.
-
-    The bound ``|t|^(N+1) / ((N+1)! (1-|t|))`` is tested on integers: with
-    ``|t| = p/q`` it is ``p^(N+1) q / ((N+1)! (q-p) q^(N+1))``.
-    """
-    p, q = abs(t.numerator), t.denominator
-    n = 0
-    p_power, q_power = p, q  # p^(n+1), q^(n+1)
-    factorial = 1  # (n+1)!
-    while (p_power << work) * q > factorial * (q - p) * q_power:
-        n += 1
-        p_power *= p
-        q_power *= q
-        factorial *= n + 1
-    return n, Fraction(p_power * q, factorial * (q - p) * q_power)
-
-
 def _exp_point(x: Fraction, precision: int) -> Interval:
     """Enclosure of e**x for one exact rational argument.
 
-    Argument reduction: halve ``x`` until ``|t| <= 1/2``, sum the Taylor
-    series with the geometric tail bound ``|t|^(N+1) / ((N+1)! (1-|t|))``,
-    then square back up, rounding outward after every squaring.  The
-    partial sum is built exactly by Horner's rule in integers
-    (:func:`_exp_partial_sum`), so it is the same rational a term-by-term
-    ``Fraction`` sum gives, and only the tail bound and the outward
-    roundings widen the enclosure.
+    Fixed point at scale ``2**-w``, as in :func:`_atanh_small`.  With
+    ``2**k <= |x| < 2**(k+1)`` and ``j = k + 2`` (``j = 0`` if that is
+    negative or ``x = 0``), ``t = x / 2**j`` has ``|t| < 1/2``, and ``T =
+    floor(2**w t)`` puts ``t`` in ``[T, T + 1)`` ulps, with ``|T| <=
+    2**(w-1)``.  The term magnitudes ``P_0 = 2**w`` and ``P_k =
+    floor(P_{k-1} |T| / (k 2**w))`` (a floor of a floor, as computed) are
+    summed, with alternating signs when ``T < 0``, up to the first ``n``
+    with ``P_n = 0``; ``S`` is that sum.
+
+    Let ``m_k = 2**w (|T|/2**w)**k / k!``, term ``k`` of the series for
+    ``e**(T/2**w)`` in ulps, and ``d_k = m_k - P_k``.  Then ``d_0 = 0`` and
+    ``0 <= d_k < d_{k-1}/(2k) + 1``, so ``d_k < 2``.  Past ``n >= 1`` the
+    terms shrink by ``|T| / ((k+1) 2**w) <= 1/4``, so the tail is at most
+    ``4/3 m_n = 4/3 d_n``, below 3 ulps.  So ``e**(T/2**w)`` lies within
+    ``S +- (2n + 3)`` ulps.  When ``T >= 0`` no term is negative, so the
+    lower end is ``S`` itself, and ``T = 0`` gives ``S = 2**w``, exactly 1.
+    An inexact ``T`` adds less than ``e**(1/2) (e**(2**-w) - 1)`` ulps,
+    below 2, to the upper end: 4 more are added.
+
+    Squaring ``j`` times takes the floor of ``lo**2 / 2**w`` and the
+    ceiling of ``hi**2 / 2**w``; :func:`iv_exp` rounds the result outward
+    onto ``precision``.  Head-room: each squaring roughly doubles the
+    relative error (one bit), and the value has magnitude up to ``e**|x|``,
+    about ``1.5 |x|`` bits.
     """
-    ax = abs(x)
-    j = 0
-    t = x
-    while abs(t) > Fraction(1, 2):
-        t /= 2
-        j += 1
-    # Head-room: each squaring roughly doubles relative error (one bit), and
-    # the final value has magnitude up to e**|x| (about 1.5 * ceil|x| bits).
-    work = _quantized(precision + 2 * j + (3 * math.ceil(ax)) // 2 + 40)
-    n, tail = _exp_terms(t, work)
-    total = _exp_partial_sum(t, n)
-    enclosure = round_outward(Interval(total - tail, total + tail), work)
+    j = max(0, _floor_log2(abs(x)) + 2) if x else 0
+    w = _quantized(precision + 2 * j + (3 * math.ceil(abs(x))) // 2 + 40)
+    T, rest = divmod(x.numerator << (w - j), x.denominator)
+    magnitude = abs(T)
+    power = 1 << w  # P_k
+    total = 0
+    n = 0
+    while power:
+        total += -power if T < 0 and n % 2 else power
+        n += 1
+        power = (power * magnitude >> w) // n
+    lo = total - 2 * n - 3 if T < 0 else total
+    hi = total + (2 * n + 3 if T else 0) + (4 if rest else 0)
     for _ in range(j):
-        enclosure = round_outward(enclosure * enclosure, work)
-    return round_outward(enclosure, precision)
+        lo = lo * lo >> w
+        hi = -(-hi * hi >> w)
+    return Interval(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
 @lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
@@ -165,7 +164,7 @@ def iv_exp(a: Interval | Fraction | int, work_precision: int) -> Interval:
     iv = _snap(iv, work_precision + 8 + amplification)
     lo = _exp_point(iv.lo, work_precision)
     hi = lo if iv.is_point else _exp_point(iv.hi, work_precision)
-    return Interval(lo.lo, hi.hi)
+    return round_outward(Interval(lo.lo, hi.hi), work_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +217,6 @@ def ln2_enclosure(precision: int) -> Interval:
     return _ln2_quantized(_quantized(precision + 8))
 
 
-def _floor_log2(q: Fraction) -> int:
-    """``floor(log2(q))`` for ``q > 0``, from the bit lengths of its numerator and denominator."""
-    a, b = q.numerator, q.denominator
-    k = a.bit_length() - b.bit_length()  # 2**(k-1) < q < 2**(k+1)
-    return k if (a << max(0, -k)) >= (b << max(0, k)) else k - 1
-
-
 def _ln_point(y: Fraction, work: int) -> Interval:
     if y <= 0:
         raise DomainError(f"logarithm of a nonpositive number: {y}")
@@ -237,7 +229,6 @@ def _ln_point(y: Fraction, work: int) -> Interval:
     return ln_z + k * _ln2_quantized(_quantized(work + max(k, -k).bit_length() + 2))
 
 
-@lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def iv_ln(a: Interval | Fraction | int, work_precision: int) -> Interval:
     """Enclosure of the image of ``ln`` over ``a``; requires ``a.lo > 0``."""
     iv = _coerce(a)

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .elementary import ENCLOSURE_CACHE_SIZE, _floor_log2, iv_exp, iv_ln, iv_pi
+from .elementary import ENCLOSURE_CACHE_SIZE, _floor_log2, _tolerance_bits, iv_exp, iv_ln, iv_pi
 from .interval import DomainError, Interval
 from .series import digamma_expansion, trigamma_expansion
 
@@ -233,9 +233,7 @@ def digamma_zero(tolerance: Fraction | int = Fraction(1, 10**6)) -> Interval:
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    level = 0
-    while Fraction(1, 1 << level) > tolerance:
-        level += 1
+    level = _tolerance_bits(tolerance)
     ceiling = level + 24
 
     bits = 64

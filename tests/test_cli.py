@@ -215,6 +215,11 @@ class TestConstCommand:
                 lambda: mpmath.pi**2 / (6 * mpmath.exp(2 * mpmath.euler)),
             ),
             (
+                ("const", "bstar", "--tol", "1e-300"),
+                F(1, 10**300),
+                lambda: mpmath.pi**2 / (6 * mpmath.exp(2 * mpmath.euler)),
+            ),
+            (
                 ("const", "digamma-zero", "--tol", "1e-12"),
                 F(1, 10**12),
                 lambda: mpmath.findroot(mpmath.digamma, mpmath.mpf("1.4616")),
@@ -236,6 +241,7 @@ class TestConstCommand:
             "gamma-1e-45",
             "gamma-1e-100",
             "bstar-1e-30",
+            "bstar-1e-300",
             "digamma-zero-1e-12",
             "digamma-zero-1e-30",
             "digamma-zero-1e-40",

@@ -30,10 +30,10 @@ from golden.regen import (
     golden_path,
     verdict_signature,
 )
-from psicert.elementary import iv_exp, iv_ln
+from psicert.elementary import iv_exp
 from psicert.polygamma import digamma_enclosure, trigamma_enclosure
 
-MEMOISED_KERNELS = (iv_exp, iv_ln, digamma_enclosure, trigamma_enclosure)
+MEMOISED_KERNELS = (iv_exp, digamma_enclosure, trigamma_enclosure)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -16,7 +16,7 @@ from psicert import (
     euler_gamma_enclosure,
     trigamma_enclosure,
 )
-from psicert.elementary import iv_exp, iv_ln
+from psicert.elementary import iv_exp
 from psicert.polygamma import (
     _GUARD_BITS,
     _dyadic_cover,
@@ -145,7 +145,7 @@ class TestMemo:
 
     def test_grid_sides_share_work(self):
         """THM1's lower and upper pairs share psi'(x+1), psi(x+1) and the exp factor."""
-        kernels = [*MEMOISED, iv_exp, iv_ln]
+        kernels = [*MEMOISED, iv_exp]
         for kernel in kernels:
             kernel.cache_clear()
         check_grid("THM1", [F(3), F(5), F(8)])
