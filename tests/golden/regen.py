@@ -43,7 +43,11 @@ CASES: dict[str, tuple[str, ...]] = {
     "certify_thm2": ("certify", "thm2", "--grid", "3:200:4"),
     "certify_thm3_p192": ("--precision", "192", "certify", "thm3", "--grid", "1:50:3"),
     "certify_thm2_p384": ("--precision", "384", "certify", "thm2", "--grid", "3:4:2"),
+    # the smallest node grid, 2**-72
+    "certify_thm3_p8": ("--precision", "8", "certify", "thm3", "--grid", "1:2:2"),
     "certify_classical": ("certify", "classical", "--grid", "1:100:3"),
+    # small x: long shifts, and exp(1/x) far from 1
+    "certify_classical_small": ("certify", "classical", "--grid", "1/1000:1:3"),
     "certify_remark1": ("certify", "remark1", "--grid", "1:100:3"),
     "certify_thm1_symbolic": ("certify", "thm1", "--symbolic"),
     "certify_all_symbolic": ("certify", "all", "--symbolic"),
