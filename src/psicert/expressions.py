@@ -6,17 +6,25 @@ trigamma functions, and a few named constants.  Evaluation is recursive and
 interval-valued throughout, so the result provably contains the true value
 of the expression; precision is controlled by an :class:`EvalContext`.
 
-Every interval node rounds its result outward onto the node grid
-``2**-(p + 64)`` for the context's precision ``p``: ``Var``, ``Add``,
-``Mul``, ``Div``, ``PowInt``, ``Digamma`` and ``Trigamma`` through
-:func:`~psicert.interval.round_outward`, and ``Exp``, ``Ln`` and ``Sinh``
-through their kernels, which round onto ``2**-(p + 32)``.  Rounding outward
-after a node keeps its result an enclosure of the node's true value, so
-the result stays sound; it costs at most one grid step per end, 64 bits
-below the target, and it keeps endpoint sizes near ``p`` bits whatever the
-size of ``x`` or the depth of the tree.  ``Var`` keeps an end of ``x``
-exact where rounding would reach or cross zero, so a domain check sees the
-sign of the caller's ``x``.  ``Const`` and ``Neg`` are exact, and
+A node evaluates to its ends ``(lo, hi, d)``: integers ``lo <= hi`` over
+one positive denominator ``d``, the interval ``[lo/d, hi/d]``.  ``Var``,
+``Add``, ``Mul``, ``Div``, ``PowInt``, ``Digamma`` and ``Trigamma`` round
+their exact result outward onto the node grid ``2**-s``, ``s = p + 64`` for
+the context's precision ``p``: their ends are the floor and ceiling integer
+quotients over ``d = 2**s`` (shifts when the exact denominator is a power
+of two, as for a product of two grid values), the cells that
+:func:`~psicert.interval.round_outward` picks.  ``Exp``, ``Ln`` and
+``Sinh`` round through their kernels, onto coarser grids that the node grid
+refines.  Rounding outward after a node keeps its result an enclosure of
+the node's true value, so the result stays sound; it costs at most one grid
+step per end, 64 bits below the target, and it keeps endpoint sizes near
+``p`` bits whatever the size of ``x`` or the depth of the tree.  ``Var``
+keeps an end of ``x`` exact where rounding would reach or cross zero, so a
+domain check sees the sign of the caller's ``x``.  ``Const``,
+``NamedConstant``, ``Neg`` and the three kernels' enclosures keep their own
+denominators, so a node over them rounds once, after an exact operation.
+``Fraction`` appears only at the boundaries, in the kernels' arguments and
+in the :class:`~psicert.interval.Interval` that :func:`evaluate` returns.
 :func:`rational_function` lowers a rational tree exactly, without
 evaluating it.
 
@@ -28,8 +36,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
-from .elementary import _snap, iv_exp, iv_ln, iv_pi, iv_sinh
-from .interval import DomainError, Frozen, Interval, round_outward
+from .elementary import iv_exp, iv_ln, iv_pi, iv_sinh
+from .interval import DomainError, Frozen, Interval
 from .polycert import RationalFunction
 from .polygamma import (
     batir_bstar_enclosure,
@@ -75,18 +83,61 @@ class EvalContext(Frozen):
         return EvalContext(self.work_precision * 2)
 
 
-def _outward(iv: Interval, ctx: EvalContext) -> Interval:
-    """``iv`` rounded outward onto the node grid, ``2**-(ctx.work_precision + 64)``."""
-    return round_outward(iv, ctx.work_precision + 32)
+class _Point:
+    """What every node of one evaluation reads: the kernels' precision
+    ``bits``, the node grid ``2**-s`` with ``one = 2**s``, and ``Var``'s value."""
+
+    __slots__ = ("bits", "s", "one", "var")
+
+    def __init__(self, x: Fraction, bits: int) -> None:
+        self.bits = bits
+        self.s = s = bits + 64
+        self.one = one = 1 << s
+        a, b = x.numerator, x.denominator
+        lo, hi = (a << s) // b, -((-a << s) // b)
+        # on the node grid, but an end that rounding takes onto or across zero stays exact
+        if lo <= 0 < a:
+            self.var = (a << s, hi * b, b << s)
+        elif hi >= 0 > a:
+            self.var = (lo * b, a << s, b << s)
+        else:
+            self.var = (lo, hi, one)
+
+
+def _interval(lo: int, hi: int, d: int) -> Interval:
+    return Interval(Fraction(lo, d), Fraction(hi, d))
+
+
+def _exact(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """``[lo, hi]`` as node ends, over the product of the two denominators."""
+    a, b = lo.denominator, hi.denominator
+    return lo.numerator * b, hi.numerator * a, a * b
+
+
+def _rounded(lo: int, hi: int, d: int, at: _Point) -> tuple[int, int, int]:
+    """``[lo/d, hi/d]`` rounded outward onto the node grid: floor and ceiling
+    quotients, which are shifts when ``d`` is a power of two ``>= 2**s``."""
+    if d & (d - 1) or d < at.one:
+        s = at.s
+        return (lo << s) // d, -((-hi << s) // d), at.one
+    shift = d.bit_length() - 1 - at.s
+    return lo >> shift, -(-hi >> shift), at.one
+
+
+def _image(kernel: Callable[[Interval, int], Interval], arg: "Expr", at: _Point) -> tuple[int, int, int]:
+    """The ends of ``kernel``'s enclosure over ``arg``."""
+    iv = kernel(_interval(*arg._eval(at)), at.bits)
+    return _exact(iv.lo, iv.hi)
 
 
 class Expr(Frozen):
     """Base node; subclasses are immutable values (see
-    :class:`~psicert.interval.Frozen`) implementing `_eval`."""
+    :class:`~psicert.interval.Frozen`) implementing `_eval`, which returns
+    the node's ends ``(lo, hi, d)``: the interval ``[lo/d, hi/d]``."""
 
     __slots__ = ()
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
         raise NotImplementedError
 
     # -- operator sugar -------------------------------------------------------
@@ -132,16 +183,16 @@ class Const(Expr):
     __slots__ = ("value",)
     value: Fraction
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return Interval.point(self.value)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        value = self.value
+        return value.numerator, value.numerator, value.denominator
 
 
 class Var(Expr):
     __slots__ = ()
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        # on the node grid, but never rounded onto or across zero
-        return _snap(Interval.point(x), ctx.work_precision + 32)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        return at.var
 
 
 class Add(Expr):
@@ -149,8 +200,12 @@ class Add(Expr):
     left: Expr
     right: Expr
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return _outward(self.left._eval(x, ctx) + self.right._eval(x, ctx), ctx)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        alo, ahi, ad = self.left._eval(at)
+        blo, bhi, bd = self.right._eval(at)
+        if ad == bd:
+            return _rounded(alo + blo, ahi + bhi, ad, at)
+        return _rounded(alo * bd + blo * ad, ahi * bd + bhi * ad, ad * bd, at)
 
 
 class Mul(Expr):
@@ -158,8 +213,11 @@ class Mul(Expr):
     left: Expr
     right: Expr
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return _outward(self.left._eval(x, ctx) * self.right._eval(x, ctx), ctx)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        alo, ahi, ad = self.left._eval(at)
+        blo, bhi, bd = self.right._eval(at)
+        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        return _rounded(min(products), max(products), ad * bd, at)
 
 
 class Div(Expr):
@@ -167,16 +225,29 @@ class Div(Expr):
     num: Expr
     den: Expr
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return _outward(self.num._eval(x, ctx) / self.den._eval(x, ctx), ctx)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        nlo, nhi, nd = self.num._eval(at)
+        dlo, dhi, dd = self.den._eval(at)
+        if dlo <= 0 <= dhi:
+            raise DomainError(f"division by an interval containing zero: {_interval(dlo, dhi, dd)}")
+        if dhi < 0:  # n/d = (-n)/(-d): the divisor's sign moves into the numerator
+            nlo, nhi, dlo, dhi = -nhi, -nlo, -dhi, -dlo
+        if nd != dd:  # over one denominator, the quotient is nlo/dlo and so on
+            nlo, nhi, dlo, dhi = nlo * dd, nhi * dd, dlo * nd, dhi * nd
+        # a positive divisor: each end divides by the divisor end that takes it furthest out
+        lo_den = dhi if nlo >= 0 else dlo
+        hi_den = dlo if nhi >= 0 else dhi
+        s = at.s
+        return (nlo << s) // lo_den, -((-nhi << s) // hi_den), at.one
 
 
 class Neg(Expr):
     __slots__ = ("arg",)
     arg: Expr
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return -self.arg._eval(x, ctx)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        lo, hi, d = self.arg._eval(at)
+        return -hi, -lo, d
 
 
 class PowInt(Expr):
@@ -192,32 +263,43 @@ class PowInt(Expr):
             )
         super().__init__(base, exponent)
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return _outward(self.base._eval(x, ctx) ** self.exponent, ctx)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        lo, hi, d = self.base._eval(at)
+        e = self.exponent
+        if e == 0:
+            return at.one, at.one, at.one
+        if e < 0:  # [lo/d, hi/d]**-1 = [d/hi, d/lo] = [d lo, d hi] / (lo hi)
+            if lo <= 0 <= hi:
+                raise DomainError(f"division by an interval containing zero: {_interval(lo, hi, d)}")
+            lo, hi, d, e = d * lo, d * hi, lo * hi, -e
+        a, b = lo**e, hi**e
+        if e % 2 == 0 and lo < 0:
+            a, b = (b, a) if hi <= 0 else (0, max(a, b))
+        return _rounded(a, b, d**e, at)
 
 
 class Exp(Expr):
     __slots__ = ("arg",)
     arg: Expr
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return iv_exp(self.arg._eval(x, ctx), ctx.work_precision)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        return _image(iv_exp, self.arg, at)
 
 
 class Ln(Expr):
     __slots__ = ("arg",)
     arg: Expr
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return iv_ln(self.arg._eval(x, ctx), ctx.work_precision)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        return _image(iv_ln, self.arg, at)
 
 
 class Sinh(Expr):
     __slots__ = ("arg",)
     arg: Expr
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return iv_sinh(self.arg._eval(x, ctx), ctx.work_precision)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        return _image(iv_sinh, self.arg, at)
 
 
 class Digamma(Expr):
@@ -226,13 +308,13 @@ class Digamma(Expr):
     __slots__ = ("arg",)
     arg: Expr
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        iv = self.arg._eval(x, ctx)
-        if iv.lo <= 0:
-            raise DomainError(f"digamma argument must be positive, got {iv}")
-        lo = digamma_enclosure(iv.lo, ctx.work_precision)
-        hi = lo if iv.is_point else digamma_enclosure(iv.hi, ctx.work_precision)
-        return _outward(Interval(lo.lo, hi.hi), ctx)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        lo, hi, d = self.arg._eval(at)
+        if lo <= 0:
+            raise DomainError(f"digamma argument must be positive, got {_interval(lo, hi, d)}")
+        lo_end = digamma_enclosure(Fraction(lo, d), at.bits)
+        hi_end = lo_end if lo == hi else digamma_enclosure(Fraction(hi, d), at.bits)
+        return _rounded(*_exact(lo_end.lo, hi_end.hi), at)
 
 
 class Trigamma(Expr):
@@ -241,13 +323,13 @@ class Trigamma(Expr):
     __slots__ = ("arg",)
     arg: Expr
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        iv = self.arg._eval(x, ctx)
-        if iv.lo <= 0:
-            raise DomainError(f"trigamma argument must be positive, got {iv}")
-        hi_end = trigamma_enclosure(iv.lo, ctx.work_precision)
-        lo_end = hi_end if iv.is_point else trigamma_enclosure(iv.hi, ctx.work_precision)
-        return _outward(Interval(lo_end.lo, hi_end.hi), ctx)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        lo, hi, d = self.arg._eval(at)
+        if lo <= 0:
+            raise DomainError(f"trigamma argument must be positive, got {_interval(lo, hi, d)}")
+        hi_end = trigamma_enclosure(Fraction(lo, d), at.bits)
+        lo_end = hi_end if lo == hi else trigamma_enclosure(Fraction(hi, d), at.bits)
+        return _rounded(*_exact(lo_end.lo, hi_end.hi), at)
 
 
 # name -> enclosure at the work precision; each lambda looks its kernel up
@@ -274,13 +356,15 @@ class NamedConstant(Expr):
             )
         super().__init__(name)
 
-    def _eval(self, x: Fraction, ctx: EvalContext) -> Interval:
-        return _CONSTANTS[self.name](ctx.work_precision)
+    def _eval(self, at: _Point) -> tuple[int, int, int]:
+        iv = _CONSTANTS[self.name](at.bits)
+        return _exact(iv.lo, iv.hi)
 
 
 def evaluate(expr: Expr, x: Fraction | int, ctx: EvalContext | None = None) -> Interval:
     """Certified enclosure of ``expr`` at the exact rational point ``x``."""
-    return expr._eval(Fraction(x), ctx if ctx is not None else EvalContext())
+    bits = (ctx if ctx is not None else EvalContext()).work_precision
+    return _interval(*expr._eval(_Point(Fraction(x), bits)))
 
 
 def rational_function(expr: Expr) -> RationalFunction:

@@ -85,10 +85,14 @@ def _truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], 
     have a total length below four times the one returned.  A term that does
     not shrink before it reaches ``2**-w`` raises ``ArithmeticError``, so the
     loop is bounded; at the shifts of :func:`_shift_count` it never does.
+    Both tests run on integers: with ``y = a/b``, ``|c| / y**k <= 2**-w`` is
+    ``|c| b**k 2**w <= a**k`` over ``c``'s denominator, with the powers
+    advanced from term to term.
     """
-    target = Fraction(1, 1 << w)
+    a, b = y.numerator, y.denominator
     order = power + 1
     scanned = 0
+    k_done, a_k, b_k = 0, 1, 1  # a**k_done, b**k_done
     previous = None
     while True:
         terms = _expansion_terms(power, order)
@@ -96,12 +100,17 @@ def _truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], 
             k, c = terms[i]
             if k <= power:  # the 1/(2y) of psi and the 1/y, -1/(2y**2) of psi'
                 continue
-            size = abs(c) / y**k
-            if size <= target:
+            a_step, b_step = a ** (k - k_done), b ** (k - k_done)
+            a_k, b_k, k_done = a_k * a_step, b_k * b_step, k
+            if abs(c.numerator) * b_k << w <= c.denominator * a_k:  # |c| / y**k <= 2**-w
                 return terms[: i + 1]
-            if previous is not None and size >= previous:
+            # the term does not shrink: |c| / |p| >= y**(k - j) for the term p / y**j before it
+            if previous is not None and (
+                abs(c.numerator) * previous.denominator * b_step
+                >= abs(previous.numerator) * c.denominator * a_step
+            ):
                 raise ArithmeticError(f"the expansion at y = {y} does not reach 2**-{w}")
-            previous = size
+            previous = c
         scanned = len(terms)
         order *= 2
 
@@ -110,10 +119,25 @@ _SUM_GUARD_BITS = 4
 
 
 def _enveloped(terms: tuple[tuple[int, Fraction], ...], y: Fraction) -> Interval:
-    """Hull of the sum of ``c * y**-k`` over all ``terms`` and over all but the last."""
-    *kept, (k, c) = terms
-    partial = sum(coeff / y**power for power, coeff in kept)
-    return Interval.point(partial).hull(Interval.point(partial + c / y**k))
+    """Hull of the sum of ``c * y**-k`` over all ``terms`` and over all but the last.
+
+    With ``y = a/b``, ``D`` the least common denominator of the coefficients
+    and ``K`` the last power, term ``c * y**-k`` is ``c D b**k a**(K-k)``
+    over ``D a**K``.  The numerators are summed in a Horner scheme in ``a``,
+    so the two ends are exact and are reduced once each.
+    """
+    a, b = y.numerator, y.denominator
+    common = math.lcm(*[c.denominator for _, c in terms])
+    partial = last = 0
+    k_done, b_k = 0, 1  # b**k_done
+    for k, c in terms:
+        partial = (partial + last) * a ** (k - k_done)
+        b_k *= b ** (k - k_done)
+        last = c.numerator * (common // c.denominator) * b_k
+        k_done = k
+    den = common * a**k_done
+    ends = (partial, partial + last)
+    return Interval(Fraction(min(ends), den), Fraction(max(ends), den))
 
 
 def _reciprocal_sum(x: Fraction, n: int, power: int, bits: int) -> Interval:

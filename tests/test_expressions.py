@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from psicert import (
     Add,
@@ -32,7 +32,8 @@ from psicert import (
     iv_pi,
     trigamma_enclosure,
 )
-from psicert.expressions import rational_function
+from psicert.elementary import _snap, iv_exp, iv_ln, iv_sinh
+from psicert.expressions import _CONSTANTS, rational_function
 from psicert.interval import round_outward
 from psicert.theorems import _M_expr, _X, _alpha, _beta, _digamma_tail_rf, _m_expr
 
@@ -305,3 +306,117 @@ class TestRationalFunction:
         tail4 = _inv(1, F(1, 2)) - _inv(2, F(1, 12)) + _inv(4, F(1, 240))
         assert _digamma_tail_rf(4) == tail4
         assert _digamma_tail_rf(6) == tail4 - _inv(6, F(1, 252))
+
+
+def _reference(expr, x: Fraction, precision: int) -> Interval:
+    """The node semantics in exact ``Interval`` arithmetic: each rounding node
+    takes its exact result through ``round_outward`` onto the node grid, and
+    ``Var`` is ``x`` snapped onto it."""
+
+    def outward(iv: Interval) -> Interval:
+        return round_outward(iv, precision + 32)
+
+    def ev(node) -> Interval:
+        match node:
+            case Const(value):
+                return Interval.point(value)
+            case Var():
+                return _snap(Interval.point(x), precision + 32)
+            case Add(left, right):
+                return outward(ev(left) + ev(right))
+            case Mul(left, right):
+                return outward(ev(left) * ev(right))
+            case Div(num, den):
+                return outward(ev(num) / ev(den))
+            case Neg(arg):
+                return -ev(arg)
+            case PowInt(base, exponent):
+                return outward(ev(base) ** exponent)
+            case Exp(arg):
+                return iv_exp(ev(arg), precision)
+            case Ln(arg):
+                return iv_ln(ev(arg), precision)
+            case Sinh(arg):
+                return iv_sinh(ev(arg), precision)
+            case Digamma(arg):
+                iv = ev(arg)
+                if iv.lo <= 0:
+                    raise DomainError(f"digamma argument must be positive, got {iv}")
+                lo = digamma_enclosure(iv.lo, precision)
+                hi = lo if iv.is_point else digamma_enclosure(iv.hi, precision)
+                return outward(Interval(lo.lo, hi.hi))
+            case Trigamma(arg):
+                iv = ev(arg)
+                if iv.lo <= 0:
+                    raise DomainError(f"trigamma argument must be positive, got {iv}")
+                hi = trigamma_enclosure(iv.lo, precision)
+                lo = hi if iv.is_point else trigamma_enclosure(iv.hi, precision)
+                return outward(Interval(lo.lo, hi.hi))
+            case NamedConstant(name):
+                return _CONSTANTS[name](precision)
+        raise TypeError(node)
+
+    return ev(expr)
+
+
+def _node_trees() -> st.SearchStrategy:
+    """Trees over every node kind.  exp and sinh take ``c / (t**2 + 1)``,
+    which lies in ``[-|c|, |c|]`` however wide ``t`` is, so no tree asks
+    for an exponential far beyond 64 bits."""
+    consts = st.builds(  # non-dyadic ones lie off the node grid
+        Fraction, st.integers(min_value=-35, max_value=35), st.sampled_from([1, 3, 4, 7, 12, 1000])
+    )
+    leaves = st.one_of(
+        st.just(X),
+        st.builds(Const, consts),
+        st.builds(NamedConstant, st.sampled_from(sorted(_CONSTANTS))),
+    )
+
+    def bounded(c: Fraction, t) -> Div:
+        return Div(Const(c), Add(PowInt(t, 2), Const(F(1))))
+
+    def nodes(children: st.SearchStrategy) -> st.SearchStrategy:
+        exponent_argument = st.builds(bounded, consts, children) | st.just(X)
+        return st.one_of(
+            st.builds(Add, children, children),
+            st.builds(Neg, children),
+            st.builds(Mul, children, children),
+            st.builds(Div, children, children),
+            st.builds(Div, children, st.builds(Neg, children)),
+            st.builds(PowInt, children, st.integers(min_value=-3, max_value=3)),
+            st.builds(Exp, exponent_argument),
+            st.builds(Sinh, exponent_argument),
+            st.builds(Ln, children),
+            st.builds(Digamma, children),
+            st.builds(Trigamma, children),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=6)
+
+
+_POINTS = st.one_of(
+    st.integers(min_value=-(50 * 10**6), max_value=50 * 10**6).map(lambda n: F(n, 10**6)),
+    st.integers(min_value=-(2**134), max_value=2**134).map(lambda n: F(n, 2**128)),
+    st.just(F(1, 10**300)),
+)
+
+
+class TestIntegerNodes:
+    """Integer ends give the enclosures of exact arithmetic rounded once per node."""
+
+    @settings(max_examples=150)
+    @given(_node_trees(), _POINTS, st.sampled_from([8, 64, 200]))
+    @example(Mul(Const(F(1, 3)), X), F(7, 3), 8)
+    @example(Div(X, Neg(Add(X, Const(F(1, 3))))), F(1, 10**300), 64)
+    @example(PowInt(Add(X, Const(F(-1, 3))), -3), F(333333, 10**6), 200)
+    @example(Digamma(Add(X, Const(F(-1, 7)))), F(1, 10**6), 8)
+    def test_evaluate_matches_exact_reference(self, tree, x, precision):
+        try:
+            expected = _reference(tree, x, precision)
+        except ValueError as exc:  # DomainError, or an exp argument out of range
+            with pytest.raises(type(exc)) as raised:
+                evaluate(tree, x, EvalContext(precision))
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            return
+        assert evaluate(tree, x, EvalContext(precision)) == expected

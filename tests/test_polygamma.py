@@ -20,6 +20,8 @@ from psicert.elementary import iv_exp
 from psicert.polygamma import (
     _GUARD_BITS,
     _dyadic_cover,
+    _enveloped,
+    _expansion_terms,
     _reciprocal_sum,
     _shift_count,
     _truncation,
@@ -246,6 +248,67 @@ class TestTruncation:
         """At y = 1/2 the terms grow long before they reach 2**-200."""
         with pytest.raises(ArithmeticError):
             _truncation(power, F(1, 2), 200)
+
+
+def _fraction_truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], ...]:
+    """``_truncation`` as it was in ``Fraction`` arithmetic: the same doubling
+    scan, each term's size ``|c| / y**k`` compared with ``2**-w`` and with
+    the size before it."""
+    target = F(1, 1 << w)
+    order, scanned, previous = power + 1, 0, None
+    while True:
+        terms = _expansion_terms(power, order)
+        for i in range(scanned, len(terms)):
+            k, c = terms[i]
+            if k <= power:
+                continue
+            size = abs(c) / y**k
+            if size <= target:
+                return terms[: i + 1]
+            if previous is not None and size >= previous:
+                raise ArithmeticError(f"the expansion at y = {y} does not reach 2**-{w}")
+            previous = size
+        scanned = len(terms)
+        order *= 2
+
+
+def _fraction_enveloped(terms: tuple[tuple[int, Fraction], ...], y: Fraction) -> Interval:
+    """``_enveloped`` as it was: ``Fraction`` sums of ``c / y**k``."""
+    *kept, (k, c) = terms
+    partial = sum(coeff / y**power for power, coeff in kept)
+    return Interval.point(partial).hull(Interval.point(partial + c / y**k))
+
+
+class TestIntegerTruncation:
+    """The integer truncation and window are the ``Fraction`` ones."""
+
+    @pytest.mark.parametrize(
+        ("powers", "y", "widths"),
+        [
+            ((1, 2), F(123, 10), (10, 66, 200)),
+            ((1, 2), F(5077, 10), (10, 1026, 2050)),
+            ((1, 2), F(100001, 10), (4100,)),
+            ((1, 2), F(2**135 + 12345, 2**128), (10, 66, 200, 514)),
+            ((1, 2), F(3 * 10**4000 + 1, 10**4000), (10, 66)),
+            ((1, 2), 8 + F(1, 10**4000), (10,)),
+            ((1,), 8 + F(1, 10**4000), (66,)),  # psi(1e-4000) at 64 bits
+            ((1, 2), F(1, 2), (10, 200)),
+        ],
+        ids=["decimal", "decimal-mid", "decimal-far", "dyadic", "3+1e-4000", "8+1e-4000", "8+1e-4000-psi", "half"],
+    )
+    def test_matches_fraction_reference(self, powers, y, widths):
+        for power in powers:
+            for w in widths:
+                try:
+                    expected = _fraction_truncation(power, y, w)
+                except ArithmeticError as exc:
+                    with pytest.raises(ArithmeticError) as raised:
+                        _truncation(power, y, w)
+                    assert str(raised.value) == str(exc)
+                    continue
+                terms = _truncation(power, y, w)
+                assert terms == expected, (power, w)
+                assert _enveloped(terms, y) == _fraction_enveloped(terms, y), (power, w)
 
 
 class TestAsymptoticWindow:
