@@ -7,9 +7,9 @@ comparison between two disjoint intervals is a proof about the underlying
 real numbers.  Field operations on :class:`Interval` are exact.  Rounding
 happens only through :func:`round_outward`, which may widen but never
 shrink an interval: the kernels in :mod:`psicert.elementary` round their
-results with it, and so does every interval node of
-:mod:`psicert.expressions`, which keeps endpoint sizes bounded by the
-working precision.
+results with it, which keeps endpoint sizes bounded by the working
+precision.  The interval nodes of :mod:`psicert.expressions` round onto the
+same cells, on integer ends of their own.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ the bits (see :func:`_shift_count`).  Both expansions are enveloping (Alzer,
 term and with that term's sign, so the value lies between the sum of all
 terms but the last and the sum of all of them (see :func:`_enveloped`).  The
 truncation is the shortest whose last term is below the target (see
-:func:`_truncation`).
+:func:`_truncation`).  Both work on integer numerators and denominators and
+build ``Fraction`` only for the two ends of the window.
 
 :func:`digamma_enclosure` and :func:`trigamma_enclosure` are memoised per
 argument and per bit target in a bounded LRU cache (see
