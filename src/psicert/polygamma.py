@@ -86,8 +86,8 @@ def _truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], 
     have a total length below four times the one returned.  A term that does
     not shrink before it reaches ``2**-w`` raises ``ArithmeticError``, so the
     loop is bounded; at the shifts of :func:`_shift_count` it never does.
-    Both tests run on integers: with ``y = a/b``, ``|c| / y**k <= 2**-w`` is
-    ``|c| b**k 2**w <= a**k`` over ``c``'s denominator, with the powers
+    Both tests run on integers: with ``y = a/b`` and ``c = n/d``,
+    ``|c| / y**k <= 2**-w`` is ``|n| b**k 2**w <= d a**k``, with the powers
     advanced from term to term.
     """
     a, b = y.numerator, y.denominator
