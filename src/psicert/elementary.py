@@ -19,10 +19,17 @@ terms in, and errs by less than three ulps a term and two for the tail:
 ``3n + 2`` ulps, which ``w = work + work.bit_length() + 4`` keeps below
 ``2**-work``.
 
+Inside, every value is a pair of integer ends in ulps of a power of two,
+``(lo, hi, w)`` for ``[lo * 2**-w, hi * 2**-w]``: the snapped arguments
+(see :func:`_snap`), the series sums, ``k ln 2`` and the outward rounding
+onto ``2**-(precision + ROUNDING_GUARD_BITS)``, the grid of
+:func:`~psicert.interval.round_outward`, which here is a shift.  Each
+public function builds one :class:`~psicert.interval.Interval`, on return.
+
 Internal working precision is quantized to multiples of 64 bits.  Together
-with the nested rounding grids of :func:`~psicert.interval.round_outward`,
-this makes enclosure width weakly decreasing in the requested precision,
-which downstream refinement loops rely on.
+with the nested rounding grids, this makes enclosure width weakly
+decreasing in the requested precision, which downstream refinement loops
+rely on.
 
 :func:`iv_exp` is memoised per argument and per working precision in a
 bounded LRU cache of :data:`ENCLOSURE_CACHE_SIZE` entries.  It is a pure
@@ -37,10 +44,11 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
-from .interval import DomainError, Interval, round_outward
+from .interval import ROUNDING_GUARD_BITS, DomainError, Interval, _coerce, _interval
 
 __all__ = [
     "iv_exp",
@@ -67,36 +75,53 @@ def _quantized(bits: int) -> int:
     return max(1, -(-bits // _QUANTUM)) * _QUANTUM
 
 
-def _coerce(value: Interval | Fraction | int) -> Interval:
-    if isinstance(value, Interval):
-        return value
-    return Interval.point(value)
+def _snap(num: int, den: int, k: int, up: bool) -> tuple[int, int]:
+    """``num/den`` rounded onto the grid ``2**-k``, down for a lower end and
+    up for an upper one, as a numerator and a denominator.
 
-
-def _snap(iv: Interval, bits: int) -> Interval:
-    """Outward-round onto a dyadic grid to cap endpoint denominators.
-
-    Series evaluation cost grows with the bit-size of the input's
+    Series evaluation cost grows with the bit-size of the argument's
     denominator; snapping first keeps that bounded without affecting
-    soundness.  An endpoint is kept exact when snapping would move it
-    across zero (the log domain check must see the caller's true sign).
+    soundness.  An end that rounding would take onto or across zero stays
+    exact, so a domain check sees the sign of the caller's value.
     """
-    snapped = round_outward(iv, bits)
-    lo = iv.lo if (snapped.lo <= 0 < iv.lo) else snapped.lo
-    hi = iv.hi if (snapped.hi >= 0 > iv.hi) else snapped.hi
-    return Interval(lo, hi)
+    if up:
+        n = -((-num << k) // den)
+        return (num, den) if n >= 0 > num else (n, 1 << k)
+    n = (num << k) // den
+    return (num, den) if n <= 0 < num else (n, 1 << k)
 
 
-def _floor_log2(q: Fraction) -> int:
-    """``floor(log2(q))`` for ``q > 0``, from the bit lengths of its numerator and denominator."""
-    a, b = q.numerator, q.denominator
-    k = a.bit_length() - b.bit_length()  # 2**(k-1) < q < 2**(k+1)
+def _image(
+    point: Callable[[int, int, int], tuple[int, int, int]], iv: Interval, k: int, work: int, precision: int
+) -> Interval:
+    """The enclosure of an increasing function over ``iv``, from ``point``'s
+    enclosures at the ends of ``iv`` snapped outward onto ``2**-k``, rounded
+    outward onto ``2**-(precision + ROUNDING_GUARD_BITS)`` by shifts: the
+    cells :func:`~psicert.interval.round_outward` picks."""
+    lo_arg = _snap(iv.lo.numerator, iv.lo.denominator, k, up=False)
+    hi_arg = _snap(iv.hi.numerator, iv.hi.denominator, k, up=True)
+    lo, _, w = lo_end = point(*lo_arg, work)
+    _, hi, v = lo_end if lo_arg == hi_arg else point(*hi_arg, work)
+    g = precision + ROUNDING_GUARD_BITS
+    return _interval(lo >> (w - g), -(-hi >> (v - g)), 1 << g)
+
+
+def _coarsened(lo: int, hi: int, w: int, g: int) -> tuple[int, int, int]:
+    """Ends in ulps of ``2**-w`` rounded outward onto ``2**-g`` if that grid
+    is coarser, and kept as they are if not."""
+    shift = max(0, w - g)
+    return lo >> shift, -(-hi >> shift), w - shift
+
+
+def _floor_log2(a: int, b: int) -> int:
+    """``floor(log2(a/b))`` for ``a, b > 0``, from the bit lengths of ``a`` and ``b``."""
+    k = a.bit_length() - b.bit_length()  # 2**(k-1) < a/b < 2**(k+1)
     return k if (a << max(0, -k)) >= (b << max(0, k)) else k - 1
 
 
 def _tolerance_bits(tolerance: Fraction) -> int:
     """The fewest bits ``k >= 0`` with ``2**-k <= tolerance``, for ``tolerance > 0``."""
-    return max(0, -_floor_log2(tolerance))
+    return max(0, -_floor_log2(tolerance.numerator, tolerance.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +129,9 @@ def _tolerance_bits(tolerance: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _exp_point(x: Fraction, precision: int) -> Interval:
-    """Enclosure of e**x for one exact rational argument.
+def _exp_point(p: int, q: int, precision: int) -> tuple[int, int, int]:
+    """Enclosure of e**x for one exact rational argument ``x = p/q``, ``q > 0``,
+    as ends ``(lo, hi, w)`` in ulps of ``2**-w``.
 
     Fixed point at scale ``2**-w``, as in :func:`_atanh_small`.  With
     ``2**k <= |x| < 2**(k+1)`` and ``j = k + 2`` (``j = 0`` if that is
@@ -132,9 +158,9 @@ def _exp_point(x: Fraction, precision: int) -> Interval:
     relative error (one bit), and the value has magnitude up to ``e**|x|``,
     about ``1.5 |x|`` bits.
     """
-    j = max(0, _floor_log2(abs(x)) + 2) if x else 0
-    w = _quantized(precision + 2 * j + (3 * math.ceil(abs(x))) // 2 + 40)
-    T, rest = divmod(x.numerator << (w - j), x.denominator)
+    j = max(0, _floor_log2(abs(p), q) + 2) if p else 0
+    w = _quantized(precision + 2 * j + (3 * -(-abs(p) // q)) // 2 + 40)
+    T, rest = divmod(p << (w - j), q)
     magnitude = abs(T)
     power = 1 << w  # P_k
     total = 0
@@ -148,7 +174,7 @@ def _exp_point(x: Fraction, precision: int) -> Interval:
     for _ in range(j):
         lo = lo * lo >> w
         hi = -(-hi * hi >> w)
-    return Interval(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
+    return lo, hi, w
 
 
 @lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
@@ -164,10 +190,8 @@ def iv_exp(a: Interval | Fraction | int, work_precision: int) -> Interval:
     amplification = 2 * max(0, math.ceil(iv.hi))
     if amplification > sys.maxsize:  # the snapping shift must be a machine-size int
         raise ValueError(f"exp argument above {sys.maxsize // 2} is out of range")
-    iv = _snap(iv, work_precision + 8 + amplification)
-    lo = _exp_point(iv.lo, work_precision)
-    hi = lo if iv.is_point else _exp_point(iv.hi, work_precision)
-    return round_outward(Interval(lo.lo, hi.hi), work_precision)
+    k = work_precision + 8 + amplification + ROUNDING_GUARD_BITS
+    return _image(_exp_point, iv, k, work_precision, work_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +199,12 @@ def iv_exp(a: Interval | Fraction | int, work_precision: int) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-def _atanh_small(u: Fraction, work: int) -> Interval:
-    """Enclosure of atanh(u) for 0 <= u < 1/2, of width at most ``2**-work``.
+def _atanh_small(p: int, q: int, work: int) -> tuple[int, int, int]:
+    """Enclosure of atanh(u) for ``0 <= u = p/q < 1/2``, ``q > 0``, of width at
+    most ``2**-work``, as ends ``(lo, hi, w)`` in ulps of ``2**-w``.
 
     Fixed point at scale ``2**-w``, as in :func:`_arctan_inverse`.  With
-    ``u = p/q``, ``P_0 = floor(2**w u)`` and ``P_k = floor(P_{k-1} p**2 / q**2)``
+    ``P_0 = floor(2**w u)`` and ``P_k = floor(P_{k-1} p**2 / q**2)``
     by exact floor division; term ``k`` is taken as ``t_k = P_k // (2k+1)``
     and summation stops at the first ``n`` with ``P_n = 0``.
 
@@ -194,9 +219,8 @@ def _atanh_small(u: Fraction, work: int) -> Interval:
     width is at most ``1.5 w + 2`` ulps; ``w = work + work.bit_length() + 4``
     keeps that below ``2**-work``.
     """
-    p, q = u.numerator, u.denominator
     if not 0 <= 2 * p < q:  # outside it the bound fails, and below 0 the loop never ends
-        raise ValueError(f"atanh series needs 0 <= u < 1/2, got {u}")
+        raise ValueError(f"atanh series needs 0 <= u < 1/2, got {Fraction(p, q)}")
     w = work + work.bit_length() + 4
     p2, q2 = p * p, q * q
     power = (p << w) // q  # P_k
@@ -206,30 +230,39 @@ def _atanh_small(u: Fraction, work: int) -> Interval:
         total += power // (2 * n + 1)
         n += 1
         power = power * p2 // q2
-    return Interval(Fraction(total, 1 << w), Fraction(total + 3 * n + 2, 1 << w))
+    return total, total + 3 * n + 2, w
 
 
 @lru_cache(maxsize=None)
-def _ln2_quantized(work: int) -> Interval:
-    # ln 2 = 2 atanh(1/3); memoized per quantized working precision.
-    return round_outward(_atanh_small(Fraction(1, 3), work + 4) * 2, work)
+def _ln2_quantized(work: int) -> tuple[int, int, int]:
+    """ln 2 = 2 atanh(1/3) as ends ``(lo, hi, w)``, on the grid ``2**-(work +
+    ROUNDING_GUARD_BITS)`` or a coarser one; memoised per quantized work."""
+    lo, hi, w = _atanh_small(1, 3, work + 4)
+    return _coarsened(2 * lo, 2 * hi, w, work + ROUNDING_GUARD_BITS)
 
 
 def ln2_enclosure(precision: int) -> Interval:
     """Enclosure of ln 2 with width at most 2**-precision."""
-    return _ln2_quantized(_quantized(precision + 8))
+    lo, hi, w = _ln2_quantized(_quantized(precision + 8))
+    return _interval(lo, hi, 1 << w)
 
 
-def _ln_point(y: Fraction, work: int) -> Interval:
-    if y <= 0:
-        raise DomainError(f"logarithm of a nonpositive number: {y}")
-    k = _floor_log2(y)
+def _ln_point(p: int, q: int, work: int) -> tuple[int, int, int]:
+    """Enclosure of ``ln(p/q)`` for ``p, q > 0``, of width at most ``2**-work``,
+    as ends ``(lo, hi, w)`` in ulps of ``2**-w``."""
+    k = _floor_log2(p, q)
     # z = y / 2**k = a/b in [1, 2): atanh argument (z-1)/(z+1) lies in [0, 1/3).
-    a, b = y.numerator << max(0, -k), y.denominator << max(0, k)
-    ln_z = _atanh_small(Fraction(a - b, a + b), work + 2) * 2
+    a, b = p << max(0, -k), q << max(0, k)
+    lo, hi, w = _atanh_small(a - b, a + b, work + 2)
+    lo, hi = 2 * lo, 2 * hi
     if k == 0:
-        return ln_z
-    return ln_z + k * _ln2_quantized(_quantized(work + max(k, -k).bit_length() + 2))
+        return lo, hi, w
+    ln2_lo, ln2_hi, v = _ln2_quantized(_quantized(work + max(k, -k).bit_length() + 2))
+    if k < 0:
+        ln2_lo, ln2_hi = ln2_hi, ln2_lo
+    if v > w:
+        lo, hi, w = lo << (v - w), hi << (v - w), v
+    return lo + (k * ln2_lo << (w - v)), hi + (k * ln2_hi << (w - v)), w
 
 
 def iv_ln(a: Interval | Fraction | int, work_precision: int) -> Interval:
@@ -239,12 +272,9 @@ def iv_ln(a: Interval | Fraction | int, work_precision: int) -> Interval:
         raise DomainError(f"logarithm requires a strictly positive interval, got {iv}")
     # ln amplifies absolute perturbations by 1/lo, so scale the snapping
     # grid with the number of doublings separating lo from 1.
-    amplification = 2 * max(0, -_floor_log2(iv.lo))
-    iv = _snap(iv, work_precision + 8 + amplification)
-    work = _quantized(work_precision + 40)
-    lo = _ln_point(iv.lo, work)
-    hi = lo if iv.is_point else _ln_point(iv.hi, work)
-    return round_outward(Interval(lo.lo, hi.hi), work_precision)
+    amplification = 2 * max(0, -_floor_log2(iv.lo.numerator, iv.lo.denominator))
+    k = work_precision + 8 + amplification + ROUNDING_GUARD_BITS
+    return _image(_ln_point, iv, k, _quantized(work_precision + 40), work_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +290,9 @@ def iv_sinh(a: Interval | Fraction | int, work_precision: int) -> Interval:
     return (grow - decay) / 2
 
 
-def _arctan_inverse(q: int, work: int) -> Interval:
-    """Enclosure of arctan(1/q) for an integer q >= 2, of width at most 2**-work.
+def _arctan_inverse(q: int, work: int) -> tuple[int, int, int]:
+    """Enclosure of arctan(1/q) for an integer q >= 2, of width at most
+    2**-work, as ends ``(lo, hi, w)`` in ulps of ``2**-w``.
 
     Fixed point at scale ``2**-w``: ``P_k = floor(2**w / q**(2k+1))`` comes
     from ``P_{k-1}`` by exact floor division by ``q**2``, so term ``k`` of
@@ -285,14 +316,17 @@ def _arctan_inverse(q: int, work: int) -> Interval:
         total += -term if n % 2 else term
         n += 1
         power //= q2
-    return Interval(Fraction(total - (n + 1) // 2, 1 << w), Fraction(total + n // 2 + 1, 1 << w))
+    return total - (n + 1) // 2, total + n // 2 + 1, w
 
 
 @lru_cache(maxsize=None)
 def _pi_quantized(work: int) -> Interval:
-    # Machin: pi = 16 arctan(1/5) - 4 arctan(1/239).
-    enclosure = 16 * _arctan_inverse(5, work + 8) - 4 * _arctan_inverse(239, work + 8)
-    return round_outward(enclosure, work)
+    """Machin's pi = 16 arctan(1/5) - 4 arctan(1/239), on the grid
+    ``2**-(work + ROUNDING_GUARD_BITS)`` or a coarser one."""
+    lo5, hi5, w = _arctan_inverse(5, work + 8)
+    lo239, hi239, _ = _arctan_inverse(239, work + 8)  # the same w
+    lo, hi, w = _coarsened(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239, w, work + ROUNDING_GUARD_BITS)
+    return _interval(lo, hi, 1 << w)
 
 
 def iv_pi(work_precision: int) -> Interval:

@@ -8,19 +8,25 @@ of the expression; precision is controlled by an :class:`EvalContext`.
 
 A node evaluates to its ends ``(lo, hi, d)``: integers ``lo <= hi`` over
 one positive denominator ``d``, the interval ``[lo/d, hi/d]``.  ``Var``,
-``Add``, ``Mul``, ``Div``, ``PowInt``, ``Digamma`` and ``Trigamma`` round
-their exact result outward onto the node grid ``2**-s``, ``s = p + 64`` for
-the context's precision ``p``: their ends are the floor and ceiling integer
-quotients over ``d = 2**s`` (shifts when the exact denominator is a power
-of two, as for a product of two grid values), the cells that
-:func:`~psicert.interval.round_outward` picks.  ``Exp``, ``Ln`` and
-``Sinh`` round through their kernels, onto coarser grids that the node grid
-refines.  Rounding outward after a node keeps its result an enclosure of
-the node's true value, so the result stays sound; it costs at most one grid
-step per end, 64 bits below the target, and it keeps endpoint sizes near
-``p`` bits whatever the size of ``x`` or the depth of the tree.  ``Var``
-keeps an end of ``x`` exact where rounding would reach or cross zero, so a
-domain check sees the sign of the caller's ``x``.  ``Const``,
+``Add``, ``Mul``, ``Div``, ``PowInt``, ``Digamma`` and ``Trigamma`` keep a
+short point exact: an exact result that is a single point ``a/b`` in lowest
+terms with ``b < 2**s`` and ``|a| < 2**(2s)``, where ``2**-s``, ``s = p +
+64``, is the node grid for the context's precision ``p``.  So at a short
+``x`` such as ``177687919/125000``, ``Digamma(X + 1)`` calls its kernel
+once, at an exact argument.  Every other result is rounded outward onto the
+node grid: its ends are the floor and ceiling integer quotients over ``d =
+2**s`` (shifts when the exact denominator is a power of two, as for a
+product of two grid values), the cells that
+:func:`~psicert.interval.round_outward` picks.  The psi and psi' kernels
+round their own sums onto that grid already (see
+:data:`~psicert.polygamma._GRID_BITS`); ``Exp``, ``Ln`` and ``Sinh`` round
+through their kernels, onto coarser grids that the node grid refines.
+Rounding outward after a node keeps its result an enclosure of the node's
+true value, so the result stays sound; it costs at most one grid step per
+end, 64 bits below the target, and it keeps endpoint sizes near ``p`` bits
+whatever the size of ``x`` or the depth of the tree.  Where ``Var`` rounds
+a long ``x``, it keeps an end exact where rounding would reach or cross
+zero, so a domain check sees the sign of the caller's ``x``.  ``Const``,
 ``NamedConstant``, ``Neg`` and the three kernels' enclosures keep their own
 denominators, so a node over them rounds once, after an exact operation.
 ``Fraction`` appears only at the boundaries, in the kernels' arguments and
@@ -33,13 +39,15 @@ Operator overloading builds trees readably: ``(X + F(1, 2)) * Exp(-2 * Digamma(X
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from fractions import Fraction
 
-from .elementary import iv_exp, iv_ln, iv_pi, iv_sinh
-from .interval import DomainError, Frozen, Interval
+from .elementary import _snap, iv_exp, iv_ln, iv_pi, iv_sinh
+from .interval import DomainError, Frozen, Interval, _interval, _outward
 from .polycert import RationalFunction
 from .polygamma import (
+    _GRID_BITS,
     batir_bstar_enclosure,
     digamma_enclosure,
     euler_gamma_enclosure,
@@ -91,21 +99,22 @@ class _Point:
 
     def __init__(self, x: Fraction, bits: int) -> None:
         self.bits = bits
-        self.s = s = bits + 64
+        self.s = s = bits + _GRID_BITS
         self.one = one = 1 << s
         a, b = x.numerator, x.denominator
-        lo, hi = (a << s) // b, -((-a << s) // b)
+        if _is_short(a, b, self):
+            self.var = (a, a, b)
+            return
         # on the node grid, but an end that rounding takes onto or across zero stays exact
-        if lo <= 0 < a:
-            self.var = (a << s, hi * b, b << s)
-        elif hi >= 0 > a:
-            self.var = (lo * b, a << s, b << s)
-        else:
-            self.var = (lo, hi, one)
+        lo, lo_d = _snap(a, b, s, up=False)
+        hi, hi_d = _snap(a, b, s, up=True)
+        self.var = (lo, hi, one) if lo_d == hi_d else (lo * hi_d, hi * lo_d, lo_d * hi_d)
 
 
-def _interval(lo: int, hi: int, d: int) -> Interval:
-    return Interval(Fraction(lo, d), Fraction(hi, d))
+def _is_short(a: int, b: int, at: _Point) -> bool:
+    """Whether the point ``a/b``, in lowest terms, is kept exact: ``b < 2**s``
+    and ``|a| < 2**(2s)``."""
+    return b < at.one and a.bit_length() <= 2 * at.s
 
 
 def _exact(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
@@ -115,13 +124,14 @@ def _exact(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
 
 
 def _rounded(lo: int, hi: int, d: int, at: _Point) -> tuple[int, int, int]:
-    """``[lo/d, hi/d]`` rounded outward onto the node grid: floor and ceiling
-    quotients, which are shifts when ``d`` is a power of two ``>= 2**s``."""
-    if d & (d - 1) or d < at.one:
-        s = at.s
-        return (lo << s) // d, -((-hi << s) // d), at.one
-    shift = d.bit_length() - 1 - at.s
-    return lo >> shift, -(-hi >> shift), at.one
+    """``[lo/d, hi/d]`` kept exact if it is a short point, in lowest terms,
+    and rounded outward onto the node grid if not."""
+    if lo == hi:
+        g = math.gcd(lo, d)
+        a, b = lo // g, d // g
+        if _is_short(a, b, at):
+            return a, a, b
+    return (*_outward(lo, hi, d, at.s), at.one)
 
 
 def _image(kernel: Callable[[Interval, int], Interval], arg: "Expr", at: _Point) -> tuple[int, int, int]:
@@ -234,6 +244,8 @@ class Div(Expr):
             nlo, nhi, dlo, dhi = -nhi, -nlo, -dhi, -dlo
         if nd != dd:  # over one denominator, the quotient is nlo/dlo and so on
             nlo, nhi, dlo, dhi = nlo * dd, nhi * dd, dlo * nd, dhi * nd
+        if nlo == nhi and dlo == dhi:
+            return _rounded(nlo, nlo, dlo, at)
         # a positive divisor: each end divides by the divisor end that takes it furthest out
         lo_den = dhi if nlo >= 0 else dlo
         hi_den = dlo if nhi >= 0 else dhi

@@ -5,11 +5,12 @@ as a closed interval with rational endpoints.  All operations are *outward*:
 a result interval always contains the true image of its inputs, so a strict
 comparison between two disjoint intervals is a proof about the underlying
 real numbers.  Field operations on :class:`Interval` are exact.  Rounding
-happens only through :func:`round_outward`, which may widen but never
-shrink an interval: the kernels in :mod:`psicert.elementary` round their
-results with it, which keeps endpoint sizes bounded by the working
-precision.  The interval nodes of :mod:`psicert.expressions` round onto the
-same cells, on integer ends of their own.
+may widen but never shrink an interval.  :func:`round_outward` rounds an
+``Interval`` onto the dyadic grid of a precision; the kernels in
+:mod:`psicert.elementary` and :mod:`psicert.polygamma` and the nodes of
+:mod:`psicert.expressions` pick the same cells on integer ends of their
+own (see :func:`_outward`), which keeps endpoint sizes bounded by the
+working precision, and build an ``Interval`` only for their results.
 """
 
 from __future__ import annotations
@@ -302,6 +303,23 @@ def round_outward(iv: Interval, precision: int) -> Interval:
     if lo is iv.lo and hi is iv.hi:
         return iv
     return Interval(lo, hi)
+
+
+def _interval(lo: int, hi: int, d: int) -> Interval:
+    """``[lo/d, hi/d]`` from integer ends over one positive denominator ``d``."""
+    return Interval(Fraction(lo, d), Fraction(hi, d))
+
+
+def _outward(lo: int, hi: int, d: int, s: int) -> tuple[int, int]:
+    """``[lo/d, hi/d]`` rounded outward onto the grid ``2**-s``, as the
+    numerators over ``2**s`` of the floor of ``lo/d`` and the ceiling of
+    ``hi/d``: quotients of integers, or shifts when ``d`` is a power of two."""
+    if d & (d - 1):
+        return (lo << s) // d, -((-hi << s) // d)
+    shift = d.bit_length() - 1 - s
+    if shift < 0:
+        return lo << -shift, hi << -shift
+    return lo >> shift, -(-hi >> shift)
 
 
 def _on_grid(q: Fraction, shift: int) -> bool:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .elementary import ENCLOSURE_CACHE_SIZE, _floor_log2, _tolerance_bits, iv_exp, iv_ln, iv_pi
-from .interval import DomainError, Interval
+from .interval import DomainError, Interval, _interval, _outward
 from .series import digamma_expansion, trigamma_expansion
 
 __all__ = [
@@ -41,6 +41,11 @@ __all__ = [
 
 # A kernel's width is a sum of at most three parts of at most 2**-(bits + 2).
 _GUARD_BITS = 2
+
+#: psi and psi' round their sums onto ``2**-(bits + _GRID_BITS)``, the grid
+#: that :mod:`psicert.expressions` rounds its nodes onto, so that a node over
+#: them rounds nothing more.
+_GRID_BITS = 64
 
 
 def _validate(x: Fraction | int) -> Fraction:
@@ -64,14 +69,43 @@ def _shift_count(x: Fraction, w: int) -> int:
     return max(0, math.ceil(3 * w // 25 + 3 - x))
 
 
-@lru_cache(maxsize=32)
-def _expansion_terms(power: int, order: int) -> tuple[tuple[int, Fraction], ...]:
-    """Coefficients of the expansion of psi(y+1) (power 1) or psi'(y+1) (power 2).
+# power -> (order, terms): the longest expansion of psi(y+1) (power 1) and
+# of psi'(y+1) (power 2) built so far
+_EXPANSIONS: dict[int, tuple[int, tuple[tuple[int, Fraction], ...]]] = {}
 
-    :func:`_truncation` asks only for orders ``(power + 1) * 2**j``, so the
-    cache holds a few dozen of them at most.
+
+def _expansion_terms(power: int, order: int) -> tuple[tuple[int, Fraction], ...]:
+    """The terms of the expansion of psi(y+1) (power 1) or psi'(y+1) (power 2)
+    through at least ``order``.
+
+    They are the longest expansion built so far, of which every shorter one
+    is a prefix.  It is rebuilt, and the Bernoulli table grown, only when
+    ``order`` passes it.
     """
-    return (digamma_expansion if power == 1 else trigamma_expansion)(order).coeffs
+    built, terms = _EXPANSIONS.get(power, (0, ()))
+    if built < order:
+        terms = (digamma_expansion if power == 1 else trigamma_expansion)(order).coeffs
+        _EXPANSIONS[power] = order, terms
+    return terms
+
+
+def _last_index(y: Fraction, w: int) -> int:
+    """A floating-point estimate of the first ``m`` whose term is at most ``2**-w``.
+
+    It is the first ``m`` with ``ln 4 + ln (2m)! - 2m ln(2 pi y) <= -w ln
+    2``, by the bound on term ``m`` in :func:`_shift_count` (for ``y >=
+    1``), or the ``m`` past which that bound grows.  ``ln y`` comes from
+    ``y``'s numerator and denominator, which may overflow a float.
+    """
+    log_2piy = math.log(2 * math.pi) + math.log(y.numerator) - math.log(y.denominator)
+    target = -w * math.log(2) - math.log(4)
+    m, log_bound = 1, math.log(2) - 2 * log_2piy  # ln (2m)! - 2m ln(2 pi y) at m = 1
+    while log_bound > target:
+        step = math.log((2 * m + 1) * (2 * m + 2)) - 2 * log_2piy
+        if step >= 0:
+            break
+        m, log_bound = m + 1, log_bound + step
+    return m
 
 
 def _truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], ...]:
@@ -80,23 +114,23 @@ def _truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], 
 
     The candidate last terms are the Bernoulli terms ``y**-(2m)`` of psi and
     ``y**-(2m+1)`` of psi', for ``m = 1, 2, ...``, and the expansion that
-    ends at one is the prefix of any longer expansion up to it.  So one
-    candidate expansion is scanned term by term, and its order doubles when
-    its terms run out: each term is looked at once, and the expansions built
-    have a total length below four times the one returned.  A term that does
-    not shrink before it reaches ``2**-w`` raises ``ArithmeticError``, so the
-    loop is bounded; at the shifts of :func:`_shift_count` it never does.
-    Both tests run on integers: with ``y = a/b`` and ``c = n/d``,
-    ``|c| / y**k <= 2**-w`` is ``|n| b**k 2**w <= d a**k``, with the powers
-    advanced from term to term.
+    ends at one is the prefix of any longer expansion up to it.  So the
+    longest expansion built so far is scanned term by term.  When its terms
+    run out, it grows to the order of :func:`_last_index`'s estimate, or by
+    8 if it is already that long: each term is looked at once,
+    and the Bernoulli table grows about as far as the truncation stops.  A
+    term that does not shrink before it reaches ``2**-w`` raises
+    ``ArithmeticError``, so the loop is bounded; at the shifts of
+    :func:`_shift_count` it never does.  Both tests run on integers: with
+    ``y = a/b`` and ``c = n/d``, ``|c| / y**k <= 2**-w`` is ``|n| b**k 2**w
+    <= d a**k``, with the powers advanced from term to term.
     """
     a, b = y.numerator, y.denominator
-    order = power + 1
+    terms = _expansion_terms(power, power + 1)
     scanned = 0
     k_done, a_k, b_k = 0, 1, 1  # a**k_done, b**k_done
     previous = None
     while True:
-        terms = _expansion_terms(power, order)
         for i in range(scanned, len(terms)):
             k, c = terms[i]
             if k <= power:  # the 1/(2y) of psi and the 1/y, -1/(2y**2) of psi'
@@ -113,19 +147,21 @@ def _truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], 
                 raise ArithmeticError(f"the expansion at y = {y} does not reach 2**-{w}")
             previous = c
         scanned = len(terms)
-        order *= 2
+        order = max(2 * _last_index(y, w) + power - 1, terms[-1][0] + 8)
+        terms = _expansion_terms(power, order)
 
 
 _SUM_GUARD_BITS = 4
 
 
-def _enveloped(terms: tuple[tuple[int, Fraction], ...], y: Fraction) -> Interval:
-    """Hull of the sum of ``c * y**-k`` over all ``terms`` and over all but the last.
+def _enveloped(terms: tuple[tuple[int, Fraction], ...], y: Fraction) -> tuple[int, int, int]:
+    """Hull of the sum of ``c * y**-k`` over all ``terms`` and over all but the
+    last, as exact integer ends ``(lo, hi, d)`` over one denominator ``d > 0``.
 
     With ``y = a/b``, ``D`` the least common denominator of the coefficients
     and ``K`` the last power, term ``c * y**-k`` is ``c D b**k a**(K-k)``
-    over ``D a**K``.  The numerators are summed in a Horner scheme in ``a``,
-    so the two ends are exact and are reduced once each.
+    over ``d = D a**K``.  The numerators are summed in a Horner scheme in
+    ``a``.
     """
     a, b = y.numerator, y.denominator
     common = math.lcm(*[c.denominator for _, c in terms])
@@ -136,13 +172,13 @@ def _enveloped(terms: tuple[tuple[int, Fraction], ...], y: Fraction) -> Interval
         b_k *= b ** (k - k_done)
         last = c.numerator * (common // c.denominator) * b_k
         k_done = k
-    den = common * a**k_done
     ends = (partial, partial + last)
-    return Interval(Fraction(min(ends), den), Fraction(max(ends), den))
+    return min(ends), max(ends), common * a**k_done
 
 
-def _reciprocal_sum(x: Fraction, n: int, power: int, bits: int) -> Interval:
-    """Enclosure of ``sum_{k=0}^{n-1} (x + k)**-power`` of width below ``2**-bits``.
+def _reciprocal_sum(x: Fraction, n: int, power: int, bits: int) -> tuple[int, int, int]:
+    """Enclosure of ``sum_{k=0}^{n-1} (x + k)**-power`` of width below
+    ``2**-bits``, as ends ``(lo, hi, w)`` in ulps of ``2**-w``.
 
     With ``x = a/b`` term ``k`` is ``b**power / (a + k*b)**power``.  In ulps
     of ``2**-w`` it lies in ``[t_k, t_k + 1)``, where ``t_k`` is the floor
@@ -155,7 +191,12 @@ def _reciprocal_sum(x: Fraction, n: int, power: int, bits: int) -> Interval:
     w = bits + n.bit_length() + _SUM_GUARD_BITS
     scaled = b**power << w
     total = sum(scaled // d**power for d in range(a, a + n * b, b))
-    return Interval(Fraction(total, 1 << w), Fraction(total + n, 1 << w))
+    return total, total + n, w
+
+
+def _scaled(q: Fraction, s: int) -> int:
+    """The numerator over ``2**s`` of ``q``, a multiple of ``2**-s``."""
+    return q.numerator << (s + 1 - q.denominator.bit_length())
 
 
 @lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
@@ -167,15 +208,27 @@ def digamma_enclosure(x: Fraction | int, bits: int = 64) -> Interval:
     three parts has width at most ``2**-w``: ``iv_ln(y, w)`` rounds outward
     on a grid 32 bits finer than ``2**-w`` from an enclosure at least 40 bits
     finer; the enveloped window is the last term of :func:`_truncation`; and
-    :func:`_reciprocal_sum` is below ``2**-w``.  The width is below
-    ``3 * 2**-w < 2**-bits``.  The sum is returned exact, not rounded.
+    :func:`_reciprocal_sum` is below ``2**-w``.
+
+    The sum is rounded outward onto ``2**-s``, ``s = bits + _GRID_BITS``.
+    ln's grid ``2**-(bits + 34)`` and the recurrence sum's ``2**-(bits + 6 +
+    n.bit_length())`` are both coarser, so they add as integers over
+    ``2**s``, and only the window is rounded: its lower end down and its
+    upper end up, less than ``2**-s`` each.  So the ends are the floor and
+    the ceiling, on ``2**-s``, of the exact sum, and the width is below
+    ``3 * 2**-w + 2 * 2**-s < 2**-bits``.
     """
     x = _validate(x)
     w = bits + _GUARD_BITS
     n = _shift_count(x, w)
     y = x + n - 1  # psi(x) = psi(y + 1) - sum_{k=0}^{n-1} 1/(x + k)
-    enclosure = iv_ln(y, w) + _enveloped(_truncation(1, y, w), y)
-    return enclosure - _reciprocal_sum(x, n, 1, w)
+    s = bits + _GRID_BITS
+    lo, hi = _outward(*_enveloped(_truncation(1, y, w), y), s)
+    ln = iv_ln(y, w)
+    sum_lo, sum_hi, v = _reciprocal_sum(x, n, 1, w)
+    lo += _scaled(ln.lo, s) - (sum_hi << (s - v))
+    hi += _scaled(ln.hi, s) - (sum_lo << (s - v))
+    return _interval(lo, hi, 1 << s)
 
 
 @lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
@@ -183,14 +236,19 @@ def trigamma_enclosure(x: Fraction | int, bits: int = 64) -> Interval:
     """Enclosure of ``psi'(x)`` for rational ``x > 0``, of width at most ``2**-bits``.
 
     As in :func:`digamma_enclosure`, without the logarithm: the enveloped
-    window and the recurrence sum are each at most ``2**-w``, so the width
-    is below ``2 * 2**-w < 2**-bits``.  The asymptotic part is exact.
+    window and the recurrence sum are each at most ``2**-w``, and the window
+    is rounded outward onto ``2**-s``, so the ends are the floor and the
+    ceiling, on ``2**-s``, of the exact sum, and the width is below ``2 *
+    2**-w + 2 * 2**-s < 2**-bits``.
     """
     x = _validate(x)
     w = bits + _GUARD_BITS
     n = _shift_count(x, w)
     y = x + n - 1  # psi'(x) = psi'(y + 1) + sum_{k=0}^{n-1} 1/(x + k)^2
-    return _enveloped(_truncation(2, y, w), y) + _reciprocal_sum(x, n, 2, w)
+    s = bits + _GRID_BITS
+    lo, hi = _outward(*_enveloped(_truncation(2, y, w), y), s)
+    sum_lo, sum_hi, v = _reciprocal_sum(x, n, 2, w)
+    return _interval(lo + (sum_lo << (s - v)), hi + (sum_hi << (s - v)), 1 << s)
 
 
 def euler_gamma_enclosure(bits: int = 64) -> Interval:
@@ -223,7 +281,7 @@ def _dyadic_cover(a: Fraction, b: Fraction, level: int) -> tuple[Fraction, Fract
     least ``b - a > 0`` wide for ``j <= floor(log2(1 / (b - a)))``.
     """
     width = b - a
-    j = level if width <= 0 else min(level, max(0, _floor_log2(1 / width)))
+    j = level if width <= 0 else min(level, max(0, _floor_log2(width.denominator, width.numerator)))
     lo = Fraction((a.numerator << j) // a.denominator, 1 << j)
     hi = Fraction(-((-b.numerator << j) // b.denominator), 1 << j)
     return lo, hi

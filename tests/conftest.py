@@ -1,8 +1,9 @@
-"""Shared test configuration: hypothesis profile and the acceptance summary."""
+"""Shared test configuration: hypothesis profile, cold caches and the acceptance summary."""
 
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,32 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+
+def clear_psicert_caches() -> None:
+    """Empty every memo psicert keeps, so that the next call runs cold.
+
+    That is every ``functools`` cache found on an attribute of a loaded
+    ``psicert`` module, the Bernoulli table, and the longest psi and psi'
+    expansions that :mod:`psicert.polygamma` keeps.
+    """
+    for name, module in list(sys.modules.items()):
+        if name == "psicert" or name.startswith("psicert."):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    from psicert import polygamma, series
+
+    series._BERNOULLI = series.BernoulliTable()
+    polygamma._EXPANSIONS.clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """:func:`clear_psicert_caches`, for a test that must start a run cold."""
+    return clear_psicert_caches
+
 
 ACCEPTANCE_LINES: list[str] = []
 

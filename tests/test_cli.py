@@ -150,6 +150,9 @@ class TestEncloseCommand:
             # ln of a huge y, and ln at a high bit count: once 23 s and 98 s
             (64, "1e4000", "digamma"),
             (1024, "29/7", "digamma"),
+            *itertools.product([2048, 4096], ["29/7", "1/1000"], ["digamma", "trigamma"]),
+            # a 13,000-bit denominator in the shifted argument y = x + 10
+            (64, "1e-4000", "digamma"),
         ],
     )
     def test_contains_mpmath_value(self, function, x, precision, unlimited_int_str):
@@ -163,9 +166,21 @@ class TestEncloseCommand:
         )
         order = 0 if function == "digamma" else 1
         point = parse_rational(x)  # converted inside, at the bracket's precision
-        bracket = scaled_bracket(lambda: mpmath.psi(order, _to_mpf(point)), enclosure.width)
-        assert encloses_truth(enclosure, bracket)
+        # The bracket's precision is relative to its value, and psi(1e-4000) is
+        # about -1e4000.  So the check runs one step up, exactly:
+        # psi(x + 1) = psi(x) + 1/x and psi'(x + 1) = psi'(x) - 1/x**2.
+        step = 1 / point if order == 0 else -1 / point**2
+        bracket = scaled_bracket(lambda: mpmath.psi(order, _to_mpf(point + 1)), enclosure.width)
+        assert encloses_truth(enclosure + step, bracket)
         assert enclosure.width <= F(1, 2**precision)
+
+    def test_ends_lie_on_the_kernel_grid(self, unlimited_int_str):
+        """psi rounds its sum onto 2**-(p + 64), however long x's denominator."""
+        stdout, code = capture(("--precision", "64", "enclose", "digamma", "1e-4000"), "json")
+        assert code == 0
+        data = json.loads(stdout)
+        for end in ("lo", "hi"):
+            assert parse_rational(data["enclosure"][end]).denominator <= 2 ** (64 + 64)
 
     def test_rejects_nonpositive_argument(self):
         proc = run_cli("enclose", "digamma", "--", "-3")

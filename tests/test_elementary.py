@@ -40,6 +40,11 @@ from _oracles import (
 F = Fraction
 
 
+def dyadic(lo: int, hi: int, w: int) -> Interval:
+    """The interval of a kernel's integer ends ``(lo, hi, w)``, in ulps of ``2**-w``."""
+    return Interval(F(lo, 1 << w), F(hi, 1 << w))
+
+
 def exp_truth(x: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Bracket of ``e**x`` for an enclosure of width ``width``, at any ``x``.
 
@@ -141,7 +146,7 @@ class TestExp:
         """The fixed-point enclosure before ``iv_exp`` rounds it outward, so
         that an ulp miscounted in the sum or the squarings shows; it is
         narrower than the grid step that rounding will use."""
-        enclosure = _exp_point(x, precision)
+        enclosure = dyadic(*_exp_point(x.numerator, x.denominator, precision))
         assert enclosure.width <= max(F(1), enclosure.hi) * F(1, 2 ** (precision + 32))
         assert encloses_truth(enclosure, exp_truth(x, enclosure.width))
 
@@ -189,7 +194,7 @@ class TestLn:
         """The atanh-series enclosure before ``iv_ln`` rounds it outward: an
         error below the rounding grid, such as a dropped tail, shows only here."""
         work = _quantized(precision + 40)
-        enclosure = _ln_point(x, work)
+        enclosure = dyadic(*_ln_point(x.numerator, x.denominator, work))
         assert enclosure.width <= F(1, 2**work)
         truth = scaled_bracket(lambda: mpmath.log(_to_mpf(x)), enclosure.width)
         assert encloses_truth(enclosure, truth)
@@ -207,7 +212,7 @@ class TestLn:
         # alone is too wide to judge an enclosure whose lower end is u itself
         series = (u, u + u**3 / (3 * (1 - u * u)))
         for work in range(1, 64):
-            enclosure = _atanh_small(u, work)
+            enclosure = dyadic(*_atanh_small(u.numerator, u.denominator, work))
             assert enclosure.width <= F(1, 2**work), work
             lo, hi = scaled_bracket(lambda: mpmath.atanh(_to_mpf(u)), enclosure.width)
             truth = (max(lo, series[0]), min(hi, series[1]))
@@ -216,7 +221,7 @@ class TestLn:
     @pytest.mark.parametrize("u", [F(-1, 3), F(1, 2), F(3, 4)], ids=str)
     def test_atanh_small_rejects_u_outside_its_bound(self, u):
         with pytest.raises(ValueError):
-            _atanh_small(u, 64)
+            _atanh_small(u.numerator, u.denominator, 64)
 
     @given(st.fractions(min_value=F(1, 10**30), max_value=10**30, max_denominator=10**30))
     def test_floor_log2_matches_halving(self, x):
@@ -227,7 +232,7 @@ class TestLn:
         while z < 1:
             z *= 2
             k -= 1
-        assert _floor_log2(x) == k
+        assert _floor_log2(x.numerator, x.denominator) == k
 
     @given(st.fractions(min_value=F(1, 10**30), max_value=10**30, max_denominator=10**30))
     def test_tolerance_bits_matches_halving(self, tolerance):
@@ -334,7 +339,7 @@ class TestPi:
         """At small ``work`` a single miscounted ulp moves an endpoint past the truth."""
         cases = [(q, work) for q in range(2, 40) for work in range(64)]
         for q, work in cases + [(5, 500), (239, 500)]:
-            enclosure = _arctan_inverse(q, work)
+            enclosure = dyadic(*_arctan_inverse(q, work))
             assert enclosure.width <= F(1, 2**work)
             truth = scaled_bracket(lambda: mpmath.atan(mpmath.mpf(1) / q), enclosure.width)
             assert encloses_truth(enclosure, truth), (q, work)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -32,9 +33,10 @@ from psicert import (
     iv_pi,
     trigamma_enclosure,
 )
-from psicert.elementary import _snap, iv_exp, iv_ln, iv_sinh
+from psicert.elementary import iv_exp, iv_ln, iv_sinh
 from psicert.expressions import _CONSTANTS, rational_function
 from psicert.interval import round_outward
+from psicert.polygamma import _reciprocal_sum, _shift_count, _truncation
 from psicert.theorems import _M_expr, _X, _alpha, _beta, _digamma_tail_rf, _m_expr
 
 from _oracles import (
@@ -53,6 +55,19 @@ def on_node_grid(enclosure: Interval, precision: int = 64) -> bool:
     """Both endpoints' denominators divide ``2**(precision + 64)``."""
     grid = 1 << (precision + 64)
     return grid % enclosure.lo.denominator == 0 and grid % enclosure.hi.denominator == 0
+
+
+def is_short_point(value: Fraction, precision: int = 64) -> bool:
+    """``value = a/b`` in lowest terms has ``b < 2**s`` and ``|a| < 2**(2s)``, ``s = precision + 64``."""
+    s = precision + 64
+    return value.denominator < 2**s and abs(value.numerator) < 2 ** (2 * s)
+
+
+def follows_node_rule(enclosure: Interval, precision: int = 64) -> bool:
+    """A node's result is a short point, kept exact, or has both ends on the node grid."""
+    if enclosure.is_point and is_short_point(enclosure.lo, precision):
+        return True
+    return on_node_grid(enclosure, precision)
 
 
 class TestEvalContext:
@@ -81,8 +96,8 @@ class TestEvalContext:
 class TestArithmeticNodes:
     @pytest.mark.parametrize("precision", [8, 64, 200])
     def test_rational_arithmetic_contains_the_exact_value(self, precision):
-        """Each node rounds outward onto the node grid: the result contains the
-        exact value, -1, in a width near the grid's step."""
+        """The result contains the exact value, -1, in a width near the node
+        grid's step: at a short x every node's value is that exact point."""
         expr = (X + 1) * (X - 1) - X**2
         enclosure = evaluate(expr, F(7, 3), EvalContext(precision))
         assert -1 in enclosure
@@ -116,12 +131,14 @@ class TestArithmeticNodes:
         st.fractions(min_value=F(-5), max_value=F(5), max_denominator=12),
     )
     def test_polynomial_evaluation_matches_fractions(self, x, a):
-        """The enclosure contains the exact ``Fraction`` value, on the node grid."""
+        """The enclosure contains the exact ``Fraction`` value.  Every node's
+        value is a short point here, so each is kept exact, and so is the result."""
         expr = a * X**2 + (a - 1) * X + 7
         expected = a * x * x + (a - 1) * x + 7
         enclosure = evaluate(expr, x)
         assert expected in enclosure
-        assert on_node_grid(enclosure)
+        assert follows_node_rule(enclosure)
+        assert enclosure == Interval.point(expected)
 
     def test_var_point_is_never_rounded_onto_zero(self):
         """A tiny positive x keeps its lower end, so psi sees a positive argument."""
@@ -129,6 +146,7 @@ class TestArithmeticNodes:
         enclosure = evaluate(X, x)
         assert enclosure.lo == x and enclosure.hi == F(1, 2**128)
         assert evaluate(-X, x).hi == -x
+        assert evaluate(X, -x) == Interval(-F(1, 2**128), -x)
         assert evaluate(Digamma(X), x).lo < -(10**299)
 
 
@@ -257,8 +275,9 @@ class TestRationalFunction:
         st.fractions(min_value=-20, max_value=20, max_denominator=50),
     )
     def test_lowering_agrees_with_evaluation(self, tree, x):
-        """The enclosure contains the lowered function's value at x, and every
-        node that rounds leaves it on the node grid."""
+        """The enclosure contains the lowered function's value at x.  It is
+        that value exactly, if it is a short point, or has both ends on the
+        node grid."""
         try:
             lowered = rational_function(tree)
         except ZeroDivisionError:
@@ -271,8 +290,8 @@ class TestRationalFunction:
         root = tree
         while isinstance(root, Neg):
             root = root.arg
-        if not isinstance(root, Const):  # every other node rounds its result
-            assert on_node_grid(value)
+        if not isinstance(root, Const):  # every other node keeps a short point or rounds
+            assert follows_node_rule(value)
 
     @pytest.mark.parametrize(
         "node",
@@ -308,12 +327,24 @@ class TestRationalFunction:
         assert _digamma_tail_rf(6) == tail4 - _inv(6, F(1, 252))
 
 
+def _snap(iv: Interval, bits: int) -> Interval:
+    """``iv`` rounded outward onto ``2**-(bits + 32)``, except an end that
+    rounding takes onto or across zero, which stays exact."""
+    snapped = round_outward(iv, bits)
+    lo = iv.lo if (snapped.lo <= 0 < iv.lo) else snapped.lo
+    hi = iv.hi if (snapped.hi >= 0 > iv.hi) else snapped.hi
+    return Interval(lo, hi)
+
+
 def _reference(expr, x: Fraction, precision: int) -> Interval:
     """The node semantics in exact ``Interval`` arithmetic: each rounding node
-    takes its exact result through ``round_outward`` onto the node grid, and
-    ``Var`` is ``x`` snapped onto it."""
+    keeps its exact result if that is a short point, and takes it through
+    ``round_outward`` onto the node grid if not; ``Var`` is ``x`` if short,
+    and ``x`` snapped onto the node grid if not."""
 
     def outward(iv: Interval) -> Interval:
+        if iv.is_point and is_short_point(iv.lo, precision):
+            return iv
         return round_outward(iv, precision + 32)
 
     def ev(node) -> Interval:
@@ -321,6 +352,8 @@ def _reference(expr, x: Fraction, precision: int) -> Interval:
             case Const(value):
                 return Interval.point(value)
             case Var():
+                if is_short_point(x, precision):
+                    return Interval.point(x)
                 return _snap(Interval.point(x), precision + 32)
             case Add(left, right):
                 return outward(ev(left) + ev(right))
@@ -420,3 +453,41 @@ class TestIntegerNodes:
             assert str(raised.value) == str(exc)
             return
         assert evaluate(tree, x, EvalContext(precision)) == expected
+
+
+def _fraction_psi_sum(power: int, x: Fraction, bits: int) -> Interval:
+    """The exact sum that the psi (power 1) or psi' (power 2) kernel rounds:
+    ``ln y`` (psi only), the enveloped window and the recurrence sum, added
+    in ``Fraction`` arithmetic, as the kernels returned it unrounded."""
+    w = bits + 2
+    n = _shift_count(x, w)
+    y = x + n - 1
+    *kept, (k, c) = _truncation(power, y, w)
+    partial = sum((coeff / y**j for j, coeff in kept), start=F(0))
+    window = Interval.point(partial).hull(Interval.point(partial + c / y**k))
+    lo, hi, v = _reciprocal_sum(x, n, power, w)
+    recurrence = Interval(F(lo, 1 << v), F(hi, 1 << v))
+    if power == 1:
+        return iv_ln(y, w) + window - recurrence
+    return window + recurrence
+
+
+_POSITIVE_SHORT_POINTS = st.one_of(
+    st.integers(min_value=1, max_value=50 * 10**6).map(lambda n: F(n, 10**6)),
+    st.fractions(min_value=F(1, 1000), max_value=10**4, max_denominator=1000),
+)
+
+
+class TestPolygammaNodeRounding:
+    """At a short point a psi or psi' node is one kernel call, whose sum is
+    rounded once, onto the node grid."""
+
+    @given(_POSITIVE_SHORT_POINTS, st.sampled_from([8, 64, 200]), st.sampled_from([1, 2]))
+    @example(F(177687919, 125000), 64, 1)
+    @example(F(1, 1000), 8, 2)
+    def test_ends_are_floor_and_ceiling_of_the_exact_sum(self, x, precision, power):
+        node = Digamma(X) if power == 1 else Trigamma(X)
+        exact = _fraction_psi_sum(power, x, precision)
+        one = 1 << (precision + 64)
+        expected = Interval(F(math.floor(exact.lo * one), one), F(math.ceil(exact.hi * one), one))
+        assert evaluate(node, x, EvalContext(precision)) == expected

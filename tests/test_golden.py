@@ -3,7 +3,8 @@
 The goldens under ``tests/golden`` were captured from in-process
 ``psicert.cli.main`` calls, one file per case and ``--format`` (json, text,
 csv).  Each call runs twice, the first time with the enclosure kernels'
-caches emptied, so a warm cache must reproduce the cold bytes.  One case
+caches emptied (every cache of psicert's, see ``conftest.clear_psicert_caches``),
+so a warm cache must reproduce the cold bytes.  One case
 also runs as ``python -m psicert`` in a fresh interpreter, which takes the
 path through ``__main__`` and the package's imports.  After an
 intended change of output, rewrite them with
@@ -30,21 +31,16 @@ from golden.regen import (
     golden_path,
     verdict_signature,
 )
-from psicert.elementary import iv_exp
-from psicert.polygamma import digamma_enclosure, trigamma_enclosure
-
-MEMOISED_KERNELS = (iv_exp, digamma_enclosure, trigamma_enclosure)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name):
+def test_cli_output_matches_golden(name, cold_caches):
     expected_code = json.loads(EXIT_CODES.read_text(encoding="utf-8"))[name]
     hint = f"intended output change? rerun tests/golden/regen.py {name}; list it in CHANGES.md"
     for fmt in FORMATS:
         # bytes, not text: csv rows end in \r\n, which text mode would translate
         expected_stdout = golden_path(name, fmt).read_bytes().decode("utf-8")
-        for kernel in MEMOISED_KERNELS:
-            kernel.cache_clear()
+        cold_caches()
         for run in ("cold", "warm"):
             stdout, code = capture(CASES[name], fmt)
             where = f"{name} --format {fmt} ({run})"

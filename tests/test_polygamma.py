@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +18,7 @@ from psicert import (
     trigamma_enclosure,
 )
 from psicert.elementary import iv_exp
+from psicert.interval import _interval
 from psicert.polygamma import (
     _GUARD_BITS,
     _dyadic_cover,
@@ -43,6 +45,17 @@ from _oracles import (
 )
 
 F = Fraction
+
+
+def dyadic(lo: int, hi: int, w: int) -> Interval:
+    """The interval of a kernel's integer ends ``(lo, hi, w)``, in ulps of ``2**-w``."""
+    return Interval(F(lo, 1 << w), F(hi, 1 << w))
+
+
+def on_kernel_grid(exact: Interval, bits: int) -> Interval:
+    """``exact`` rounded outward onto 2**-(bits + 64), where psi and psi' round their sums."""
+    one = 1 << (bits + 64)
+    return Interval(F(math.floor(exact.lo * one), one), F(math.ceil(exact.hi * one), one))
 
 POINTS = [F(1, 10), F(1, 2), F(1), F(3, 2), F(2), F(29, 7), F(10), F(1000)]
 
@@ -145,11 +158,10 @@ class TestMemo:
     def test_cache_is_bounded(self, kernel):
         assert kernel.cache_info().maxsize is not None
 
-    def test_grid_sides_share_work(self):
+    def test_grid_sides_share_work(self, cold_caches):
         """THM1's lower and upper pairs share psi'(x+1), psi(x+1) and the exp factor."""
         kernels = [*MEMOISED, iv_exp]
-        for kernel in kernels:
-            kernel.cache_clear()
+        cold_caches()
         check_grid("THM1", [F(3), F(5), F(8)])
         for kernel in kernels:
             assert kernel.cache_info().hits > 0, kernel.__name__
@@ -161,7 +173,7 @@ def test_reciprocal_sum_encloses_exact_sum(x, power):
     """The fixed-point recurrence sum against the exact rational sum."""
     n = 300
     exact = sum((1 / (x + k) ** power for k in range(n)), start=F(0))
-    enclosure = _reciprocal_sum(x, n, power, 64)
+    enclosure = dyadic(*_reciprocal_sum(x, n, power, 64))
     assert exact in enclosure
     assert enclosure.width < F(1, 2**64)
 
@@ -180,7 +192,7 @@ class TestLargeShift:
     @staticmethod
     def check(x: Fraction, n: int, power: int, truth) -> None:
         for bits in (64, 200):
-            enclosure = _reciprocal_sum(x, n, power, bits)
+            enclosure = dyadic(*_reciprocal_sum(x, n, power, bits))
             assert enclosure.width < F(1, 2**bits)
             assert encloses_truth(enclosure, scaled_bracket(truth, enclosure.width))
 
@@ -308,7 +320,7 @@ class TestIntegerTruncation:
                     continue
                 terms = _truncation(power, y, w)
                 assert terms == expected, (power, w)
-                assert _enveloped(terms, y) == _fraction_enveloped(terms, y), (power, w)
+                assert _interval(*_enveloped(terms, y)) == _fraction_enveloped(terms, y), (power, w)
 
 
 class TestAsymptoticWindow:
@@ -319,9 +331,14 @@ class TestAsymptoticWindow:
         st.integers(min_value=8, max_value=200),
     )
     def test_against_mpmath_without_recurrence(self, x, bits):
+        """psi' is the enveloped window, as wide as its last term, rounded
+        outward onto 2**-(bits + 64)."""
         y = x - 1
-        k, c = _truncation(2, y, bits + 2)[-1]
-        assert trigamma_enclosure(x, bits).width == abs(c) / y**k
+        terms = _truncation(2, y, bits + 2)
+        window = _fraction_enveloped(terms, y)
+        k, c = terms[-1]
+        assert window.width == abs(c) / y**k
+        assert trigamma_enclosure(x, bits) == on_kernel_grid(window, bits)
         for kernel, reference in (
             (digamma_enclosure, mpmath.digamma),
             (trigamma_enclosure, lambda t: mpmath.psi(1, t)),
