@@ -48,7 +48,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
-from .interval import ROUNDING_GUARD_BITS, DomainError, Interval, _coerce, _interval
+from .interval import ROUNDING_GUARD_BITS, DomainError, Interval, _coerce, _interval, _outward
 
 __all__ = [
     "iv_exp",
@@ -104,13 +104,6 @@ def _image(
     _, hi, v = lo_end if lo_arg == hi_arg else point(*hi_arg, work)
     g = precision + ROUNDING_GUARD_BITS
     return _interval(lo >> (w - g), -(-hi >> (v - g)), 1 << g)
-
-
-def _coarsened(lo: int, hi: int, w: int, g: int) -> tuple[int, int, int]:
-    """Ends in ulps of ``2**-w`` rounded outward onto ``2**-g`` if that grid
-    is coarser, and kept as they are if not."""
-    shift = max(0, w - g)
-    return lo >> shift, -(-hi >> shift), w - shift
 
 
 def _floor_log2(a: int, b: int) -> int:
@@ -235,10 +228,11 @@ def _atanh_small(p: int, q: int, work: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def _ln2_quantized(work: int) -> tuple[int, int, int]:
-    """ln 2 = 2 atanh(1/3) as ends ``(lo, hi, w)``, on the grid ``2**-(work +
-    ROUNDING_GUARD_BITS)`` or a coarser one; memoised per quantized work."""
+    """ln 2 = 2 atanh(1/3) as ends ``(lo, hi, g)`` rounded outward onto
+    ``2**-g``, ``g = work + ROUNDING_GUARD_BITS``; memoised per quantized work."""
     lo, hi, w = _atanh_small(1, 3, work + 4)
-    return _coarsened(2 * lo, 2 * hi, w, work + ROUNDING_GUARD_BITS)
+    g = work + ROUNDING_GUARD_BITS
+    return *_outward(2 * lo, 2 * hi, 1 << w, g), g
 
 
 def ln2_enclosure(precision: int) -> Interval:
@@ -251,7 +245,7 @@ def _ln_point(p: int, q: int, work: int) -> tuple[int, int, int]:
     """Enclosure of ``ln(p/q)`` for ``p, q > 0``, of width at most ``2**-work``,
     as ends ``(lo, hi, w)`` in ulps of ``2**-w``."""
     k = _floor_log2(p, q)
-    # z = y / 2**k = a/b in [1, 2): atanh argument (z-1)/(z+1) lies in [0, 1/3).
+    # z = (p/q) / 2**k = a/b in [1, 2): atanh argument (z-1)/(z+1) lies in [0, 1/3).
     a, b = p << max(0, -k), q << max(0, k)
     lo, hi, w = _atanh_small(a - b, a + b, work + 2)
     lo, hi = 2 * lo, 2 * hi
@@ -321,12 +315,12 @@ def _arctan_inverse(q: int, work: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def _pi_quantized(work: int) -> Interval:
-    """Machin's pi = 16 arctan(1/5) - 4 arctan(1/239), on the grid
-    ``2**-(work + ROUNDING_GUARD_BITS)`` or a coarser one."""
+    """Machin's pi = 16 arctan(1/5) - 4 arctan(1/239), rounded outward onto
+    ``2**-(work + ROUNDING_GUARD_BITS)``."""
     lo5, hi5, w = _arctan_inverse(5, work + 8)
     lo239, hi239, _ = _arctan_inverse(239, work + 8)  # the same w
-    lo, hi, w = _coarsened(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239, w, work + ROUNDING_GUARD_BITS)
-    return _interval(lo, hi, 1 << w)
+    g = work + ROUNDING_GUARD_BITS
+    return _interval(*_outward(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239, 1 << w, g), 1 << g)
 
 
 def iv_pi(work_precision: int) -> Interval:

@@ -12,8 +12,12 @@ the bits (see :func:`_shift_count`).  Both expansions are enveloping (Alzer,
 term and with that term's sign, so the value lies between the sum of all
 terms but the last and the sum of all of them (see :func:`_enveloped`).  The
 truncation is the shortest whose last term is below the target (see
-:func:`_truncation`).  Both work on integer numerators and denominators and
-build ``Fraction`` only for the two ends of the window.
+:func:`_truncation`); the Bernoulli table grows about as far as it stops.
+Both work on integer numerators and denominators.  The kernels add ln, the
+window and the recurrence sum as integers over ``2**(bits + 64)``, the grid
+that expression nodes round onto (:data:`_GRID_BITS`), rounding the window
+outward, so their ends are the floor and the ceiling of the exact sum on
+that grid; ``Fraction`` is built only for the result.
 
 :func:`digamma_enclosure` and :func:`trigamma_enclosure` are memoised per
 argument and per bit target in a bounded LRU cache (see
