@@ -71,6 +71,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "series_product_o60": ("series", "product", "--order", "60"),
     # negative, non-integer m: the operands' common denominators are nontrivial
     "series_theta": ("series", "theta", "--order", "40", "--m=-7/5"),
+    "series_digamma": ("series", "digamma", "--order", "12"),
+    "series_trigamma": ("series", "trigamma", "--order", "12"),
     "bern": ("bern", "30"),
     "bern_200": ("bern", "200"),
 }

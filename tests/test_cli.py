@@ -7,6 +7,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -338,6 +339,24 @@ class TestCertifyCommand:
     def test_symbolic_and_grid_conflict(self):
         proc = run_cli("certify", "thm2", "--symbolic", "--grid", "3:10:4")
         assert proc.returncode == 2
+
+    def test_selection_help_and_usage_error(self):
+        """The selections, in this order, as argparse prints them at 80 columns."""
+        usage = (
+            "usage: psicert certify [-h] [--symbolic] [--grid GRID]\n"
+            "                       {thm1,thm2,thm3,classical,remark1,all}\n"
+        )
+        env = {**os.environ, "COLUMNS": "80"}
+        argv = [sys.executable, "-m", "psicert", "certify"]
+        shown = subprocess.run([*argv, "--help"], env=env, capture_output=True, text=True, check=True)
+        assert shown.stdout.startswith(usage + "\npositional arguments:\n"
+                                       "  {thm1,thm2,thm3,classical,remark1,all}\n")
+        refused = subprocess.run([*argv, "nope"], env=env, capture_output=True, text=True)
+        assert refused.returncode == 2
+        assert refused.stderr == usage + (
+            "psicert certify: error: argument selection: invalid choice: 'nope' "
+            "(choose from 'thm1', 'thm2', 'thm3', 'classical', 'remark1', 'all')\n"
+        )
 
     def test_json_report_structure(self):
         data, code = run_json("certify", "thm2", "--grid", "3:50:6")
