@@ -21,40 +21,9 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
-from .elementary import _tolerance_bits, iv_pi
-from .interval import DomainError, Interval, parse_rational
-from .polygamma import (
-    batir_bstar_enclosure,
-    digamma_enclosure,
-    digamma_zero,
-    euler_gamma_enclosure,
-    trigamma_enclosure,
-)
-from .series import (
-    AsymptoticExpansion,
-    bernoulli_numbers,
-    digamma_expansion,
-    format_expansion,
-    theta_expansion,
-    trigamma_exp_digamma_expansion,
-    trigamma_expansion,
-)
-from .theorems import (
-    CertReport,
-    CheckRecord,
-    ComparisonReport,
-    GridEvidence,
-    catalog,
-    certify_symbolic,
-    check_grid,
-    combined_total,
-    compare_bounds,
-    default_grid,
-    entry,
-    geometric_grid,
-    symbolic_ids,
-    tightness_report,
-)
+# Modules, not names: each loads on first use (see the package docstring),
+# so a command runs only the modules it calls.
+from . import elementary, interval, polygamma, series, theorems
 
 __all__ = ["main"]
 
@@ -62,13 +31,14 @@ EXIT_OK = 0
 EXIT_UNDECIDED = 1
 EXIT_USAGE = 2
 
+# Selection ``all`` is every catalog entry (grid) or every symbolic
+# certificate, read from ``theorems`` when a certify command runs.
 CERTIFY_GROUPS: dict[str, tuple[str, ...]] = {
     "thm1": ("THM1",),
     "thm2": ("THM2",),
     "thm3": ("THM3a", "THM3b"),
     "classical": ("ELE", "GUO-QI", "BATIR", "YCT", "XP1"),
     "remark1": ("R1U", "R1V", "BATIR-THETA"),
-    "all": tuple(e.id for e in catalog()),
 }
 
 SYMBOLIC_GROUPS: dict[str, tuple[str, ...]] = {
@@ -76,7 +46,6 @@ SYMBOLIC_GROUPS: dict[str, tuple[str, ...]] = {
     "thm2": ("THM2",),
     "thm3": ("THM3a-lower",),
     "remark1": ("R1U",),
-    "all": symbolic_ids(),
 }
 
 
@@ -149,11 +118,11 @@ def _scientific(value: Fraction, digits: int = 3) -> str:
     return f"{sign}{text[0]}.{text[1:]}e{exponent:+03d}"
 
 
-def _iv_text(iv: Interval, places: int = 20) -> str:
+def _iv_text(iv: interval.Interval, places: int = 20) -> str:
     return f"[{_decimal(iv.lo, places, math.floor)}, {_decimal(iv.hi, places, math.ceil)}]"
 
 
-def _iv_json(iv: Interval) -> dict[str, str]:
+def _iv_json(iv: interval.Interval) -> dict[str, str]:
     return {
         "lo": _rational_text(iv.lo),
         "hi": _rational_text(iv.hi),
@@ -163,7 +132,7 @@ def _iv_json(iv: Interval) -> dict[str, str]:
 
 
 def _json_value(value: object) -> object:
-    if isinstance(value, Interval):
+    if isinstance(value, interval.Interval):
         return _iv_json(value)
     if isinstance(value, Fraction):
         return _rational_text(value)
@@ -196,7 +165,7 @@ def _emit(
 def _flatten_for_csv(row: dict[str, object]) -> dict[str, object]:
     flat: dict[str, object] = {}
     for key, value in row.items():
-        if isinstance(value, Interval):
+        if isinstance(value, interval.Interval):
             flat[f"{key}_lo"] = _rational_text(value.lo)
             flat[f"{key}_hi"] = _rational_text(value.hi)
         else:
@@ -211,10 +180,10 @@ def _parse_grid_spec(spec: str) -> list[Fraction]:
             f"grid spec must be start:stop:count, got {spec!r}"
         )
     try:
-        start = parse_rational(parts[0])
-        stop = parse_rational(parts[1])
+        start = interval.parse_rational(parts[0])
+        stop = interval.parse_rational(parts[1])
         count = int(parts[2])
-        return geometric_grid(start, stop, count)
+        return theorems.geometric_grid(start, stop, count)
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}: {exc}") from exc
 
@@ -227,7 +196,7 @@ def _parse_grid_spec(spec: str) -> list[Fraction]:
 def _cmd_bern(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError("bern index must be >= 0")
-    values = list(enumerate(bernoulli_numbers(args.n)))
+    values = list(enumerate(series.bernoulli_numbers(args.n)))
     _emit(
         args,
         lambda: {
@@ -241,48 +210,48 @@ def _cmd_bern(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_series(args: argparse.Namespace) -> AsymptoticExpansion:
+def _build_series(args: argparse.Namespace) -> series.AsymptoticExpansion:
     if args.kind == "digamma":
-        return digamma_expansion(args.order)
+        return series.digamma_expansion(args.order)
     if args.kind == "trigamma":
-        return trigamma_expansion(args.order)
+        return series.trigamma_expansion(args.order)
     if args.kind == "theta":
-        return theta_expansion(parse_rational(args.m), args.order)
-    return trigamma_exp_digamma_expansion(args.order)
+        return series.theta_expansion(interval.parse_rational(args.m), args.order)
+    return series.trigamma_exp_digamma_expansion(args.order)
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise UsageError("series order must be >= 0")
     try:
-        series = _build_series(args)
+        expansion = _build_series(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    coeffs = series.coeff_map()
+    coeffs = expansion.coeff_map()
     terms = [
         {"power": -k, "coefficient": _rational_text(coeffs.get(k, Fraction(0)))}
-        for k in range(-series.low_degree, series.order + 1)
+        for k in range(-expansion.low_degree, expansion.order + 1)
     ]
     _emit(
         args,
         lambda: {
             "command": "series",
             "kind": args.kind,
-            "order": series.order,
-            "log_coeff": _rational_text(series.log_coeff),
+            "order": expansion.order,
+            "log_coeff": _rational_text(expansion.log_coeff),
             "terms": terms,
         },
         lambda: terms,
-        lambda: [format_expansion(series)],
+        lambda: [series.format_expansion(expansion)],
     )
     return EXIT_OK
 
 
 def _cmd_enclose(args: argparse.Namespace) -> int:
-    x = parse_rational(args.x)
+    x = interval.parse_rational(args.x)
     if x <= 0:
         raise UsageError(f"{args.function} enclosure requires x > 0, got {x}")
-    fn = digamma_enclosure if args.function == "digamma" else trigamma_enclosure
+    fn = polygamma.digamma_enclosure if args.function == "digamma" else polygamma.trigamma_enclosure
     name = "psi" if args.function == "digamma" else "psi'"
     header = {"function": args.function, "x": _rational_text(x)}
     return _emit_enclosure(
@@ -297,7 +266,7 @@ def _cmd_enclose(args: argparse.Namespace) -> int:
 def _emit_enclosure(
     args: argparse.Namespace,
     label: str,
-    iv: Interval,
+    iv: interval.Interval,
     payload: dict[str, str],
     row: dict[str, str],
 ) -> int:
@@ -325,18 +294,25 @@ _CONSTANT_LABELS = {
 
 
 def _cmd_const(args: argparse.Namespace) -> int:
-    tolerance = parse_rational(args.tol) if args.tol is not None else None
+    tolerance = interval.parse_rational(args.tol) if args.tol is not None else None
     if tolerance is not None and tolerance <= 0:
         raise UsageError("tolerance must be positive")
     name = args.name
     if name == "digamma-zero":
-        enclosure = digamma_zero(tolerance if tolerance is not None else Fraction(1, 10**6))
+        enclosure = polygamma.digamma_zero(
+            tolerance if tolerance is not None else Fraction(1, 10**6)
+        )
     else:
         bits = args.precision
         if tolerance is not None:
-            bits = max(bits, _tolerance_bits(tolerance))
-        kernels = {"gamma": euler_gamma_enclosure, "bstar": batir_bstar_enclosure, "pi": iv_pi}
-        enclosure = kernels[name](bits)  # of width at most 2**-bits
+            bits = max(bits, elementary._tolerance_bits(tolerance))
+        # Each kernel's width is at most 2**-bits; pi's runs without polygamma.
+        if name == "pi":
+            enclosure = elementary.iv_pi(bits)
+        elif name == "gamma":
+            enclosure = polygamma.euler_gamma_enclosure(bits)
+        else:
+            enclosure = polygamma.batir_bstar_enclosure(bits)
         if tolerance is not None and enclosure.width > tolerance:
             print("error: tolerance not reached", file=sys.stderr)
             return EXIT_UNDECIDED
@@ -349,10 +325,10 @@ def _cmd_const(args: argparse.Namespace) -> int:
     )
 
 
-def _evidence_fields(check: CheckRecord) -> dict[str, str]:
+def _evidence_fields(check: theorems.CheckRecord) -> dict[str, str]:
     """A check's evidence as strings, rationals printed at any size."""
     evidence = check.evidence
-    if not isinstance(evidence, GridEvidence):
+    if not isinstance(evidence, theorems.GridEvidence):
         return {"detail": evidence.detail, "ray_start": _rational_text(evidence.ray_start)}
     return {
         "lhs_lo": _rational_text(evidence.lhs.lo),
@@ -363,11 +339,11 @@ def _evidence_fields(check: CheckRecord) -> dict[str, str]:
     }
 
 
-def _check_json(check: CheckRecord) -> dict[str, object]:
+def _check_json(check: theorems.CheckRecord) -> dict[str, object]:
     return {"label": check.label, "verdict": check.verdict, "evidence": _evidence_fields(check)}
 
 
-def _report_json(report: CertReport) -> dict[str, object]:
+def _report_json(report: theorems.CertReport) -> dict[str, object]:
     return {
         "id": report.id,
         "method": report.method,
@@ -376,7 +352,7 @@ def _report_json(report: CertReport) -> dict[str, object]:
     }
 
 
-def _report_text(report: CertReport) -> list[str]:
+def _report_text(report: theorems.CertReport) -> list[str]:
     lines = [f"{report.id} [{report.method}] -> {report.total}"]
     shown = 0
     for check in report.checks:
@@ -405,7 +381,7 @@ def _report_text(report: CertReport) -> list[str]:
     return lines
 
 
-def _certify_csv_rows(reports: list[CertReport]) -> Iterator[dict[str, object]]:
+def _certify_csv_rows(reports: list[theorems.CertReport]) -> Iterator[dict[str, object]]:
     for report in reports:
         for check in report.checks:
             yield {
@@ -420,20 +396,24 @@ def _certify_csv_rows(reports: list[CertReport]) -> Iterator[dict[str, object]]:
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.symbolic and args.grid:
         raise UsageError("--symbolic and --grid are mutually exclusive")
-    reports: list[CertReport] = []
+    every = args.selection == "all"
+    reports: list[theorems.CertReport] = []
     if args.symbolic:
-        symbolic = SYMBOLIC_GROUPS.get(args.selection)
+        symbolic = theorems.symbolic_ids() if every else SYMBOLIC_GROUPS.get(args.selection)
         if not symbolic:
             raise UsageError(
                 f"no symbolic certificates for selection {args.selection!r}"
             )
-        reports = [certify_symbolic(sid) for sid in symbolic]
+        reports = [theorems.certify_symbolic(sid) for sid in symbolic]
     else:
         grid_points = _parse_grid_spec(args.grid) if args.grid else None
-        for entry_id in CERTIFY_GROUPS[args.selection]:
-            grid = grid_points if grid_points is not None else default_grid(entry(entry_id))
-            reports.append(check_grid(entry_id, grid, work_precision=args.precision))
-    total = combined_total(r.total for r in reports)
+        ids = [e.id for e in theorems.catalog()] if every else CERTIFY_GROUPS[args.selection]
+        for entry_id in ids:
+            grid = grid_points
+            if grid is None:
+                grid = theorems.default_grid(theorems.entry(entry_id))
+            reports.append(theorems.check_grid(entry_id, grid, work_precision=args.precision))
+    total = theorems.combined_total(r.total for r in reports)
     _emit(
         args,
         lambda: {
@@ -457,7 +437,7 @@ _WINDOW_VERDICTS = {"in": "holds", "out": "violated", "undecided": "undecided"}
 
 def _tightness_outcome(rows: list[dict[str, object]]) -> str:
     verdicts = (row[key] for row in rows for key in ("x5_verdict", "x7_verdict"))
-    return combined_total(_WINDOW_VERDICTS[v] for v in verdicts)
+    return theorems.combined_total(_WINDOW_VERDICTS[v] for v in verdicts)
 
 
 def _tightness_lines(rows: list[dict[str, object]], outcome: str) -> Iterator[str]:
@@ -477,7 +457,7 @@ def _tightness_lines(rows: list[dict[str, object]], outcome: str) -> Iterator[st
     yield f"total: {outcome}"
 
 
-def _compare_csv_rows(reports: list[ComparisonReport]) -> Iterator[dict[str, object]]:
+def _compare_csv_rows(reports: list[theorems.ComparisonReport]) -> Iterator[dict[str, object]]:
     for c in reports:
         for row in c.rows:
             yield {
@@ -503,7 +483,7 @@ def _compare_csv_rows(reports: list[ComparisonReport]) -> Iterator[dict[str, obj
             }
 
 
-def _compare_lines(comparisons: list[ComparisonReport], total: str) -> Iterator[str]:
+def _compare_lines(comparisons: list[theorems.ComparisonReport], total: str) -> Iterator[str]:
     for c in comparisons:
         yield f"x = {_rational_text(c.x)}"
         for label, iv in sorted(c.targets.items()):
@@ -521,7 +501,7 @@ def _compare_lines(comparisons: list[ComparisonReport], total: str) -> Iterator[
 def _cmd_report(args: argparse.Namespace) -> int:
     grid = _parse_grid_spec(args.grid)
     if args.kind == "tightness":
-        rows = tightness_report(grid, work_precision=args.precision)
+        rows = theorems.tightness_report(grid, work_precision=args.precision)
         outcome = _tightness_outcome(rows)
         _emit(
             args,
@@ -539,8 +519,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
         return EXIT_OK if outcome == "holds" else EXIT_UNDECIDED
 
-    comparisons = [compare_bounds(x, work_precision=args.precision) for x in grid]
-    total = combined_total(c.total for c in comparisons)
+    comparisons = [theorems.compare_bounds(x, work_precision=args.precision) for x in grid]
+    total = theorems.combined_total(c.total for c in comparisons)
     _emit(
         args,
         lambda: {
@@ -641,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_certify = sub.add_parser(
         "certify", help="check catalog inequalities on a grid or symbolically"
     )
-    p_certify.add_argument("selection", choices=tuple(CERTIFY_GROUPS))
+    p_certify.add_argument("selection", choices=(*CERTIFY_GROUPS, "all"))
     p_certify.add_argument("--symbolic", action="store_true")
     p_certify.add_argument(
         "--grid", default=None, help="geometric grid spec start:stop:count"
@@ -667,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.precision < 8:
             raise UsageError("precision must be at least 8 bits")
         return args.handler(args)
-    except (UsageError, DomainError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:  # interval.DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
