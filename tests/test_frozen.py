@@ -1,14 +1,16 @@
-"""Value semantics of the immutable types, and what importing the CLI loads.
+"""Value semantics of the immutable types, and what the CLI loads and runs.
 
 Every value type derives from :class:`psicert.interval.Frozen`: its fields
 cannot be assigned or deleted, equal fields under the same type give equal
 objects with equal hashes, another type with the same fields is unequal,
 and ``repr`` names the class.  The CLI starts without ``dataclasses``,
-``inspect`` or ``typing``.
+``inspect`` or ``typing``, and each command runs only the psicert modules
+it calls; ``perfbench/tracer.py`` still wraps the modules that run later.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import psicert
 from psicert import expressions, interval, polycert, series, theorems
 from psicert.expressions import (
     Add,
@@ -57,7 +60,8 @@ from psicert.theorems import (
 )
 
 F = Fraction
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def _iv() -> Interval:
@@ -279,7 +283,7 @@ def test_own_rules_still_apply():
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     """A fresh ``python -S`` (no site packages) imports the CLI; the modules
     the value types used to need stay unloaded, and every psicert module is
-    loaded eagerly."""
+    in ``sys.modules``, most of them not yet run (see the next test)."""
     code = (
         "import sys, psicert.cli; "
         "print(' '.join(sorted(m for m in sys.modules "
@@ -303,3 +307,95 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
         "psicert.series",
         "psicert.theorems",
     ]
+
+
+SUBMODULES = ("interval", "elementary", "series", "polygamma", "polycert", "expressions", "theorems")
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (None, ()),
+        (["bern", "5"], ("interval", "series")),
+        (["const", "pi"], ("elementary", "interval")),
+        (["const", "gamma"], ("elementary", "interval", "polygamma", "series")),
+        (["certify", "thm2", "--grid", "3:4:2"], SUBMODULES),
+    ],
+    ids=["import", "bern", "const-pi", "const-gamma", "certify"],
+)
+def test_a_command_runs_only_the_modules_it_calls(argv, runs):
+    """In a fresh ``python -S``, ``import psicert.cli`` runs only ``psicert``
+    and ``psicert.cli``, and ``main(argv)`` adds the modules it calls.  A lazy
+    module's type is a subclass of ``ModuleType`` until it runs."""
+    call = "" if argv is None else (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert psicert.cli.main({argv!r}) == 0\n"
+    )
+    code = (
+        "import sys, types, psicert.cli\n" + call
+        + "print(' '.join(sorted(name for name, module in sys.modules.items() "
+        "if name.startswith('psicert') and type(module) is types.ModuleType)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == sorted(["psicert", "psicert.cli", *(f"psicert.{m}" for m in runs)])
+
+
+def test_public_names_resolve_through_their_modules():
+    namespace: dict[str, object] = {}
+    exec("from psicert import *", namespace)
+    assert set(psicert.__all__) <= set(namespace)
+    assert len(psicert.__all__) == 69  # 68 names from the table, and __version__
+    assert set(psicert._EXPORTS) == set(SUBMODULES)
+    for module_name, names in psicert._EXPORTS.items():
+        module = getattr(psicert, module_name)
+        assert module is sys.modules[f"psicert.{module_name}"]
+        for name in names:
+            assert name in module.__all__
+            assert namespace[name] is getattr(module, name) is getattr(psicert, name)
+    assert set(psicert.__all__) <= set(dir(psicert))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        psicert.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from psicert import no_such_name", {})
+
+
+@pytest.mark.parametrize(
+    "argv, span",
+    [
+        (["const", "pi"], "elementary.iv_pi"),
+        (["certify", "thm2", "--grid", "3:4:2"], "theorems.check_grid"),
+    ],
+    ids=["const-pi", "certify"],
+)
+def test_tracer_wraps_the_lazily_loaded_modules(argv, span, tmp_path):
+    """``perfbench/tracer.py`` looks up each traced module in ``sys.modules``
+    right after ``import psicert.cli``, so every module must be registered
+    there before it runs; the traced call prints what ``python -m psicert``
+    prints."""
+    spans = tmp_path / "spans.bin"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), "0", "--format", "json", *argv],
+        env=env,
+        capture_output=True,
+        check=False,
+    )
+    plain = subprocess.run(
+        [sys.executable, "-m", "psicert", "--format", "json", *argv],
+        env=env,
+        capture_output=True,
+        check=True,
+    )
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert traced.stdout == plain.stdout
+    record = marshal.loads(spans.read_bytes())
+    names = [record["names"][entry[0]] for entry in record["spans"]]
+    assert "cli.main" in names
+    assert span in names
