@@ -62,6 +62,8 @@ CASES: dict[str, tuple[str, ...]] = {
     ),
     "enclose_digamma": ("enclose", "digamma", "7/3"),
     "enclose_trigamma": ("--precision", "256", "enclose", "trigamma", "7/3"),
+    "enclose_digamma_p1024": ("--precision", "1024", "enclose", "digamma", "29/7"),
+    "enclose_trigamma_p1024": ("--precision", "1024", "enclose", "trigamma", "29/7"),
     "const_gamma": ("const", "gamma", "--tol", "1e-20"),
     "const_bstar": ("const", "bstar"),
     "const_digamma_zero": ("const", "digamma-zero", "--tol", "1e-12"),
@@ -69,10 +71,12 @@ CASES: dict[str, tuple[str, ...]] = {
     "const_pi_p128": ("--precision", "128", "const", "pi"),
     "series_product": ("series", "product", "--order", "8"),
     "series_product_o60": ("series", "product", "--order", "60"),
+    "series_product_o120": ("series", "product", "--order", "120"),
     # negative, non-integer m: the operands' common denominators are nontrivial
     "series_theta": ("series", "theta", "--order", "40", "--m=-7/5"),
     "series_digamma": ("series", "digamma", "--order", "12"),
     "series_trigamma": ("series", "trigamma", "--order", "12"),
+    "series_trigamma_o120": ("series", "trigamma", "--order", "120"),
     "bern": ("bern", "30"),
     "bern_200": ("bern", "200"),
 }
