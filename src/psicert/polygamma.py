@@ -12,7 +12,8 @@ the bits (see :func:`_shift_count`).  Both expansions are enveloping (Alzer,
 term and with that term's sign, so the value lies between the sum of all
 terms but the last and the sum of all of them (see :func:`_enveloped`).  The
 truncation is the shortest whose last term is below the target (see
-:func:`_truncation`); the Bernoulli table grows about as far as it stops.
+:func:`_truncation`); the Bernoulli table grows only as far as it stops,
+to the odd index after the last Bernoulli number it reads.
 Both work on integer numerators and denominators.  The kernels add ln, the
 window and the recurrence sum as integers over ``2**(bits + 64)``, the grid
 that expression nodes round onto (:data:`_GRID_BITS`), rounding the window
@@ -27,13 +28,14 @@ of an inequality that share ``psi(x+1)`` or ``psi'(x+1)`` compute it once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .elementary import ENCLOSURE_CACHE_SIZE, _floor_log2, _tolerance_bits, iv_exp, iv_ln, iv_pi
 from .interval import DomainError, Interval, _interval, _outward
-from .series import digamma_expansion, trigamma_expansion
+from .series import _grow_psi_terms, _psi_terms
 
 __all__ = [
     "batir_bstar_enclosure",
@@ -73,45 +75,6 @@ def _shift_count(x: Fraction, w: int) -> int:
     return max(0, math.ceil(3 * w // 25 + 3 - x))
 
 
-# power -> (order, terms): the longest expansion of psi(y+1) (power 1) and
-# of psi'(y+1) (power 2) built so far
-_EXPANSIONS: dict[int, tuple[int, tuple[tuple[int, Fraction], ...]]] = {}
-
-
-def _expansion_terms(power: int, order: int) -> tuple[tuple[int, Fraction], ...]:
-    """The terms of the expansion of psi(y+1) (power 1) or psi'(y+1) (power 2)
-    through at least ``order``.
-
-    They are the longest expansion built so far, of which every shorter one
-    is a prefix.  It is rebuilt, and the Bernoulli table grown, only when
-    ``order`` passes it.
-    """
-    built, terms = _EXPANSIONS.get(power, (0, ()))
-    if built < order:
-        terms = (digamma_expansion if power == 1 else trigamma_expansion)(order).coeffs
-        _EXPANSIONS[power] = order, terms
-    return terms
-
-
-def _last_index(y: Fraction, w: int) -> int:
-    """A floating-point estimate of the first ``m`` whose term is at most ``2**-w``.
-
-    It is the first ``m`` with ``ln 4 + ln (2m)! - 2m ln(2 pi y) <= -w ln
-    2``, by the bound on term ``m`` in :func:`_shift_count` (for ``y >=
-    1``), or the ``m`` past which that bound grows.  ``ln y`` comes from
-    ``y``'s numerator and denominator, which may overflow a float.
-    """
-    log_2piy = math.log(2 * math.pi) + math.log(y.numerator) - math.log(y.denominator)
-    target = -w * math.log(2) - math.log(4)
-    m, log_bound = 1, math.log(2) - 2 * log_2piy  # ln (2m)! - 2m ln(2 pi y) at m = 1
-    while log_bound > target:
-        step = math.log((2 * m + 1) * (2 * m + 2)) - 2 * log_2piy
-        if step >= 0:
-            break
-        m, log_bound = m + 1, log_bound + step
-    return m
-
-
 def _truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], ...]:
     """The shortest expansion of ``psi(y+1)`` or ``psi'(y+1)`` whose last term
     is at most ``2**-w`` at ``y``.
@@ -119,40 +82,36 @@ def _truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], 
     The candidate last terms are the Bernoulli terms ``y**-(2m)`` of psi and
     ``y**-(2m+1)`` of psi', for ``m = 1, 2, ...``, and the expansion that
     ends at one is the prefix of any longer expansion up to it.  So the
-    longest expansion built so far is scanned term by term.  When its terms
-    run out, it grows to the order of :func:`_last_index`'s estimate, or by
-    8 if it is already that long: each term is looked at once,
-    and the Bernoulli table grows about as far as the truncation stops.  A
-    term that does not shrink before it reaches ``2**-w`` raises
-    ``ArithmeticError``, so the loop is bounded; at the shifts of
-    :func:`_shift_count` it never does.  Both tests run on integers: with
-    ``y = a/b`` and ``c = n/d``, ``|c| / y**k <= 2**-w`` is ``|n| b**k 2**w
-    <= d a**k``, with the powers advanced from term to term.
+    terms list of :mod:`psicert.series` is scanned term by term, and grown
+    by one Bernoulli number only when the scan runs out: the Bernoulli table
+    grows only as far as the truncation stops.  A term that does not
+    shrink before it reaches ``2**-w`` raises ``ArithmeticError``, so the
+    loop is bounded; at the shifts of :func:`_shift_count` it never does.
+    Both tests run on integers: with ``y = a/b`` and ``c = n/d``, ``|c| /
+    y**k <= 2**-w`` is ``|n| b**k 2**w <= d a**k``, with the powers advanced
+    from term to term.
     """
     a, b = y.numerator, y.denominator
-    terms = _expansion_terms(power, power + 1)
-    scanned = 0
+    terms = _psi_terms(power, 0)  # the live list, grown below as the scan needs
     k_done, a_k, b_k = 0, 1, 1  # a**k_done, b**k_done
     previous = None
-    while True:
-        for i in range(scanned, len(terms)):
-            k, c = terms[i]
-            if k <= power:  # the 1/(2y) of psi and the 1/y, -1/(2y**2) of psi'
-                continue
-            a_step, b_step = a ** (k - k_done), b ** (k - k_done)
-            a_k, b_k, k_done = a_k * a_step, b_k * b_step, k
-            if abs(c.numerator) * b_k << w <= c.denominator * a_k:  # |c| / y**k <= 2**-w
-                return terms[: i + 1]
-            # the term does not shrink: |c| / |p| >= y**(k - j) for the term p / y**j before it
-            if previous is not None and (
-                abs(c.numerator) * previous.denominator * b_step
-                >= abs(previous.numerator) * c.denominator * a_step
-            ):
-                raise ArithmeticError(f"the expansion at y = {y} does not reach 2**-{w}")
-            previous = c
-        scanned = len(terms)
-        order = max(2 * _last_index(y, w) + power - 1, terms[-1][0] + 8)
-        terms = _expansion_terms(power, order)
+    for i in itertools.count():
+        if i == len(terms):
+            _grow_psi_terms()
+        k, c = terms[i]
+        if k <= power:  # the 1/(2y) of psi and the 1/y, -1/(2y**2) of psi'
+            continue
+        a_step, b_step = a ** (k - k_done), b ** (k - k_done)
+        a_k, b_k, k_done = a_k * a_step, b_k * b_step, k
+        if abs(c.numerator) * b_k << w <= c.denominator * a_k:  # |c| / y**k <= 2**-w
+            return tuple(terms[: i + 1])
+        # the term does not shrink: |c| / |p| >= y**(k - j) for the term p / y**j before it
+        if previous is not None and (
+            abs(c.numerator) * previous.denominator * b_step
+            >= abs(previous.numerator) * c.denominator * a_step
+        ):
+            raise ArithmeticError(f"the expansion at y = {y} does not reach 2**-{w}")
+        previous = c
 
 
 _SUM_GUARD_BITS = 4

@@ -6,8 +6,11 @@ rational coefficients, truncated at a known order ``K``: coefficients of
 carry nonnegative powers of ``x``, so polynomially growing prefactors fit
 in the same container.  Every operation tracks how far the result's
 coefficients remain fully determined and truncates there.  The Bernoulli
-numbers, the coefficients of the psi and psi' expansions, come from tangent
-numbers in one growing table (:class:`BernoulliTable`).
+numbers come from tangent numbers in one growing table
+(:class:`BernoulliTable`).  The terms of psi(x+1) are stated once, as
+``-B_k / (k x**k)``, in a list that grows one Bernoulli number at a time
+(:func:`_grow_psi_terms`); psi'(x+1) and ``psi'(x+1) exp(2 psi(x+1))`` are
+derived from them as derivatives.
 """
 
 from __future__ import annotations
@@ -269,8 +272,8 @@ def series_derivative(u: AsymptoticExpansion) -> AsymptoticExpansion:
 
 def reciprocal_shift_expansion(a: Fraction | int, order: int) -> AsymptoticExpansion:
     """Expansion of ``1 / (x + a)`` as ``sum_{k>=1} (-a)**(k-1) x**(-k)``."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    if order < 0:
+        raise ValueError("order must be at least 0")
     a = Fraction(a)
     coeffs: dict[int, Fraction] = {}
     power = Fraction(1)
@@ -280,23 +283,52 @@ def reciprocal_shift_expansion(a: Fraction | int, order: int) -> AsymptoticExpan
     return expansion(coeffs, order)
 
 
+# The nonzero terms (k, c), c x**-k, of psi(x+1) after its ln x and of
+# psi'(x+1), in increasing k, as far as they have been needed.  psi''s begin
+# with 1/x, the derivative of ln x.
+_DIGAMMA_TERMS: list[tuple[int, Fraction]] = []
+_TRIGAMMA_TERMS: list[tuple[int, Fraction]] = [(1, Fraction(1))]
+
+
+def _grow_psi_terms() -> None:
+    """Append the next term ``-B_k / (k x**k)`` of psi(x+1) to its list, and its
+    derivative ``B_k / x**(k+1)`` to psi''s.
+
+    With ``B_1 = -1/2`` the first is ``1/(2x)``; after it ``k`` runs over the
+    even numbers, one Bernoulli number a term.
+    """
+    k = max(1, 2 * len(_DIGAMMA_TERMS))
+    c = -_BERNOULLI[k] / k
+    _DIGAMMA_TERMS.append((k, c))
+    _TRIGAMMA_TERMS.append((k + 1, -k * c))
+
+
+def _psi_terms(power: int, order: int) -> list[tuple[int, Fraction]]:
+    """The list of terms of psi(x+1) after its ln x (power 1) or of psi'(x+1)
+    (power 2), grown until it holds every term through ``x**-order``.
+
+    The list is the live one, so it may run past ``order``.
+    """
+    while max(1, 2 * len(_DIGAMMA_TERMS)) + power - 1 <= order:  # the next term's k
+        _grow_psi_terms()
+    return _DIGAMMA_TERMS if power == 1 else _TRIGAMMA_TERMS
+
+
 def digamma_expansion(order: int) -> AsymptoticExpansion:
-    """Expansion of psi(x+1): ``ln x + 1/(2x) - sum B_k / (k x^k)``."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    b = bernoulli_numbers(order)
-    coeffs: dict[int, Fraction] = {1: Fraction(1, 2)}
-    for k in range(2, order + 1, 2):
-        coeffs[k] = -b[k] / k
-    return expansion(coeffs, order, log_coeff=1)
+    """Expansion of psi(x+1): ``ln x - sum_{k>=1} B_k / (k x^k)``, ``B_1 = -1/2``."""
+    if order < 0:
+        raise ValueError("order must be at least 0")
+    terms = _psi_terms(1, order)
+    return expansion([(k, c) for k, c in terms if k <= order], order, log_coeff=1)
 
 
 def trigamma_expansion(order: int) -> AsymptoticExpansion:
-    """Expansion of psi'(x+1): ``sum_{k>=1} B_{k-1} x**(-k)``."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    b = bernoulli_numbers(order - 1)
-    return expansion({k: b[k - 1] for k in range(1, order + 1)}, order)
+    """Expansion of psi'(x+1), the derivative of psi(x+1)'s:
+    ``sum_{k>=1} B_{k-1} x**(-k)``."""
+    if order < 0:
+        raise ValueError("order must be at least 0")
+    terms = _psi_terms(2, order)
+    return expansion([(k, c) for k, c in terms if k <= order], order)
 
 
 def theta_expansion(m: Fraction | int, order: int) -> AsymptoticExpansion:
@@ -305,28 +337,22 @@ def theta_expansion(m: Fraction | int, order: int) -> AsymptoticExpansion:
     if m == 0:
         raise ValueError("the parameter must be nonzero")
     grow = series_exp(series_scale(reciprocal_shift_expansion(1, order), m))
-    decay = series_exp(expansion({1: -m}, order))
+    decay = series_exp(series_scale(reciprocal_shift_expansion(0, order), -m))
     return series_scale(series_sub(grow, decay), Fraction(1, 2) / m)
 
 
 def trigamma_exp_digamma_expansion(order: int) -> AsymptoticExpansion:
     """Expansion of ``psi'(x+1) * exp(2 psi(x+1))``, sound through ``order``.
 
-    The factors are expanded two indices deeper so that the Cauchy product
-    is fully determined through the requested order: the exponential factor
-    grows like ``x**2``, which shifts its lowest index to ``-2``.
+    It is ``(1/2) d/dx exp(2 psi(x+1))``.  ``exp(2 psi(x+1))`` is ``x**2``
+    times the exponential of the rest of ``2 psi(x+1)``, so from psi's
+    expansion through ``order + 1`` it is known through ``order - 1``, and
+    its derivative through ``order``.
     """
     if order < -1:
         raise ValueError("order must be at least -1")
-    depth = order + 2
-    trig = trigamma_expansion(depth)
-    growth = series_exp(series_scale(digamma_expansion(depth), 2))
-    product = series_mul(trig, growth)
-    if product.order < order:
-        raise AssertionError("product order bookkeeping is inconsistent")
-    return expansion(
-        {k: c for k, c in product.coeffs if k <= order}, order, product.log_coeff
-    )
+    growth = series_exp(series_scale(digamma_expansion(order + 1), 2))
+    return series_scale(series_derivative(growth), Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

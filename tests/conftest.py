@@ -31,18 +31,18 @@ def clear_psicert_caches() -> None:
     """Empty every memo psicert keeps, so that the next call runs cold.
 
     That is every ``functools`` cache found on an attribute of a loaded
-    ``psicert`` module, the Bernoulli table, and the longest psi and psi'
-    expansions that :mod:`psicert.polygamma` keeps.
+    ``psicert`` module, the Bernoulli table, and the psi and psi' terms
+    lists that :mod:`psicert.series` grows with it.
     """
     for name, module in list(sys.modules.items()):
         if name == "psicert" or name.startswith("psicert."):
             for value in list(vars(module).values()):
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
-    from psicert import polygamma, series
+    from psicert import series
 
     series._BERNOULLI = series.BernoulliTable()
-    polygamma._EXPANSIONS.clear()
+    del series._DIGAMMA_TERMS[:], series._TRIGAMMA_TERMS[1:]  # psi' keeps its 1/x
 
 
 @pytest.fixture

@@ -90,6 +90,22 @@ class TestSeriesCommand:
             "ln(x) + 1/(2x) - 1/(12x^2) + 1/(120x^4) + O(x^-5)" in proc.stdout
         )
 
+    @pytest.mark.parametrize(
+        ("kind", "rendered"),
+        [
+            ("digamma", "ln(x) + O(x^-1)"),
+            ("trigamma", "0 + O(x^-1)"),
+            ("theta", "0 + O(x^-1)"),
+            ("product", "x + 1/2 + O(x^-1)"),
+        ],
+    )
+    def test_order_zero_prints_the_remainder(self, kind, rendered):
+        proc = run_cli("series", kind, "--order", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == rendered + "\n"
+        data, code = run_json("series", kind, "--order", "0")
+        assert code == 0 and data["order"] == 0
+
     def test_theta_accepts_rational_m(self):
         data, code = run_json("series", "theta", "--order", "5", "--m", "3/2")
         assert code == 0

@@ -15,6 +15,7 @@ from psicert import (
     digamma_enclosure,
     digamma_zero,
     euler_gamma_enclosure,
+    series,
     trigamma_enclosure,
 )
 from psicert.elementary import iv_exp
@@ -23,7 +24,6 @@ from psicert.polygamma import (
     _GUARD_BITS,
     _dyadic_cover,
     _enveloped,
-    _expansion_terms,
     _reciprocal_sum,
     _shift_count,
     _truncation,
@@ -248,12 +248,27 @@ class TestTruncation:
     @pytest.mark.parametrize("bits", [8, 9, 16, 31, 64, 65, 100, 128, 192, 256, 384, 509, 600])
     @pytest.mark.parametrize("power", [1, 2])
     def test_matches_per_order_search(self, power, bits):
-        """The doubling scan picks the same terms as building one expansion
+        """The term-by-term scan picks the same terms as building one expansion
         per candidate order, at the kernels' own shifts."""
         w = bits + _GUARD_BITS
         for x in (F(1), F(29, 7), F(1, 1000), F(10**6)):
             y = x + _shift_count(x, w) - 1
             assert _truncation(power, y, w) == _per_order_truncation(power, y, w), x
+
+    @pytest.mark.parametrize(
+        ("kernel", "power", "table_end"),
+        [(trigamma_enclosure, 2, 471), (digamma_enclosure, 1, 467)],
+        ids=["trigamma", "digamma"],
+    )
+    def test_bernoulli_table_grows_only_to_the_last_term(self, kernel, power, table_end, cold_caches):
+        """At 1024 bits psi'(29/7) stops at B_470 and psi(29/7) at B_466.  The
+        table grows in pairs, so it ends at the odd index after the last one."""
+        cold_caches()
+        x, w = F(29, 7), 1024 + _GUARD_BITS
+        kernel(x, 1024)
+        assert len(series._BERNOULLI._values) - 1 == table_end
+        k, _ = _truncation(power, x + _shift_count(x, w) - 1, w)[-1]
+        assert k - (power - 1) + 1 == table_end  # psi' holds B_{k-1} at x**-k
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_diverging_expansion_raises(self, power):
@@ -263,13 +278,14 @@ class TestTruncation:
 
 
 def _fraction_truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], ...]:
-    """``_truncation`` as it was in ``Fraction`` arithmetic: the same doubling
-    scan, each term's size ``|c| / y**k`` compared with ``2**-w`` and with
-    the size before it."""
+    """``_truncation`` as it was in ``Fraction`` arithmetic: the same scan, over
+    one expansion per doubling order, each term's size ``|c| / y**k`` compared
+    with ``2**-w`` and with the size before it."""
+    expansion = digamma_expansion if power == 1 else trigamma_expansion
     target = F(1, 1 << w)
     order, scanned, previous = power + 1, 0, None
     while True:
-        terms = _expansion_terms(power, order)
+        terms = expansion(order).coeffs
         for i in range(scanned, len(terms)):
             k, c = terms[i]
             if k <= power:

@@ -196,7 +196,8 @@ class TestNamedExpansions:
         }
 
     def test_trigamma_is_derivative_of_digamma(self):
-        assert series_derivative(digamma_expansion(10)) == trigamma_expansion(11)
+        for order in (*range(1, 121), 199):
+            assert trigamma_expansion(order) == series_derivative(digamma_expansion(order - 1)), order
 
     def test_theta_expansion_values(self):
         th1 = theta_expansion(1, 7)
@@ -209,6 +210,25 @@ class TestNamedExpansions:
         assert trigamma_expansion(7).coeff(5) - th1.coeff(5) == F(1, 24)
         assert th2.coeff(5) == trigamma_expansion(7).coeff(5)
         assert trigamma_expansion(7).coeff(7) - th2.coeff(7) == F(-1, 45)
+
+    def test_order_zero_is_the_part_that_does_not_decay(self):
+        assert format_expansion(digamma_expansion(0)) == "ln(x) + O(x^-1)"
+        assert format_expansion(trigamma_expansion(0)) == "0 + O(x^-1)"
+        assert format_expansion(theta_expansion(F(-7, 5), 0)) == "0 + O(x^-1)"
+        assert format_expansion(trigamma_exp_digamma_expansion(0)) == "x + 1/2 + O(x^-1)"
+        assert reciprocal_shift_expansion(3, 0) == expansion({}, 0)
+        for build in (digamma_expansion, trigamma_expansion, lambda n: reciprocal_shift_expansion(1, n)):
+            with pytest.raises(ValueError):
+                build(-1)
+
+    def test_product_is_the_cauchy_product_of_its_factors(self):
+        """The factors expanded two orders deeper, since exp(2 psi) grows like x**2."""
+        for order in (*range(-1, 61), 145):
+            depth = order + 2
+            growth = series_exp(series_scale(digamma_expansion(depth), 2))
+            product = series_mul(trigamma_expansion(depth), growth)
+            assert product.order == order
+            assert trigamma_exp_digamma_expansion(order) == product, order
 
     def test_product_expansion(self):
         e = trigamma_exp_digamma_expansion(6)
