@@ -24,7 +24,8 @@ Inside, every value is a pair of integer ends in ulps of a power of two,
 (see :func:`_snap`), the series sums, ``k ln 2`` and the outward rounding
 onto ``2**-(precision + ROUNDING_GUARD_BITS)``, the grid of
 :func:`~psicert.interval.round_outward`, which here is a shift.  Each
-public function builds one :class:`~psicert.interval.Interval`, on return.
+public function reads its argument's integer ends and returns its own in
+an :class:`~psicert.interval.Interval`, without building a ``Fraction``.
 
 Internal working precision is quantized to multiples of 64 bits.  Together
 with the nested rounding grids, this makes enclosure width weakly
@@ -42,13 +43,12 @@ costs little more than the lookup.
 
 from __future__ import annotations
 
-import math
 import sys
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
-from .interval import ROUNDING_GUARD_BITS, DomainError, Interval, _coerce, _interval, _outward
+from .interval import ROUNDING_GUARD_BITS, DomainError, Interval, _coerce, _outward
 
 __all__ = [
     "iv_exp",
@@ -98,12 +98,13 @@ def _image(
     enclosures at the ends of ``iv`` snapped outward onto ``2**-k``, rounded
     outward onto ``2**-(precision + ROUNDING_GUARD_BITS)`` by shifts: the
     cells :func:`~psicert.interval.round_outward` picks."""
-    lo_arg = _snap(iv.lo.numerator, iv.lo.denominator, k, up=False)
-    hi_arg = _snap(iv.hi.numerator, iv.hi.denominator, k, up=True)
+    lo, hi, d = iv._ends
+    lo_arg = _snap(lo, d, k, up=False)
+    hi_arg = _snap(hi, d, k, up=True)
     lo, _, w = lo_end = point(*lo_arg, work)
     _, hi, v = lo_end if lo_arg == hi_arg else point(*hi_arg, work)
     g = precision + ROUNDING_GUARD_BITS
-    return _interval(lo >> (w - g), -(-hi >> (v - g)), 1 << g)
+    return Interval._of(lo >> (w - g), -(-hi >> (v - g)), 1 << g)
 
 
 def _floor_log2(a: int, b: int) -> int:
@@ -178,9 +179,10 @@ def iv_exp(a: Interval | Fraction | int, work_precision: int) -> Interval:
     the endpoint images.
     """
     iv = _coerce(a)
+    _, hi, d = iv._ends
     # exp amplifies absolute perturbations by up to e**hi, so the input
     # snapping grid must be that much finer than the output precision.
-    amplification = 2 * max(0, math.ceil(iv.hi))
+    amplification = 2 * max(0, -(-hi // d))
     if amplification > sys.maxsize:  # the snapping shift must be a machine-size int
         raise ValueError(f"exp argument above {sys.maxsize // 2} is out of range")
     k = work_precision + 8 + amplification + ROUNDING_GUARD_BITS
@@ -238,7 +240,7 @@ def _ln2_quantized(work: int) -> tuple[int, int, int]:
 def ln2_enclosure(precision: int) -> Interval:
     """Enclosure of ln 2 with width at most 2**-precision."""
     lo, hi, w = _ln2_quantized(_quantized(precision + 8))
-    return _interval(lo, hi, 1 << w)
+    return Interval._of(lo, hi, 1 << w)
 
 
 def _ln_point(p: int, q: int, work: int) -> tuple[int, int, int]:
@@ -262,11 +264,12 @@ def _ln_point(p: int, q: int, work: int) -> tuple[int, int, int]:
 def iv_ln(a: Interval | Fraction | int, work_precision: int) -> Interval:
     """Enclosure of the image of ``ln`` over ``a``; requires ``a.lo > 0``."""
     iv = _coerce(a)
-    if iv.lo <= 0:
+    lo, _, d = iv._ends
+    if lo <= 0:
         raise DomainError(f"logarithm requires a strictly positive interval, got {iv}")
     # ln amplifies absolute perturbations by 1/lo, so scale the snapping
     # grid with the number of doublings separating lo from 1.
-    amplification = 2 * max(0, -_floor_log2(iv.lo.numerator, iv.lo.denominator))
+    amplification = 2 * max(0, -_floor_log2(lo, d))
     k = work_precision + 8 + amplification + ROUNDING_GUARD_BITS
     return _image(_ln_point, iv, k, _quantized(work_precision + 40), work_precision)
 
@@ -320,7 +323,7 @@ def _pi_quantized(work: int) -> Interval:
     lo5, hi5, w = _arctan_inverse(5, work + 8)
     lo239, hi239, _ = _arctan_inverse(239, work + 8)  # the same w
     g = work + ROUNDING_GUARD_BITS
-    return _interval(*_outward(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239, 1 << w, g), 1 << g)
+    return Interval._of(*_outward(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239, 1 << w, g), 1 << g)
 
 
 def iv_pi(work_precision: int) -> Interval:

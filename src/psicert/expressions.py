@@ -7,7 +7,9 @@ interval-valued throughout, so the result provably contains the true value
 of the expression; precision is controlled by an :class:`EvalContext`.
 
 A node evaluates to its ends ``(lo, hi, d)``: integers ``lo <= hi`` over
-one positive denominator ``d``, the interval ``[lo/d, hi/d]``.  ``Var``,
+one positive denominator ``d``, the interval ``[lo/d, hi/d]`` and what an
+:class:`~psicert.interval.Interval` holds; ``Add``, ``Mul``, ``Div`` (``n *
+d**-1``) and ``PowInt`` use ``Interval``'s end formulas.  ``Var``,
 ``Add``, ``Mul``, ``Div``, ``PowInt``, ``Digamma`` and ``Trigamma`` keep a
 short point exact: an exact result that is a single point ``a/b`` in lowest
 terms with ``b < 2**s`` and ``|a| < 2**(2s)``, where ``2**-s``, ``s = p +
@@ -29,8 +31,8 @@ a long ``x``, it keeps an end exact where rounding would reach or cross
 zero, so a domain check sees the sign of the caller's ``x``.  ``Const``,
 ``NamedConstant``, ``Neg`` and the three kernels' enclosures keep their own
 denominators, so a node over them rounds once, after an exact operation.
-``Fraction`` appears only at the boundaries, in the kernels' arguments and
-in the :class:`~psicert.interval.Interval` that :func:`evaluate` returns.
+The nodes pass and read the kernels' ends as they are; ``Fraction``
+appears only in the psi and psi' kernels' arguments.
 :func:`rational_function` lowers a rational tree exactly, without
 evaluating it.
 
@@ -44,7 +46,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .elementary import _snap, iv_exp, iv_ln, iv_pi, iv_sinh
-from .interval import DomainError, Frozen, Interval, _interval, _outward
+from .interval import DomainError, Frozen, Interval, _add_ends, _mul_ends, _outward, _pow_ends
 from .polycert import RationalFunction
 from .polygamma import (
     _GRID_BITS,
@@ -117,12 +119,6 @@ def _is_short(a: int, b: int, at: _Point) -> bool:
     return b < at.one and a.bit_length() <= 2 * at.s
 
 
-def _exact(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """``[lo, hi]`` as node ends, over the product of the two denominators."""
-    a, b = lo.denominator, hi.denominator
-    return lo.numerator * b, hi.numerator * a, a * b
-
-
 def _rounded(lo: int, hi: int, d: int, at: _Point) -> tuple[int, int, int]:
     """``[lo/d, hi/d]`` kept exact if it is a short point, in lowest terms,
     and rounded outward onto the node grid if not."""
@@ -132,12 +128,6 @@ def _rounded(lo: int, hi: int, d: int, at: _Point) -> tuple[int, int, int]:
         if _is_short(a, b, at):
             return a, a, b
     return (*_outward(lo, hi, d, at.s), at.one)
-
-
-def _image(kernel: Callable[[Interval, int], Interval], arg: "Expr", at: _Point) -> tuple[int, int, int]:
-    """The ends of ``kernel``'s enclosure over ``arg``."""
-    iv = kernel(_interval(*arg._eval(at)), at.bits)
-    return _exact(iv.lo, iv.hi)
 
 
 class Expr(Frozen):
@@ -211,11 +201,7 @@ class Add(Expr):
     right: Expr
 
     def _eval(self, at: _Point) -> tuple[int, int, int]:
-        alo, ahi, ad = self.left._eval(at)
-        blo, bhi, bd = self.right._eval(at)
-        if ad == bd:
-            return _rounded(alo + blo, ahi + bhi, ad, at)
-        return _rounded(alo * bd + blo * ad, ahi * bd + bhi * ad, ad * bd, at)
+        return _rounded(*_add_ends(self.left._eval(at), self.right._eval(at)), at)
 
 
 class Mul(Expr):
@@ -224,10 +210,7 @@ class Mul(Expr):
     right: Expr
 
     def _eval(self, at: _Point) -> tuple[int, int, int]:
-        alo, ahi, ad = self.left._eval(at)
-        blo, bhi, bd = self.right._eval(at)
-        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-        return _rounded(min(products), max(products), ad * bd, at)
+        return _rounded(*_mul_ends(self.left._eval(at), self.right._eval(at)), at)
 
 
 class Div(Expr):
@@ -236,21 +219,8 @@ class Div(Expr):
     den: Expr
 
     def _eval(self, at: _Point) -> tuple[int, int, int]:
-        nlo, nhi, nd = self.num._eval(at)
-        dlo, dhi, dd = self.den._eval(at)
-        if dlo <= 0 <= dhi:
-            raise DomainError(f"division by an interval containing zero: {_interval(dlo, dhi, dd)}")
-        if dhi < 0:  # n/d = (-n)/(-d): the divisor's sign moves into the numerator
-            nlo, nhi, dlo, dhi = -nhi, -nlo, -dhi, -dlo
-        if nd != dd:  # over one denominator, the quotient is nlo/dlo and so on
-            nlo, nhi, dlo, dhi = nlo * dd, nhi * dd, dlo * nd, dhi * nd
-        if nlo == nhi and dlo == dhi:
-            return _rounded(nlo, nlo, dlo, at)
-        # a positive divisor: each end divides by the divisor end that takes it furthest out
-        lo_den = dhi if nlo >= 0 else dlo
-        hi_den = dlo if nhi >= 0 else dhi
-        s = at.s
-        return (nlo << s) // lo_den, -((-nhi << s) // hi_den), at.one
+        num = self.num._eval(at)  # n * d**-1, evaluated in the order n, d
+        return _rounded(*_mul_ends(num, _pow_ends(self.den._eval(at), -1)), at)
 
 
 class Neg(Expr):
@@ -276,18 +246,7 @@ class PowInt(Expr):
         super().__init__(base, exponent)
 
     def _eval(self, at: _Point) -> tuple[int, int, int]:
-        lo, hi, d = self.base._eval(at)
-        e = self.exponent
-        if e == 0:
-            return at.one, at.one, at.one
-        if e < 0:  # [lo/d, hi/d]**-1 = [d/hi, d/lo] = [d lo, d hi] / (lo hi)
-            if lo <= 0 <= hi:
-                raise DomainError(f"division by an interval containing zero: {_interval(lo, hi, d)}")
-            lo, hi, d, e = d * lo, d * hi, lo * hi, -e
-        a, b = lo**e, hi**e
-        if e % 2 == 0 and lo < 0:
-            a, b = (b, a) if hi <= 0 else (0, max(a, b))
-        return _rounded(a, b, d**e, at)
+        return _rounded(*_pow_ends(self.base._eval(at), self.exponent), at)
 
 
 class Exp(Expr):
@@ -295,7 +254,7 @@ class Exp(Expr):
     arg: Expr
 
     def _eval(self, at: _Point) -> tuple[int, int, int]:
-        return _image(iv_exp, self.arg, at)
+        return iv_exp(Interval._of(*self.arg._eval(at)), at.bits)._ends
 
 
 class Ln(Expr):
@@ -303,7 +262,7 @@ class Ln(Expr):
     arg: Expr
 
     def _eval(self, at: _Point) -> tuple[int, int, int]:
-        return _image(iv_ln, self.arg, at)
+        return iv_ln(Interval._of(*self.arg._eval(at)), at.bits)._ends
 
 
 class Sinh(Expr):
@@ -311,7 +270,7 @@ class Sinh(Expr):
     arg: Expr
 
     def _eval(self, at: _Point) -> tuple[int, int, int]:
-        return _image(iv_sinh, self.arg, at)
+        return iv_sinh(Interval._of(*self.arg._eval(at)), at.bits)._ends
 
 
 class Digamma(Expr):
@@ -323,10 +282,10 @@ class Digamma(Expr):
     def _eval(self, at: _Point) -> tuple[int, int, int]:
         lo, hi, d = self.arg._eval(at)
         if lo <= 0:
-            raise DomainError(f"digamma argument must be positive, got {_interval(lo, hi, d)}")
-        lo_end = digamma_enclosure(Fraction(lo, d), at.bits)
-        hi_end = lo_end if lo == hi else digamma_enclosure(Fraction(hi, d), at.bits)
-        return _rounded(*_exact(lo_end.lo, hi_end.hi), at)
+            raise DomainError(f"digamma argument must be positive, got {Interval._of(lo, hi, d)}")
+        lo_end = digamma_enclosure(Fraction(lo, d), at.bits)._ends
+        hi_end = lo_end if lo == hi else digamma_enclosure(Fraction(hi, d), at.bits)._ends
+        return _rounded(lo_end[0], hi_end[1], lo_end[2], at)  # both over 2**s
 
 
 class Trigamma(Expr):
@@ -338,10 +297,10 @@ class Trigamma(Expr):
     def _eval(self, at: _Point) -> tuple[int, int, int]:
         lo, hi, d = self.arg._eval(at)
         if lo <= 0:
-            raise DomainError(f"trigamma argument must be positive, got {_interval(lo, hi, d)}")
-        hi_end = trigamma_enclosure(Fraction(lo, d), at.bits)
-        lo_end = hi_end if lo == hi else trigamma_enclosure(Fraction(hi, d), at.bits)
-        return _rounded(*_exact(lo_end.lo, hi_end.hi), at)
+            raise DomainError(f"trigamma argument must be positive, got {Interval._of(lo, hi, d)}")
+        hi_end = trigamma_enclosure(Fraction(lo, d), at.bits)._ends
+        lo_end = hi_end if lo == hi else trigamma_enclosure(Fraction(hi, d), at.bits)._ends
+        return _rounded(lo_end[0], hi_end[1], lo_end[2], at)  # both over 2**s
 
 
 # name -> enclosure at the work precision; each lambda looks its kernel up
@@ -369,14 +328,13 @@ class NamedConstant(Expr):
         super().__init__(name)
 
     def _eval(self, at: _Point) -> tuple[int, int, int]:
-        iv = _CONSTANTS[self.name](at.bits)
-        return _exact(iv.lo, iv.hi)
+        return _CONSTANTS[self.name](at.bits)._ends
 
 
 def evaluate(expr: Expr, x: Fraction | int, ctx: EvalContext | None = None) -> Interval:
     """Certified enclosure of ``expr`` at the exact rational point ``x``."""
     bits = (ctx if ctx is not None else EvalContext()).work_precision
-    return _interval(*expr._eval(_Point(Fraction(x), bits)))
+    return Interval._of(*expr._eval(_Point(Fraction(x), bits)))
 
 
 def rational_function(expr: Expr) -> RationalFunction:

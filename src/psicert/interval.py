@@ -5,16 +5,19 @@ as a closed interval with rational endpoints.  All operations are *outward*:
 a result interval always contains the true image of its inputs, so a strict
 comparison between two disjoint intervals is a proof about the underlying
 real numbers.  Field operations on :class:`Interval` are exact.  Rounding
-may widen but never shrink an interval.  :func:`round_outward` rounds an
-``Interval`` onto the dyadic grid of a precision; the kernels in
-:mod:`psicert.elementary` and :mod:`psicert.polygamma` and the nodes of
-:mod:`psicert.expressions` pick the same cells on integer ends of their
-own (see :func:`_outward`), which keeps endpoint sizes bounded by the
-working precision, and build an ``Interval`` only for their results.
+may widen but never shrink an interval.  An :class:`Interval` holds integer
+ends ``(lo, hi, d)`` over one positive denominator, the form in which the
+kernels of :mod:`psicert.elementary` and :mod:`psicert.polygamma` compute
+and the nodes of :mod:`psicert.expressions` evaluate, and the nodes share
+``Interval``'s end formulas (:func:`_add_ends`, :func:`_mul_ends`,
+:func:`_pow_ends`).  :func:`round_outward` and the kernels and nodes round
+onto dyadic grids with :func:`_outward`, which keeps endpoint sizes bounded
+by the working precision.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -68,6 +71,8 @@ class Frozen:
     deleting an attribute raises ``AttributeError``.  A subclass with rules
     of its own (coercion, validation, a default or a derived field) writes
     an ``__init__`` that passes the final values on to ``Frozen.__init__``.
+    A subclass that stores its fields in another form declares ``_fields``
+    and gives them as properties, as :class:`Interval` does.
 
     psicert does not use ``dataclasses``: every CLI call is a fresh
     interpreter, and importing ``dataclasses`` (with ``inspect``) and
@@ -84,7 +89,7 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         if "__slots__" not in cls.__dict__:
             raise TypeError(f"{cls.__name__} must declare its fields in __slots__")
-        cls._fields = tuple(
+        cls._fields = cls.__dict__.get("_fields") or tuple(
             name for klass in reversed(cls.__mro__) for name in klass.__dict__.get("__slots__", ())
         )
         if "__match_args__" not in cls.__dict__:
@@ -128,26 +133,46 @@ class Frozen:
 
 
 class Interval(Frozen):
-    """A closed interval ``[lo, hi]`` with exact rational endpoints."""
+    """A closed interval ``[lo, hi]`` with exact rational endpoints, held as
+    integer ends ``(lo, hi, d)``, ``d > 0``; ``lo`` and ``hi`` are built when
+    read.  Any ``d`` can hold a value: equality cross-multiplies the ends and
+    the hash is that of ``(lo, hi)``, so all of them are equal and hash alike."""
 
-    __slots__ = ("lo", "hi")
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("_ends",)
+    _fields = ("lo", "hi")
+    _ends: tuple[int, int, int]
 
     def __init__(self, lo: Fraction | int | str, hi: Fraction | int | str) -> None:
         lo, hi = _as_fraction(lo), _as_fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-        # the hot constructor: set the two fields without Frozen.__init__'s matching
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        a, b = lo.denominator, hi.denominator
+        d = math.lcm(a, b)
+        object.__setattr__(self, "_ends", (lo.numerator * (d // a), hi.numerator * (d // b), d))
+
+    @classmethod
+    def _of(cls, lo: int, hi: int, d: int) -> "Interval":
+        """``[lo/d, hi/d]`` from integers ``lo <= hi`` and ``d > 0``, unchecked."""
+        iv = object.__new__(cls)
+        object.__setattr__(iv, "_ends", (lo, hi, d))
+        return iv
 
     @classmethod
     def point(cls, value: Fraction | int | str) -> "Interval":
         q = _as_fraction(value)
-        return cls(q, q)
+        return cls._of(q.numerator, q.numerator, q.denominator)
 
     # -- inspection ---------------------------------------------------------
+
+    @property
+    def lo(self) -> Fraction:
+        lo, _, d = self._ends
+        return Fraction(lo, d)
+
+    @property
+    def hi(self) -> Fraction:
+        _, hi, d = self._ends
+        return Fraction(hi, d)
 
     @property
     def width(self) -> Fraction:
@@ -170,31 +195,42 @@ class Interval(Frozen):
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        alo, ahi, ad = self._ends
+        blo, bhi, bd = other._ends  # type: ignore[attr-defined]
+        return alo * bd == blo * ad and ahi * bd == bhi * ad
+
+    __hash__ = Frozen.__hash__  # defining __eq__ drops it; hash((lo, hi)) over the Fractions
+
     # -- certified order predicates ------------------------------------------
 
     def strictly_less(self, other: "Interval") -> bool:
         """True only if every point of ``self`` is below every point of ``other``."""
-        return self.hi < other.lo
+        _, hi, d = self._ends
+        lo, _, e = other._ends
+        return hi * e < lo * d
 
     def strictly_greater(self, other: "Interval") -> bool:
-        return self.lo > other.hi
+        return other.strictly_less(self)
 
     def strictly_positive(self) -> bool:
-        return self.lo > 0
+        return self._ends[0] > 0
 
     def strictly_negative(self) -> bool:
-        return self.hi < 0
+        return self._ends[1] < 0
 
     # -- exact field arithmetic ----------------------------------------------
 
     def __add__(self, other: "Interval | Fraction | int") -> "Interval":
-        o = _coerce(other)
-        return Interval(self.lo + o.lo, self.hi + o.hi)
+        return Interval._of(*_add_ends(self._ends, _coerce(other)._ends))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        lo, hi, d = self._ends
+        return Interval._of(-hi, -lo, d)
 
     def __sub__(self, other: "Interval | Fraction | int") -> "Interval":
         return self + (-_coerce(other))
@@ -203,22 +239,12 @@ class Interval(Frozen):
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "Interval | Fraction | int") -> "Interval":
-        o = _coerce(other)
-        products = (
-            self.lo * o.lo,
-            self.lo * o.hi,
-            self.hi * o.lo,
-            self.hi * o.hi,
-        )
-        return Interval(min(products), max(products))
+        return Interval._of(*_mul_ends(self._ends, _coerce(other)._ends))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Interval | Fraction | int") -> "Interval":
-        o = _coerce(other)
-        if o.lo <= 0 <= o.hi:
-            raise DomainError(f"division by an interval containing zero: {o}")
-        return self * Interval(1 / o.hi, 1 / o.lo)
+        return self * _coerce(other) ** -1
 
     def __rtruediv__(self, other: "Interval | Fraction | int") -> "Interval":
         return _coerce(other) / self
@@ -226,20 +252,43 @@ class Interval(Frozen):
     def __pow__(self, exponent: int) -> "Interval":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return (Interval.point(1) / self) ** (-exponent)
-        if exponent == 0:
-            return Interval.point(1)
-        a, b = self.lo**exponent, self.hi**exponent
-        if exponent % 2 == 1 or self.lo >= 0:
-            return Interval(a, b)
-        if self.hi <= 0:
-            return Interval(b, a)
-        # even power of an interval straddling zero
-        return Interval(Fraction(0), max(a, b))
+        return Interval._of(*_pow_ends(self._ends, exponent))
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+def _add_ends(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The ends of the sum of two intervals given by their ends."""
+    alo, ahi, ad = a
+    blo, bhi, bd = b
+    if ad == bd:
+        return alo + blo, ahi + bhi, ad
+    return alo * bd + blo * ad, ahi * bd + bhi * ad, ad * bd
+
+
+def _mul_ends(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The ends of the product: the least and the greatest of the four end products."""
+    alo, ahi, ad = a
+    blo, bhi, bd = b
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return min(products), max(products), ad * bd
+
+
+def _pow_ends(ends: tuple[int, int, int], e: int) -> tuple[int, int, int]:
+    """The ends of the ``e``-th power for an integer ``e``; for ``e < 0``,
+    of the reciprocal's ``-e``-th power, over an interval without zero."""
+    lo, hi, d = ends
+    if e == 0:
+        return 1, 1, 1
+    if e < 0:  # [lo/d, hi/d]**-1 = [d/hi, d/lo] = [d lo, d hi] / (lo hi), with lo hi > 0
+        if lo <= 0 <= hi:
+            raise DomainError(f"division by an interval containing zero: {Interval._of(lo, hi, d)}")
+        lo, hi, d, e = d * lo, d * hi, lo * hi, -e
+    a, b = lo**e, hi**e
+    if e % 2 == 0 and lo < 0:
+        a, b = (b, a) if hi <= 0 else (0, max(a, b))
+    return a, b, d**e
 
 
 def _coerce(value: "Interval | Fraction | int | str") -> Interval:
@@ -289,25 +338,17 @@ def round_outward(iv: Interval, precision: int) -> Interval:
     ``2^(precision + ROUNDING_GUARD_BITS)``, which keeps endpoint bit-size
     bounded across long computations.  Grids for increasing precision are
     nested, so re-rounding at higher precision never loses containment.
-    An endpoint already on the grid is returned as it is; the others are
-    floor and ceiling quotients of integers, ``(n << s) // d``.
+    An interval whose denominator divides ``2^s``, ``s = precision +
+    ROUNDING_GUARD_BITS``, is on the grid and is returned as it is; the
+    others get the floor and the ceiling of :func:`_outward`.
     """
     if precision < 0:
         raise ValueError("precision must be nonnegative")
     shift = precision + ROUNDING_GUARD_BITS
-    lo, hi = iv.lo, iv.hi
-    if not _on_grid(lo, shift):
-        lo = Fraction((lo.numerator << shift) // lo.denominator, 1 << shift)
-    if not _on_grid(hi, shift):
-        hi = Fraction(-((-hi.numerator << shift) // hi.denominator), 1 << shift)
-    if lo is iv.lo and hi is iv.hi:
+    lo, hi, d = iv._ends
+    if d & (d - 1) == 0 and d.bit_length() <= shift + 1:
         return iv
-    return Interval(lo, hi)
-
-
-def _interval(lo: int, hi: int, d: int) -> Interval:
-    """``[lo/d, hi/d]`` from integer ends over one positive denominator ``d``."""
-    return Interval(Fraction(lo, d), Fraction(hi, d))
+    return Interval._of(*_outward(lo, hi, d, shift), 1 << shift)
 
 
 def _outward(lo: int, hi: int, d: int, s: int) -> tuple[int, int]:
@@ -320,9 +361,3 @@ def _outward(lo: int, hi: int, d: int, s: int) -> tuple[int, int]:
     if shift < 0:
         return lo << -shift, hi << -shift
     return lo >> shift, -(-hi >> shift)
-
-
-def _on_grid(q: Fraction, shift: int) -> bool:
-    """Whether ``q`` is a multiple of ``2^-shift``: its denominator is ``2^j``, ``j <= shift``."""
-    d = q.denominator
-    return d & (d - 1) == 0 and d.bit_length() <= shift + 1

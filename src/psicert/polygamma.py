@@ -14,11 +14,11 @@ terms but the last and the sum of all of them (see :func:`_enveloped`).  The
 truncation is the shortest whose last term is below the target (see
 :func:`_truncation`); the Bernoulli table grows only as far as it stops,
 to the odd index after the last Bernoulli number it reads.
-Both work on integer numerators and denominators.  The kernels add ln, the
-window and the recurrence sum as integers over ``2**(bits + 64)``, the grid
-that expression nodes round onto (:data:`_GRID_BITS`), rounding the window
-outward, so their ends are the floor and the ceiling of the exact sum on
-that grid; ``Fraction`` is built only for the result.
+Both work on integer numerators and denominators.  The kernels add ln's
+ends, the window and the recurrence sum as integers over ``2**(bits + 64)``,
+the grid that expression nodes round onto (:data:`_GRID_BITS`), rounding the
+window outward, so their ends are the floor and the ceiling of the exact sum
+on that grid; an ``Interval`` holds those integers as they are.
 
 :func:`digamma_enclosure` and :func:`trigamma_enclosure` are memoised per
 argument and per bit target in a bounded LRU cache (see
@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .elementary import ENCLOSURE_CACHE_SIZE, _floor_log2, _tolerance_bits, iv_exp, iv_ln, iv_pi
-from .interval import DomainError, Interval, _interval, _outward
+from .interval import DomainError, Interval, _outward
 from .series import _grow_psi_terms, _psi_terms
 
 __all__ = [
@@ -157,11 +157,6 @@ def _reciprocal_sum(x: Fraction, n: int, power: int, bits: int) -> tuple[int, in
     return total, total + n, w
 
 
-def _scaled(q: Fraction, s: int) -> int:
-    """The numerator over ``2**s`` of ``q``, a multiple of ``2**-s``."""
-    return q.numerator << (s + 1 - q.denominator.bit_length())
-
-
 @lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def digamma_enclosure(x: Fraction | int, bits: int = 64) -> Interval:
     """Enclosure of ``psi(x)`` for rational ``x > 0``, of width at most ``2**-bits``.
@@ -187,11 +182,12 @@ def digamma_enclosure(x: Fraction | int, bits: int = 64) -> Interval:
     y = x + n - 1  # psi(x) = psi(y + 1) - sum_{k=0}^{n-1} 1/(x + k)
     s = bits + _GRID_BITS
     lo, hi = _outward(*_enveloped(_truncation(1, y, w), y), s)
-    ln = iv_ln(y, w)
+    ln_lo, ln_hi, ln_d = iv_ln(y, w)._ends
+    up = s + 1 - ln_d.bit_length()  # from ln's grid, 2**-(bits + 34), to 2**-s
     sum_lo, sum_hi, v = _reciprocal_sum(x, n, 1, w)
-    lo += _scaled(ln.lo, s) - (sum_hi << (s - v))
-    hi += _scaled(ln.hi, s) - (sum_lo << (s - v))
-    return _interval(lo, hi, 1 << s)
+    lo += (ln_lo << up) - (sum_hi << (s - v))
+    hi += (ln_hi << up) - (sum_lo << (s - v))
+    return Interval._of(lo, hi, 1 << s)
 
 
 @lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
@@ -211,7 +207,7 @@ def trigamma_enclosure(x: Fraction | int, bits: int = 64) -> Interval:
     s = bits + _GRID_BITS
     lo, hi = _outward(*_enveloped(_truncation(2, y, w), y), s)
     sum_lo, sum_hi, v = _reciprocal_sum(x, n, 2, w)
-    return _interval(lo + (sum_lo << (s - v)), hi + (sum_hi << (s - v)), 1 << s)
+    return Interval._of(lo + (sum_lo << (s - v)), hi + (sum_hi << (s - v)), 1 << s)
 
 
 def euler_gamma_enclosure(bits: int = 64) -> Interval:

@@ -454,9 +454,9 @@ def _validated_grid(e: InequalityEntry, grid: list[Fraction]) -> list[Fraction]:
 
 
 def _separation(lhs: Interval, rhs: Interval, strict: bool) -> str | None:
-    if lhs.hi < rhs.lo or (not strict and lhs.hi == rhs.lo):
+    if lhs.strictly_less(rhs) or (not strict and lhs.hi == rhs.lo):
         return "holds"
-    if lhs.lo > rhs.hi or (strict and lhs.lo == rhs.hi):
+    if lhs.strictly_greater(rhs) or (strict and lhs.lo == rhs.hi):
         return "violated"
     return None
 
@@ -671,7 +671,7 @@ def certify_symbolic(entry_id: str) -> CertReport:
 def _window_membership(value: Interval, window: Interval) -> str | None:
     if window.encloses(value):
         return "in"
-    if value.hi < window.lo or value.lo > window.hi:
+    if value.strictly_less(window) or value.strictly_greater(window):
         return "out"
     return None
 

@@ -174,18 +174,67 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_expressions.py::TestIntegerNodes",),
     ),
     Mutant(
-        "div-sign-flip-dropped",
-        EXPRESSIONS,
-        "if dhi < 0:  # n/d = (-n)/(-d)",
-        "if False:  # n/d = (-n)/(-d)",
-        ("tests/test_expressions.py::TestIntegerNodes",),
-    ),
-    Mutant(
         "round-outward-half-step-taken-as-on-grid",
         INTERVAL,
-        "return d & (d - 1) == 0 and d.bit_length() <= shift + 1",
-        "return d & (d - 1) == 0 and d.bit_length() <= shift + 2",
+        "if d & (d - 1) == 0 and d.bit_length() <= shift + 1:",
+        "if d & (d - 1) == 0 and d.bit_length() <= shift + 2:",
         ("tests/test_interval.py::TestOutwardRounding::test_endpoints_on_the_grid_are_returned_as_they_are",),
+    ),
+    Mutant(
+        "digamma-ln-shift-off-by-one",
+        POLYGAMMA,
+        "up = s + 1 - ln_d.bit_length()",
+        "up = s - ln_d.bit_length()",
+        ("tests/test_polygamma.py::TestDigamma::test_against_oracle",),
+    ),
+    # the end formulas that Interval and the expression nodes share
+    Mutant(
+        "reciprocal-negative-divisor-sign-lost",
+        INTERVAL,
+        "lo, hi, d, e = d * lo, d * hi, lo * hi, -e",
+        "lo, hi, d, e = d * lo, d * hi, abs(lo) * hi, -e",
+        (
+            "tests/test_interval.py::TestArithmeticAgainstFractions::test_binary_operations",
+            "tests/test_expressions.py::TestIntegerNodes",
+        ),
+    ),
+    Mutant(
+        "pow-even-straddle-lower-end-not-zero",
+        INTERVAL,
+        "a, b = (b, a) if hi <= 0 else (0, max(a, b))",
+        "a, b = (b, a) if hi <= 0 else (min(a, b), max(a, b))",
+        ("tests/test_interval.py::TestFieldOps::test_integer_powers",),
+    ),
+    Mutant(
+        "pow-reciprocal-zero-check-dropped",
+        INTERVAL,
+        "        if lo <= 0 <= hi:\n            raise DomainError(",
+        "        if False:\n            raise DomainError(",
+        ("tests/test_interval.py::TestFieldOps::test_negative_power_through_zero_rejected",),
+    ),
+    Mutant(
+        "mul-ends-first-product-as-lower",
+        INTERVAL,
+        "return min(products), max(products), ad * bd",
+        "return products[0], max(products), ad * bd",
+        ("tests/test_interval.py::TestFieldOps::test_multiplication_sign_cases",),
+    ),
+    Mutant(
+        "strictly-less-not-strict",
+        INTERVAL,
+        "return hi * e < lo * d",
+        "return hi * e <= lo * d",
+        ("tests/test_interval.py::TestPredicates::test_strict_order",),
+    ),
+    Mutant(
+        "eq-lower-ends-only",
+        INTERVAL,
+        "return alo * bd == blo * ad and ahi * bd == bhi * ad",
+        "return alo * bd == blo * ad",
+        (
+            "tests/test_frozen.py::test_other_fields_are_unequal",
+            "tests/test_interval.py::TestRepresentation::test_unequal_values_compare_unequal",
+        ),
     ),
 )
 

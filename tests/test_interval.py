@@ -13,6 +13,7 @@ from psicert import (
     Interval,
     ROUNDING_GUARD_BITS,
     iv_arith,
+    iv_exp,
     parse_rational,
     round_outward,
 )
@@ -189,10 +190,135 @@ class TestOutwardRounding:
         assert round_outward(on_grid, 0) is on_grid
         half = iv("-3/4", "1/3")
         rounded = round_outward(half, 0)
-        assert rounded.lo is half.lo
+        assert rounded.lo == half.lo
         assert rounded.hi > half.hi
         finer = F(1, 2 ** (ROUNDING_GUARD_BITS + 1))  # one bit below the grid
         assert round_outward(iv(finer, finer), 0) == iv(0, F(1, 2**ROUNDING_GUARD_BITS))
+
+
+def _scaled(a: Interval, k: int) -> Interval:
+    """``a`` held over ``k`` times its least common denominator."""
+    lo, hi, d = Interval(a.lo, a.hi)._ends
+    return Interval._of(k * lo, k * hi, k * d)
+
+
+scales = st.integers(min_value=1, max_value=10**6)
+
+
+class TestRepresentation:
+    """An ``Interval`` holds integer ends over one denominator; any multiple
+    of them is the same value, with the same hash, ``repr`` and ``str``."""
+
+    @given(intervals(), scales)
+    def test_scaled_ends_are_the_same_value(self, a, k):
+        scaled = _scaled(a, k)
+        assert scaled == a and a == scaled and not scaled != a
+        assert (scaled.lo, scaled.hi) == (a.lo, a.hi)
+        assert hash(scaled) == hash(a) == hash((a.lo, a.hi))
+        assert repr(scaled) == repr(a)
+        assert str(scaled) == str(a)
+
+    def test_constructor_uses_the_least_common_denominator(self):
+        assert Interval(F(-3, 4), F(1, 6))._ends == (-9, 2, 12)
+        assert Interval.point(F(2, 4))._ends == (1, 1, 2)
+
+    @given(intervals(), intervals(), scales, scales)
+    def test_unequal_values_compare_unequal(self, a, b, j, k):
+        same = (a.lo, a.hi) == (b.lo, b.hi)
+        assert (_scaled(a, j) == _scaled(b, k)) is same
+        lo, _, d = a._ends
+        assert (Interval._of(lo, lo, d) == a) is a.is_point  # the upper ends count too
+
+    @given(intervals(), intervals(), scales, scales)
+    def test_strict_order_matches_the_fraction_ends(self, a, b, j, k):
+        x, y = _scaled(a, j), _scaled(b, k)
+        assert x.strictly_less(y) is (a.hi < b.lo)
+        assert x.strictly_greater(y) is (a.lo > b.hi)
+        assert x.strictly_positive() is (a.lo > 0)
+        assert x.strictly_negative() is (a.hi < 0)
+
+    def test_distinct_points_do_not_share_a_hash(self):
+        # hash(-1) == hash(-2) in CPython: a hash of the integer ends would merge these
+        assert hash(Interval.point(F(-1, 3))) != hash(Interval.point(F(-2, 3)))
+
+    def test_two_representations_share_one_exp_cache_entry(self, cold_caches):
+        cold_caches()
+        first = iv_exp(Interval._of(-1, -1, 3), 128)
+        assert iv_exp(Interval._of(-2, -2, 6), 128) is first
+        assert iv_exp(Interval._of(-2, -2, 3), 128) != first
+        info = iv_exp.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+
+def _reference(op: str, a: tuple[F, F], b: "tuple[F, F] | int") -> tuple[F, F]:
+    """``op`` on ``Fraction`` ends by the formulas ``Interval`` used before it
+    held integer ends; ``b`` is the exponent for ``pow``."""
+    (alo, ahi) = a
+    if op == "add":
+        return alo + b[0], ahi + b[1]
+    if op == "mul":
+        products = (alo * b[0], alo * b[1], ahi * b[0], ahi * b[1])
+        return min(products), max(products)
+    if op == "div":
+        if b[0] <= 0 <= b[1]:
+            raise DomainError(f"division by an interval containing zero: [{b[0]}, {b[1]}]")
+        return _reference("mul", a, (1 / b[1], 1 / b[0]))
+    if b < 0:
+        return _reference("pow", _reference("div", (F(1), F(1)), a), -b)
+    if b == 0:
+        return F(1), F(1)
+    lo, hi = alo**b, ahi**b
+    if b % 2 == 1 or alo >= 0:
+        return lo, hi
+    if ahi <= 0:
+        return hi, lo
+    return F(0), max(lo, hi)  # an even power of an interval straddling zero
+
+
+# ends that straddle zero, lie below it or touch it, as well as positive ones
+signed = st.one_of(
+    intervals(),
+    st.tuples(rationals, rationals).map(lambda t: Interval(-abs(t[0]) - abs(t[1]), -abs(t[0]))),
+    st.sampled_from([Interval(-2, 3), Interval(-3, 0), Interval(0, 2), Interval(0, 0), Interval(-1, 1)]),
+)
+
+
+class TestArithmeticAgainstFractions:
+    """The shared end formulas give the ``Fraction`` formulas' values, on any
+    representation of the operands."""
+
+    @given(signed, signed, st.sampled_from(["add", "sub", "mul", "div"]), scales, scales)
+    def test_binary_operations(self, a, b, op, j, k):
+        x, y = _scaled(a, j), _scaled(b, k)
+        ends = (a.lo, a.hi)
+        other = (b.lo, b.hi) if op != "sub" else (-b.hi, -b.lo)
+        try:
+            expected = _reference("add" if op == "sub" else op, ends, other)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                iv_arith(op, x, y)
+            assert str(raised.value) == str(exc)
+            return
+        result = iv_arith(op, x, y)
+        assert (result.lo, result.hi) == expected
+
+    @given(signed, st.integers(min_value=-5, max_value=6), scales)
+    def test_integer_powers(self, a, n, k):
+        try:
+            expected = _reference("pow", (a.lo, a.hi), n)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                _scaled(a, k) ** n
+            assert str(raised.value) == str(exc)
+            return
+        result = _scaled(a, k) ** n
+        assert (result.lo, result.hi) == expected
+
+    def test_division_error_names_the_divisor(self):
+        with pytest.raises(DomainError, match=r"^division by an interval containing zero: \[-1/2, 3\]$"):
+            Interval(1, 2) / Interval._of(-2, 12, 4)
+        with pytest.raises(DomainError, match=r"^division by an interval containing zero: \[0, 0\]$"):
+            Interval._of(0, 0, 7) ** -2
 
 
 class TestParseRational:

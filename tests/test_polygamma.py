@@ -19,7 +19,6 @@ from psicert import (
     trigamma_enclosure,
 )
 from psicert.elementary import iv_exp
-from psicert.interval import _interval
 from psicert.polygamma import (
     _GUARD_BITS,
     _dyadic_cover,
@@ -336,7 +335,7 @@ class TestIntegerTruncation:
                     continue
                 terms = _truncation(power, y, w)
                 assert terms == expected, (power, w)
-                assert _interval(*_enveloped(terms, y)) == _fraction_enveloped(terms, y), (power, w)
+                assert Interval._of(*_enveloped(terms, y)) == _fraction_enveloped(terms, y), (power, w)
 
 
 class TestAsymptoticWindow:
