@@ -45,7 +45,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "poly_taylor_shift", "positivity_on_ray", "rational_from_expansion",
     ),
     "expressions": (
-        "Add", "Const", "Digamma", "Div", "EvalContext", "Exp", "Expr", "Ln", "Mul", "Neg",
+        "Add", "Const", "Digamma", "Div", "Exp", "Expr", "Ln", "Mul", "Neg",
         "NamedConstant", "PowInt", "Sinh", "Trigamma", "Var", "evaluate",
     ),
     "theorems": (

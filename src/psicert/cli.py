@@ -335,7 +335,7 @@ def _evidence_fields(check: theorems.CheckRecord) -> dict[str, str]:
         "lhs_hi": _rational_text(evidence.lhs.hi),
         "rhs_lo": _rational_text(evidence.rhs.lo),
         "rhs_hi": _rational_text(evidence.rhs.hi),
-        "work_precision": str(evidence.ctx.work_precision),
+        "work_precision": str(evidence.work_precision),
     }
 
 

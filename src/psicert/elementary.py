@@ -118,6 +118,20 @@ def _tolerance_bits(tolerance: Fraction) -> int:
     return max(0, -_floor_log2(tolerance.numerator, tolerance.denominator))
 
 
+def _climb(
+    bits: int, ceiling: int, compute: Callable[[int], object], settled: Callable[[object], bool]
+) -> tuple[int, object]:
+    """``(bits, compute(bits))``, with ``bits`` doubled and the value
+    recomputed while it is not ``settled`` and ``bits < ceiling``: the rung
+    whose value settled, or the last one tried, which overshoots
+    ``ceiling`` by less than one doubling."""
+    value = compute(bits)
+    while not settled(value) and bits < ceiling:
+        bits *= 2
+        value = compute(bits)
+    return bits, value
+
+
 # ---------------------------------------------------------------------------
 # exponential
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The node set covers everything the inequality catalog needs: field
 operations, integer powers, ``exp``/``ln``/``sinh``, the digamma and
 trigamma functions, and a few named constants.  Evaluation is recursive and
 interval-valued throughout, so the result provably contains the true value
-of the expression; precision is controlled by an :class:`EvalContext`.
+of the expression; its precision is the kernels' bit target ``bits``.
 
 A node evaluates to its ends ``(lo, hi, d)``: integers ``lo <= hi`` over
 one positive denominator ``d``, the interval ``[lo/d, hi/d]`` and what an
@@ -13,7 +13,7 @@ d**-1``) and ``PowInt`` use ``Interval``'s end formulas.  ``Var``,
 ``Add``, ``Mul``, ``Div``, ``PowInt``, ``Digamma`` and ``Trigamma`` keep a
 short point exact: an exact result that is a single point ``a/b`` in lowest
 terms with ``b < 2**s`` and ``|a| < 2**(2s)``, where ``2**-s``, ``s = p +
-64``, is the node grid for the context's precision ``p``.  So at a short
+64``, is the node grid for the precision ``p = bits``.  So at a short
 ``x`` such as ``177687919/125000``, ``Digamma(X + 1)`` calls its kernel
 once, at an exact argument.  Every other result is rounded outward onto the
 node grid: its ends are the floor and ceiling integer quotients over ``d =
@@ -45,9 +45,9 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 
+from . import polycert
 from .elementary import _snap, iv_exp, iv_ln, iv_pi, iv_sinh
 from .interval import DomainError, Frozen, Interval, _add_ends, _mul_ends, _outward, _pow_ends
-from .polycert import RationalFunction
 from .polygamma import (
     _GRID_BITS,
     batir_bstar_enclosure,
@@ -61,7 +61,6 @@ __all__ = [
     "Const",
     "Digamma",
     "Div",
-    "EvalContext",
     "Exp",
     "Expr",
     "Ln",
@@ -75,22 +74,6 @@ __all__ = [
     "evaluate",
     "rational_function",
 ]
-
-
-class EvalContext(Frozen):
-    """The working precision threaded through an evaluation."""
-
-    __slots__ = ("work_precision",)
-    work_precision: int
-
-    def __init__(self, work_precision: int = 64) -> None:
-        if work_precision < 8:
-            raise ValueError("work precision must be at least 8")
-        super().__init__(work_precision)
-
-    def refined(self) -> "EvalContext":
-        """The next rung of the precision ladder: double the precision."""
-        return EvalContext(self.work_precision * 2)
 
 
 class _Point:
@@ -331,13 +314,15 @@ class NamedConstant(Expr):
         return _CONSTANTS[self.name](at.bits)._ends
 
 
-def evaluate(expr: Expr, x: Fraction | int, ctx: EvalContext | None = None) -> Interval:
-    """Certified enclosure of ``expr`` at the exact rational point ``x``."""
-    bits = (ctx if ctx is not None else EvalContext()).work_precision
+def evaluate(expr: Expr, x: Fraction | int, bits: int = 64) -> Interval:
+    """Certified enclosure of ``expr`` at the exact rational point ``x``, with
+    ``bits`` the kernels' bit target."""
+    if bits < 8:
+        raise ValueError("work precision must be at least 8")
     return Interval._of(*expr._eval(_Point(Fraction(x), bits)))
 
 
-def rational_function(expr: Expr) -> RationalFunction:
+def rational_function(expr: Expr) -> polycert.RationalFunction:
     """The exact rational function denoted by a tree of rational nodes.
 
     Only Const, Var, Add, Neg, Mul, Div and PowInt are allowed; any other node
@@ -346,9 +331,9 @@ def rational_function(expr: Expr) -> RationalFunction:
     """
     match expr:
         case Const(value):
-            return RationalFunction.constant(value)
+            return polycert.RationalFunction.constant(value)
         case Var():
-            return RationalFunction.x()
+            return polycert.RationalFunction.x()
         case Add(left, right):
             return rational_function(left) + rational_function(right)
         case Neg(arg):

@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .elementary import ENCLOSURE_CACHE_SIZE, _floor_log2, _tolerance_bits, iv_exp, iv_ln, iv_pi
+from .elementary import ENCLOSURE_CACHE_SIZE, _climb, _floor_log2, _tolerance_bits, iv_exp, iv_ln, iv_pi
 from .interval import DomainError, Interval, _outward
 from .series import _grow_psi_terms, _psi_terms
 
@@ -264,10 +264,10 @@ def digamma_zero(tolerance: Fraction | int = Fraction(1, 10**6)) -> Interval:
 
     Once a step fails to halve the bracket, bisection with certified sign
     tests finishes it.  There the bits double only while a probe's
-    enclosure straddles zero.  Both doublings stop at a ceiling of
-    ``k + 24`` bits, where the enclosure is narrower than ``2**-24``
-    tolerances; if a probe still straddles zero there, the probe moves to a
-    quarter point of the bracket instead.
+    enclosure straddles zero.  Both doublings (:func:`~psicert.elementary._climb`)
+    stop at a ceiling of ``k + 24`` bits, where the enclosure is narrower
+    than ``2**-24`` tolerances; if a probe still straddles zero there, the
+    probe moves to a quarter point of the bracket instead.
     Newton keeps the bracket on the bisection's cells, so whenever the
     midpoint probes decide, the result is the cell of width ``2**-k``
     containing ``r``, as bisection alone would give.
@@ -282,11 +282,10 @@ def digamma_zero(tolerance: Fraction | int = Fraction(1, 10**6)) -> Interval:
     lo, hi = Fraction(1), Fraction(2)
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
-        value = digamma_enclosure(mid, bits)
         goal = max((hi - lo) ** 2, tolerance / 64)
-        while value.width > goal and bits < ceiling:
-            bits *= 2
-            value = digamma_enclosure(mid, bits)
+        bits, value = _climb(
+            bits, ceiling, lambda b: digamma_enclosure(mid, b), lambda v: v.width <= goal
+        )
         slope = Interval(trigamma_enclosure(hi).lo, trigamma_enclosure(lo).hi)
         newton = mid - value / slope
         new_lo, new_hi = _dyadic_cover(max(lo, newton.lo), min(hi, newton.hi), level)
@@ -298,10 +297,9 @@ def digamma_zero(tolerance: Fraction | int = Fraction(1, 10**6)) -> Interval:
         probes = [(lo + hi) / 2, (3 * lo + hi) / 4, (lo + 3 * hi) / 4]
         advanced = False
         for probe in probes:
-            value = digamma_enclosure(probe, bits)
-            while value.lo <= 0 <= value.hi and bits < ceiling:
-                bits *= 2
-                value = digamma_enclosure(probe, bits)
+            bits, value = _climb(
+                bits, ceiling, lambda b: digamma_enclosure(probe, b), lambda v: not v.lo <= 0 <= v.hi
+            )
             if value.hi < 0:
                 lo, advanced = probe, True
                 break

@@ -26,14 +26,15 @@ statement's published reduction to its auxiliary function does not hold.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
 
+from . import polycert
+from .elementary import _climb
 from .expressions import (
     Const,
     Digamma,
-    EvalContext,
     Exp,
     Expr,
     Ln,
@@ -45,12 +46,6 @@ from .expressions import (
     rational_function,
 )
 from .interval import Frozen, Interval
-from .polycert import (
-    LogRationalExpr,
-    RationalFunction,
-    certify_negative_on_ray,
-    rational_from_expansion,
-)
 from .series import expansion, series_exp, trigamma_expansion
 
 __all__ = [
@@ -127,10 +122,10 @@ class InequalityEntry(Frozen):
 class GridEvidence(Frozen):
     """Both sides' enclosures at the rung that decided a check, or at the last one."""
 
-    __slots__ = ("lhs", "rhs", "ctx")
+    __slots__ = ("lhs", "rhs", "work_precision")
     lhs: Interval
     rhs: Interval
-    ctx: EvalContext
+    work_precision: int
 
 
 class SymbolicEvidence(Frozen):
@@ -461,33 +456,22 @@ def _separation(lhs: Interval, rhs: Interval, strict: bool) -> str | None:
     return None
 
 
-def _ladder(base: EvalContext) -> Iterator[EvalContext]:
-    """The precision ladder: ``base``, then its ``MAX_REFINEMENTS`` refinements."""
-    yield base
-    for _ in range(MAX_REFINEMENTS):
-        base = base.refined()
-        yield base
-
-
 def _refine(
-    sides: Callable[[EvalContext], tuple[Interval, Interval]],
+    sides: Callable[[int], tuple[Interval, Interval]],
     separation: Callable[[Interval, Interval], str | None],
-    base: EvalContext,
+    base: int,
 ) -> tuple[str, GridEvidence]:
-    """Climb the precision ladder from ``base`` until ``separation`` decides."""
-    for ctx in _ladder(base):
-        lhs, rhs = sides(ctx)
-        verdict = separation(lhs, rhs)
-        if verdict is not None:
-            return verdict, GridEvidence(lhs, rhs, ctx)
-    return "undecided", GridEvidence(lhs, rhs, ctx)
+    """Climb the precision ladder, ``base`` bits and its ``MAX_REFINEMENTS``
+    doublings, until ``separation`` decides."""
+    bits, (lhs, rhs) = _climb(
+        base, base << MAX_REFINEMENTS, sides, lambda ends: separation(*ends) is not None
+    )
+    return separation(lhs, rhs) or "undecided", GridEvidence(lhs, rhs, bits)
 
 
-def _decide_pair(
-    pair: InequalityPair, x: Fraction, base: EvalContext
-) -> tuple[str, GridEvidence]:
+def _decide_pair(pair: InequalityPair, x: Fraction, base: int) -> tuple[str, GridEvidence]:
     return _refine(
-        lambda ctx: (evaluate(pair.lhs, x, ctx), evaluate(pair.rhs, x, ctx)),
+        lambda bits: (evaluate(pair.lhs, x, bits), evaluate(pair.rhs, x, bits)),
         lambda lhs, rhs: _separation(lhs, rhs, pair.strict),
         base,
     )
@@ -511,20 +495,19 @@ def check_grid(
     """Certified pointwise verification of one catalog entry on a grid."""
     e = entry(entry_id)
     points = _validated_grid(e, grid)
-    base = EvalContext(work_precision)
     checks: list[CheckRecord] = []
     for x in points:
         for pair in e.pairs:
-            verdict, evidence = _decide_pair(pair, x, base)
+            verdict, evidence = _decide_pair(pair, x, work_precision)
             checks.append(CheckRecord(f"{pair.label} at x={x}", verdict, evidence))
     expr = e.monotone_expr
     if expr is not None:
         for a, b in zip(points, points[1:]):
             # claim: expr(a) > expr(b); the evidence lists the value at a first
             verdict, evidence = _refine(
-                lambda ctx: (evaluate(expr, a, ctx), evaluate(expr, b, ctx)),
+                lambda bits: (evaluate(expr, a, bits), evaluate(expr, b, bits)),
                 lambda at_a, at_b: _separation(at_b, at_a, strict=True),
-                base,
+                work_precision,
             )
             checks.append(
                 CheckRecord(f"decreasing from x={a} to x={b}", verdict, evidence)
@@ -538,7 +521,7 @@ def check_grid(
 # ---------------------------------------------------------------------------
 
 
-def _digamma_tail_rf(order: int) -> RationalFunction:
+def _digamma_tail_rf(order: int) -> polycert.RationalFunction:
     """The non-log part of the digamma upper truncation used by the proofs.
 
     Deliberately carries 1/240 at x^-4 (weaker than the expansion's exact
@@ -552,21 +535,21 @@ def _digamma_tail_rf(order: int) -> RationalFunction:
     return rational_function(tail)
 
 
-def _thm1_branches() -> list[tuple[str, LogRationalExpr, Fraction]]:
-    x = RationalFunction.x()
+def _thm1_branches() -> list[tuple[str, polycert.LogRationalExpr, Fraction]]:
+    x = polycert.RationalFunction.x()
     quartic = rational_function(_quartic_correction())
-    lower_aux = LogRationalExpr(
+    lower_aux = polycert.LogRationalExpr(
         log_terms=(
             (Fraction(1), rational_function(_X + _alpha())),
             (Fraction(-2), x),
-            (Fraction(-1), rational_from_expansion(trigamma_expansion(9))),
+            (Fraction(-1), polycert.rational_from_expansion(trigamma_expansion(9))),
         ),
         rational_part=Fraction(-2) * _digamma_tail_rf(6) - quartic,
     )
-    upper_aux = LogRationalExpr(
+    upper_aux = polycert.LogRationalExpr(
         log_terms=(
             (Fraction(-1), rational_function(_X + _beta())),
-            (Fraction(1), rational_from_expansion(trigamma_expansion(7))),
+            (Fraction(1), polycert.rational_from_expansion(trigamma_expansion(7))),
             (Fraction(2), x),
         ),
         rational_part=Fraction(2) * _digamma_tail_rf(4) + quartic,
@@ -577,16 +560,16 @@ def _thm1_branches() -> list[tuple[str, LogRationalExpr, Fraction]]:
     ]
 
 
-def _thm2_branches() -> list[tuple[str, LogRationalExpr, Fraction]]:
+def _thm2_branches() -> list[tuple[str, polycert.LogRationalExpr, Fraction]]:
     # ln(1 + psi'(x)) truncations: shift the psi'(x+1) series by +1/x^2.
     one_plus_shift = rational_function(1 + 1 / _X**2)
-    shifted9 = one_plus_shift + rational_from_expansion(trigamma_expansion(9))
-    shifted11 = one_plus_shift + rational_from_expansion(trigamma_expansion(11))
-    lower_aux = LogRationalExpr(
+    shifted9 = one_plus_shift + polycert.rational_from_expansion(trigamma_expansion(9))
+    shifted11 = one_plus_shift + polycert.rational_from_expansion(trigamma_expansion(11))
+    lower_aux = polycert.LogRationalExpr(
         log_terms=((Fraction(-1), shifted9),),
         rational_part=rational_function(_m_expr()),
     )
-    upper_aux = LogRationalExpr(
+    upper_aux = polycert.LogRationalExpr(
         log_terms=((Fraction(1), shifted11),),
         rational_part=-rational_function(_M_expr()),
     )
@@ -596,26 +579,26 @@ def _thm2_branches() -> list[tuple[str, LogRationalExpr, Fraction]]:
     ]
 
 
-def _thm3a_lower_branch() -> list[tuple[str, LogRationalExpr, Fraction]]:
+def _thm3a_lower_branch() -> list[tuple[str, polycert.LogRationalExpr, Fraction]]:
     # exp(-1/x) through x^-7, a lower bound for x >= 1
-    exp_lower7 = rational_from_expansion(series_exp(expansion({1: -1}, 7)))
+    exp_lower7 = polycert.rational_from_expansion(series_exp(expansion({1: -1}, 7)))
     folded = (
         exp_lower7
         - 2 * rational_function(_thm3a_corrections()[0])
-        + 2 * rational_from_expansion(trigamma_expansion(5))
+        + 2 * polycert.rational_from_expansion(trigamma_expansion(5))
     )
-    aux = LogRationalExpr(
+    aux = polycert.LogRationalExpr(
         log_terms=((Fraction(-1), folded),),
-        rational_part=1 / (RationalFunction.x() + 1),
+        rational_part=1 / (polycert.RationalFunction.x() + 1),
     )
     return [("lower auxiliary", aux, Fraction(1))]
 
 
-def _r1u_branch() -> list[tuple[str, LogRationalExpr, Fraction]]:
-    aux = LogRationalExpr(
+def _r1u_branch() -> list[tuple[str, polycert.LogRationalExpr, Fraction]]:
+    aux = polycert.LogRationalExpr(
         log_terms=(
             (Fraction(1), rational_function(_X + _alpha())),
-            (Fraction(-1), RationalFunction.x() + Fraction(1, 2)),
+            (Fraction(-1), polycert.RationalFunction.x() + Fraction(1, 2)),
         ),
         rational_part=-rational_function(_quartic_correction()),
     )
@@ -650,7 +633,7 @@ def certify_symbolic(entry_id: str) -> CertReport:
         ) from None
     checks: list[CheckRecord] = []
     for branch_label, aux, threshold in builder():
-        report = certify_negative_on_ray(aux, threshold)
+        report = polycert.certify_negative_on_ray(aux, threshold)
         for step in report.steps:
             checks.append(
                 CheckRecord(
@@ -691,7 +674,6 @@ def tightness_report(
     points = sorted({Fraction(x) for x in grid})
     if points and points[0] < 1:
         raise ValueError("tightness grid points must be >= 1")
-    base = EvalContext(work_precision)
     d1_expr = _PSI1_NEXT - _theta(1)
     d2_expr = _PSI1_NEXT - _theta(2)
     thm1_gap_expr = _thm1_upper() - _thm1_lower()
@@ -705,20 +687,21 @@ def tightness_report(
     for x in points:
         thm3a = Interval(thm3a_lower(x), thm3a_upper(x))
         thm3b = Interval(thm3b_lower(x), thm3b_upper(x))
-        for ctx in _ladder(base):
-            d1 = evaluate(d1_expr, x, ctx)
-            d2 = evaluate(d2_expr, x, ctx)
-            # x^5 > 0 scales exactly: d1 is in the band iff x^5 d1 is in the window
-            verdict1 = _window_membership(d1, thm3a)
-            verdict2 = _window_membership(d2, thm3b)
-            if verdict1 is not None and verdict2 is not None:
-                break
-        u0, u1, u2 = (evaluate(cm_upper_expr, x + k, base) for k in range(3))
-        l0, l1, l2 = (evaluate(cm_lower_expr, x + k, base) for k in range(3))
+        bits, (d1, d2) = _climb(
+            work_precision,
+            work_precision << MAX_REFINEMENTS,
+            lambda bits: (evaluate(d1_expr, x, bits), evaluate(d2_expr, x, bits)),
+            lambda ds: None not in (_window_membership(ds[0], thm3a), _window_membership(ds[1], thm3b)),
+        )
+        # x^5 > 0 scales exactly: d1 is in the band iff x^5 d1 is in the window
+        verdict1 = _window_membership(d1, thm3a)
+        verdict2 = _window_membership(d2, thm3b)
+        u0, u1, u2 = (evaluate(cm_upper_expr, x + k, work_precision) for k in range(3))
+        l0, l1, l2 = (evaluate(cm_lower_expr, x + k, work_precision) for k in range(3))
         rows.append(
             {
                 "x": x,
-                "psi_prime_next": evaluate(_PSI1_NEXT, x, ctx),
+                "psi_prime_next": evaluate(_PSI1_NEXT, x, bits),
                 "d1": d1,
                 "d2": d2,
                 "x5_d1": d1 * x**5,
@@ -729,8 +712,8 @@ def tightness_report(
                 "x7_verdict": verdict2 or "undecided",
                 "x5_in_window": verdict1 == "in",
                 "x7_in_window": verdict2 == "in",
-                "thm1_gap": evaluate(thm1_gap_expr, x, base),
-                "thm2_gap": evaluate(thm2_gap_expr, x, base),
+                "thm1_gap": evaluate(thm1_gap_expr, x, work_precision),
+                "thm2_gap": evaluate(thm2_gap_expr, x, work_precision),
                 "thm3a_gap": thm3a.width,
                 "thm3b_gap": thm3b.width,
                 "cm_upper": u0,
@@ -774,7 +757,6 @@ def compare_bounds(x: Fraction | int, work_precision: int = 64) -> ComparisonRep
     x = Fraction(x)
     if x < 1:
         raise ValueError("comparison point must be >= 1")
-    ctx = EvalContext(work_precision)
     labels = {_PSI1_NEXT: "psi'(x+1)", _PSI1_HERE: "psi'(x)"}
     # (id, side) -> (psi' target, bound).  Every catalog pair with psi' on one
     # side bounds it; XP1's sinh cap caps that entry's upper bound.
@@ -790,11 +772,11 @@ def compare_bounds(x: Fraction | int, work_precision: int = 64) -> ComparisonRep
     bounds["YCT", "lower (shifted)"] = _PSI1_HERE, 1 / _X**2 + _theta(1)
     bounds["YCT", "upper (shifted)"] = _PSI1_HERE, 1 / _X**2 + _theta(2)
     rows = [
-        BoundRow(entry_id, side, labels[target], evaluate(bound, x, ctx))
+        BoundRow(entry_id, side, labels[target], evaluate(bound, x, work_precision))
         for (entry_id, side), (target, bound) in bounds.items()
     ]
     rows.sort(key=lambda r: (r.target, r.enclosure.lo))
-    targets = {label: evaluate(target, x, ctx) for target, label in labels.items()}
+    targets = {label: evaluate(target, x, work_precision) for target, label in labels.items()}
     relations = []
     for label, lhs, rhs in [
         (
@@ -814,5 +796,5 @@ def compare_bounds(x: Fraction | int, work_precision: int = 64) -> ComparisonRep
         ),
     ]:
         pair = InequalityPair(label, bounds[lhs][1], bounds[rhs][1])
-        relations.append(CheckRecord(label, *_decide_pair(pair, x, ctx)))
+        relations.append(CheckRecord(label, *_decide_pair(pair, x, work_precision)))
     return ComparisonReport(x, targets, tuple(rows), tuple(relations))

@@ -226,6 +226,37 @@ MUTANTS: tuple[Mutant, ...] = (
         "return hi * e <= lo * d",
         ("tests/test_interval.py::TestPredicates::test_strict_order",),
     ),
+    # the refinement climb that every precision ladder runs
+    Mutant(
+        "climb-sixth-rung",
+        ELEMENTARY,
+        "and bits < ceiling:\n",
+        "and bits <= ceiling:\n",
+        (
+            "tests/test_elementary.py::TestClimb::test_a_grid_check_sees_at_most_five_rungs",
+            "tests/test_theorems.py::TestUndecidedPath::test_tautology_cannot_be_decided_by_intervals",
+        ),
+    ),
+    Mutant(
+        "climb-settled-test-dropped",
+        ELEMENTARY,
+        "    while not settled(value) and bits < ceiling:\n",
+        "    while bits < ceiling:\n",
+        (
+            "tests/test_theorems.py::TestGridChecks::test_evidence_fields",
+            "tests/test_golden.py::test_cli_output_matches_golden[certify_classical_ladder]",
+        ),
+    ),
+    Mutant(
+        "climb-triples-the-bits",
+        ELEMENTARY,
+        "        bits *= 2\n",
+        "        bits *= 3\n",
+        (
+            "tests/test_elementary.py::TestClimb::test_doubles_the_bits_until_the_value_settles",
+            "tests/test_theorems.py::TestUndecidedPath::test_tautology_cannot_be_decided_by_intervals",
+        ),
+    ),
     Mutant(
         "eq-lower-ends-only",
         INTERVAL,

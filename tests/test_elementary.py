@@ -18,6 +18,7 @@ from psicert import DomainError, Interval, iv_exp, iv_ln, iv_pi, iv_sinh, ln2_en
 from psicert.elementary import (
     _arctan_inverse,
     _atanh_small,
+    _climb,
     _exp_point,
     _floor_log2,
     _ln_point,
@@ -349,3 +350,51 @@ class TestPi:
         enclosure = iv_pi(precision)
         assert enclosure.width <= F(1, 2**precision)
         assert encloses_truth(enclosure, scaled_bracket(lambda: +mpmath.pi, enclosure.width))
+
+
+class TestClimb:
+    """``_climb`` doubles the bits from a start until the value settles or the
+    bits reach the ceiling, and returns the bits with the value computed at them."""
+
+    @staticmethod
+    def _record(settled_at: int | None = None):
+        calls: list[int] = []
+
+        def compute(bits: int) -> int:
+            calls.append(bits)
+            return bits
+
+        def settled(value: int) -> bool:
+            return settled_at is not None and value >= settled_at
+
+        return calls, compute, settled
+
+    def test_returns_the_first_value_when_it_is_settled(self):
+        calls, compute, settled = self._record(settled_at=0)
+        assert _climb(64, 1024, compute, settled) == (64, 64)
+        assert calls == [64]
+
+    def test_doubles_the_bits_until_the_value_settles(self):
+        calls, compute, settled = self._record(settled_at=100)
+        assert _climb(8, 1024, compute, settled) == (128, 128)
+        assert calls == [8, 16, 32, 64, 128]
+
+    @given(st.integers(min_value=1, max_value=2**20), st.integers(min_value=0, max_value=2**21))
+    @example(16, 256)
+    @example(64, 64)
+    @example(100, 64)
+    def test_stops_at_the_ceiling_overshooting_by_less_than_one_doubling(self, bits, ceiling):
+        calls, compute, settled = self._record()
+        top, value = _climb(bits, ceiling, compute, settled)
+        assert value == top == calls[-1]
+        assert calls == [bits << k for k in range(len(calls))]
+        if bits >= ceiling:
+            assert calls == [bits]
+        else:
+            assert ceiling <= top < 2 * ceiling
+
+    def test_a_grid_check_sees_at_most_five_rungs(self):
+        """The grid's ceiling is 16 times its start: 16, 32, 64, 128, 256."""
+        calls, compute, settled = self._record()
+        assert _climb(16, 16 << 4, compute, settled) == (256, 256)
+        assert calls == [16, 32, 64, 128, 256]

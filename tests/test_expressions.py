@@ -15,7 +15,6 @@ from psicert import (
     Digamma,
     Div,
     DomainError,
-    EvalContext,
     Exp,
     Interval,
     Ln,
@@ -33,7 +32,7 @@ from psicert import (
     iv_pi,
     trigamma_enclosure,
 )
-from psicert.elementary import iv_exp, iv_ln, iv_sinh
+from psicert.elementary import _climb, iv_exp, iv_ln, iv_sinh
 from psicert.expressions import _CONSTANTS, rational_function
 from psicert.interval import round_outward
 from psicert.polygamma import _reciprocal_sum, _shift_count, _truncation
@@ -71,26 +70,29 @@ def follows_node_rule(enclosure: Interval, precision: int = 64) -> bool:
 
 
 class TestEvalContext:
+    """An evaluation's context is its precision: the plain bit count ``bits``."""
+
     def test_defaults(self):
-        ctx = EvalContext()
-        assert ctx.work_precision == 64
+        for node in (Digamma(X), Trigamma(X)):
+            assert evaluate(node, F(29, 7)) == evaluate(node, F(29, 7), 64)
+            assert evaluate(node, F(29, 7)) != evaluate(node, F(29, 7), 128)
 
     def test_refined_doubles_the_precision(self):
-        ctx = EvalContext(32).refined()
-        assert ctx == EvalContext(64)
+        """One rung of the refinement climb from 32 bits evaluates at 64."""
+        node = Digamma(X)
+        bits, enclosure = _climb(32, 64, lambda b: evaluate(node, F(29, 7), b), lambda v: False)
+        assert (bits, enclosure) == (64, evaluate(node, F(29, 7), 64))
 
     def test_polygamma_width_follows_the_precision(self):
-        """Up the ladder from 8 bits, psi and psi' nodes narrow to 2**-precision."""
-        ctx = EvalContext(8)
-        for _ in range(5):
+        """Up the ladder from 8 bits, psi and psi' nodes narrow to 2**-bits."""
+        for bits in (8, 16, 32, 64, 128):
             for node in (Digamma(X), Trigamma(X)):
-                assert evaluate(node, F(29, 7), ctx).width <= F(1, 2**ctx.work_precision)
-            ctx = ctx.refined()
+                assert evaluate(node, F(29, 7), bits).width <= F(1, 2**bits)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EvalContext(work_precision=4)
-        EvalContext(work_precision=8)
+        with pytest.raises(ValueError, match="work precision must be at least 8"):
+            evaluate(X, F(29, 7), 4)
+        evaluate(X, F(29, 7), 8)
 
 
 class TestArithmeticNodes:
@@ -99,7 +101,7 @@ class TestArithmeticNodes:
         """The result contains the exact value, -1, in a width near the node
         grid's step: at a short x every node's value is that exact point."""
         expr = (X + 1) * (X - 1) - X**2
-        enclosure = evaluate(expr, F(7, 3), EvalContext(precision))
+        enclosure = evaluate(expr, F(7, 3), precision)
         assert -1 in enclosure
         assert on_node_grid(enclosure, precision)
         assert enclosure.width <= F(1, 2 ** (precision + 56))
@@ -168,11 +170,11 @@ class TestTranscendentalNodes:
         truth = mp_bracket(
             mpmath.sinh(mpmath.mpf(2) / 3) / 2 - mpmath.exp(mpmath.mpf(1) / 4) + 1
         )
-        assert consistent(evaluate(expr, 3, EvalContext(96)), truth)
+        assert consistent(evaluate(expr, 3, 96), truth)
 
     def test_precision_refinement_tightens(self):
-        coarse = evaluate(Exp(X), F(1, 3), EvalContext(32))
-        fine = evaluate(Exp(X), F(1, 3), EvalContext(128))
+        coarse = evaluate(Exp(X), F(1, 3), 32)
+        fine = evaluate(Exp(X), F(1, 3), 128)
         assert coarse.encloses(fine)
         assert fine.width < coarse.width
 
@@ -182,7 +184,7 @@ class TestPolygammaNodes:
     def test_digamma_node_matches_library(self, x):
         """At a dyadic x the node is the library's enclosure rounded outward
         onto the node grid, so it contains it."""
-        enclosure = evaluate(Digamma(X), x, EvalContext(128))
+        enclosure = evaluate(Digamma(X), x, 128)
         assert enclosure == round_outward(digamma_enclosure(x, 128), 128 + 32)
         assert enclosure.encloses(digamma_enclosure(x, 128))
         assert on_node_grid(enclosure, 128)
@@ -190,7 +192,7 @@ class TestPolygammaNodes:
     @pytest.mark.parametrize("x", [F(1, 2), F(1), F(7, 2), F(25)], ids=str)
     def test_trigamma_node_matches_library(self, x):
         """As for psi: the library's enclosure, rounded outward onto the node grid."""
-        enclosure = evaluate(Trigamma(X), x, EvalContext(128))
+        enclosure = evaluate(Trigamma(X), x, 128)
         assert enclosure == round_outward(trigamma_enclosure(x, 128), 128 + 32)
         assert enclosure.encloses(trigamma_enclosure(x, 128))
         assert on_node_grid(enclosure, 128)
@@ -205,7 +207,7 @@ class TestPolygammaNodes:
         # (x + 1/2) exp(-2 psi(x+1)) at x = 2
         expr = (X + F(1, 2)) * Exp(-2 * Digamma(X + 1))
         truth = mp_bracket(mpmath.mpf(5) / 2 * mpmath.exp(-2 * mpmath.digamma(3)))
-        assert consistent(evaluate(expr, 2, EvalContext(96)), truth)
+        assert consistent(evaluate(expr, 2, 96), truth)
 
 
 class TestNamedConstants:
@@ -216,11 +218,11 @@ class TestNamedConstants:
         assert consistent(evaluate(NamedConstant("e"), 1), e_bracket(40))
 
     def test_euler_gamma(self):
-        enclosure = evaluate(NamedConstant("euler_gamma"), 1, EvalContext(128))
+        enclosure = evaluate(NamedConstant("euler_gamma"), 1, 128)
         assert consistent(enclosure, euler_gamma_bracket())
 
     def test_batir_bstar(self):
-        enclosure = evaluate(NamedConstant("batir_bstar"), 1, EvalContext(128))
+        enclosure = evaluate(NamedConstant("batir_bstar"), 1, 128)
         assert consistent(enclosure, bstar_bracket())
         assert enclosure.lo > F(1, 2)
 
@@ -448,11 +450,11 @@ class TestIntegerNodes:
             expected = _reference(tree, x, precision)
         except ValueError as exc:  # DomainError, or an exp argument out of range
             with pytest.raises(type(exc)) as raised:
-                evaluate(tree, x, EvalContext(precision))
+                evaluate(tree, x, precision)
             assert type(raised.value) is type(exc)
             assert str(raised.value) == str(exc)
             return
-        assert evaluate(tree, x, EvalContext(precision)) == expected
+        assert evaluate(tree, x, precision) == expected
 
 
 def _fraction_psi_sum(power: int, x: Fraction, bits: int) -> Interval:
@@ -490,4 +492,4 @@ class TestPolygammaNodeRounding:
         exact = _fraction_psi_sum(power, x, precision)
         one = 1 << (precision + 64)
         expected = Interval(F(math.floor(exact.lo * one), one), F(math.ceil(exact.hi * one), one))
-        assert evaluate(node, x, EvalContext(precision)) == expected
+        assert evaluate(node, x, precision) == expected

@@ -26,7 +26,6 @@ from psicert.expressions import (
     Const,
     Digamma,
     Div,
-    EvalContext,
     Exp,
     Expr,
     Ln,
@@ -77,7 +76,7 @@ def _pair() -> InequalityPair:
 
 
 def _record() -> CheckRecord:
-    return CheckRecord("lower at x=3", "holds", GridEvidence(_iv(), _iv(), EvalContext()))
+    return CheckRecord("lower at x=3", "holds", GridEvidence(_iv(), _iv(), 64))
 
 
 def _row() -> BoundRow:
@@ -87,7 +86,6 @@ def _row() -> BoundRow:
 # one fresh instance per call, so two calls give equal but distinct objects
 SAMPLES = {
     Interval: _iv,
-    EvalContext: lambda: EvalContext(96),
     Const: lambda: Const(F(1, 2)),
     Var: Var,
     Add: lambda: Add(Var(), Const(F(1))),
@@ -111,7 +109,7 @@ SAMPLES = {
     AsymptoticExpansion: lambda: AsymptoticExpansion(F(1), ((-1, F(2)), (1, F(1, 2))), 2),
     InequalityPair: _pair,
     InequalityEntry: lambda: InequalityEntry("THM2", "a claim", F(3), False, (_pair(),)),
-    GridEvidence: lambda: GridEvidence(_iv(), _iv(), EvalContext()),
+    GridEvidence: lambda: GridEvidence(_iv(), _iv(), 96),
     SymbolicEvidence: lambda: SymbolicEvidence("after x -> x+3: coefficients +,+", F(3)),
     CheckRecord: _record,
     CertReport: lambda: CertReport("THM2", "grid", "holds", (_record(),)),
@@ -137,7 +135,7 @@ def test_every_value_type_is_sampled():
             and obj.__module__ == module.__name__
         }
     assert defined - {Frozen, Expr} == set(CLASSES)
-    assert len(CLASSES) == 29
+    assert len(CLASSES) == 28
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -244,7 +242,6 @@ def test_rational_nodes_match_positionally():
 
 def test_constructors_take_keywords_and_defaults():
     assert Interval(lo=1, hi=2) == Interval(1, 2)
-    assert EvalContext() == EvalContext(work_precision=64)
     assert InequalityPair(label="l", lhs=Var(), rhs=Var()).strict is True
     assert InequalityEntry("E", "d", F(0), True, ()).monotone_expr is None
     assert CheckRecord(label="l", verdict="holds", evidence=None) == CheckRecord("l", "holds", None)
@@ -272,8 +269,6 @@ def test_own_rules_still_apply():
         PowInt(Var(), F(1, 2))
     with pytest.raises(ValueError):
         NamedConstant("tau")
-    with pytest.raises(ValueError):
-        EvalContext(4)
     expansion = SAMPLES[AsymptoticExpansion]()
     assert expansion.low_degree == 1
     with pytest.raises(TypeError):
@@ -310,6 +305,9 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
 
 
 SUBMODULES = ("interval", "elementary", "series", "polygamma", "polycert", "expressions", "theorems")
+# a grid check calls every module but polycert, which only certificates and
+# the lowering of rational trees (THM3's corrections in ``report tightness``) run
+GRID_MODULES = tuple(m for m in SUBMODULES if m != "polycert")
 
 
 @pytest.mark.parametrize(
@@ -319,9 +317,15 @@ SUBMODULES = ("interval", "elementary", "series", "polygamma", "polycert", "expr
         (["bern", "5"], ("interval", "series")),
         (["const", "pi"], ("elementary", "interval")),
         (["const", "gamma"], ("elementary", "interval", "polygamma", "series")),
-        (["certify", "thm2", "--grid", "3:4:2"], SUBMODULES),
+        (["certify", "thm2", "--grid", "3:4:2"], GRID_MODULES),
+        (["report", "compare", "--grid", "2:3:2"], GRID_MODULES),
+        (["certify", "thm1", "--symbolic"], SUBMODULES),
+        (["report", "tightness", "--grid", "1:2:2"], SUBMODULES),
     ],
-    ids=["import", "bern", "const-pi", "const-gamma", "certify"],
+    ids=[
+        "import", "bern", "const-pi", "const-gamma", "certify", "report-compare",
+        "certify-symbolic", "report-tightness",
+    ],
 )
 def test_a_command_runs_only_the_modules_it_calls(argv, runs):
     """In a fresh ``python -S``, ``import psicert.cli`` runs only ``psicert``
@@ -351,7 +355,7 @@ def test_public_names_resolve_through_their_modules():
     namespace: dict[str, object] = {}
     exec("from psicert import *", namespace)
     assert set(psicert.__all__) <= set(namespace)
-    assert len(psicert.__all__) == 69  # 68 names from the table, and __version__
+    assert len(psicert.__all__) == 68  # 67 names from the table, and __version__
     assert set(psicert._EXPORTS) == set(SUBMODULES)
     for module_name, names in psicert._EXPORTS.items():
         module = getattr(psicert, module_name)

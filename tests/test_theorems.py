@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from psicert import (
-    EvalContext,
     Exp,
     Interval,
     Ln,
@@ -199,7 +198,7 @@ class TestGridChecks:
             evidence = check.evidence
             assert isinstance(evidence, GridEvidence)
             assert isinstance(evidence.lhs, Interval) and isinstance(evidence.rhs, Interval)
-            assert evidence.ctx == EvalContext(64)
+            assert evidence.work_precision == 64
 
     def test_precision_stability(self):
         for wp in (64, 256):
@@ -236,9 +235,9 @@ class TestUndecidedPath:
     def test_tautology_cannot_be_decided_by_intervals(self):
         x = Var()
         pair = InequalityPair("tautology", Exp(Ln(x)), x, strict=True)
-        verdict, evidence = _decide_pair(pair, F(2), EvalContext(16))
+        verdict, evidence = _decide_pair(pair, F(2), 16)
         assert verdict == "undecided"
-        assert evidence.ctx == EvalContext(16 * 2**4)
+        assert evidence.work_precision == 16 * 2**4
 
 
 class TestCombinedTotal:
