@@ -32,13 +32,9 @@ with the nested rounding grids, this makes enclosure width weakly
 decreasing in the requested precision, which downstream refinement loops
 rely on.
 
-:func:`iv_exp` is memoised per argument and per working precision in a
-bounded LRU cache of :data:`ENCLOSURE_CACHE_SIZE` entries.  It is a pure
-function of immutable arguments and returns frozen intervals, so a hit is
-the value a recomputation would give; a new precision is a new key and
-gets its own enclosure.  :func:`iv_ln` is not memoised: its arguments
-rarely repeat (32 of 403 calls in ``certify all``), and a fixed-point ln
-costs little more than the lookup.
+Only ln 2 is memoised here, per quantized work precision (see
+:func:`_ln2_quantized`); :mod:`psicert.polygamma` states which kernels are
+memoised and why the others are not.
 """
 
 from __future__ import annotations
@@ -59,15 +55,6 @@ __all__ = [
 ]
 
 _QUANTUM = 64
-
-#: Entries kept by each memoised enclosure kernel (here and in
-#: :mod:`psicert.polygamma`).  Repeated arguments come from the two sides of
-#: a catalog pair, from its other pairs, and from neighbouring points, so a
-#: small cache catches them.  No CLI call of the benchmark's grid and
-#: precision jobs (seeds 7, 11 and 9011) fills it: the most entries held are
-#: ``iv_exp`` 717, ``trigamma_enclosure`` 440 and ``digamma_enclosure`` 243,
-#: all in ``certify all``, and at most 12 in a precision job.
-ENCLOSURE_CACHE_SIZE = 1024
 
 
 def _quantized(bits: int) -> int:
@@ -185,7 +172,6 @@ def _exp_point(p: int, q: int, precision: int) -> tuple[int, int, int]:
     return lo, hi, w
 
 
-@lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def iv_exp(a: Interval | Fraction | int, work_precision: int) -> Interval:
     """Enclosure of the image of ``exp`` over ``a``.
 
@@ -330,18 +316,14 @@ def _arctan_inverse(q: int, work: int) -> tuple[int, int, int]:
     return total - (n + 1) // 2, total + n // 2 + 1, w
 
 
-@lru_cache(maxsize=None)
-def _pi_quantized(work: int) -> Interval:
-    """Machin's pi = 16 arctan(1/5) - 4 arctan(1/239), rounded outward onto
-    ``2**-(work + ROUNDING_GUARD_BITS)``."""
+def iv_pi(work_precision: int) -> Interval:
+    """Enclosure of pi with width at most 2**-work_precision: Machin's
+    pi = 16 arctan(1/5) - 4 arctan(1/239) at ``work``, ``work_precision + 8``
+    quantized, rounded outward onto ``2**-(work + ROUNDING_GUARD_BITS)``."""
+    if work_precision < 0:
+        raise ValueError("precision must be nonnegative")
+    work = _quantized(work_precision + 8)
     lo5, hi5, w = _arctan_inverse(5, work + 8)
     lo239, hi239, _ = _arctan_inverse(239, work + 8)  # the same w
     g = work + ROUNDING_GUARD_BITS
     return Interval._of(*_outward(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239, 1 << w, g), 1 << g)
-
-
-def iv_pi(work_precision: int) -> Interval:
-    """Enclosure of pi with width at most 2**-work_precision."""
-    if work_precision < 0:
-        raise ValueError("precision must be nonnegative")
-    return _pi_quantized(_quantized(work_precision + 8))

@@ -19,8 +19,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .elementary import iv_ln
-from .interval import DomainError, Frozen, Interval
+from .interval import DomainError, Frozen
 
 __all__ = [
     "CertificateReport",
@@ -328,16 +327,6 @@ class LogRationalExpr(Frozen):
     __slots__ = ("log_terms", "rational_part")
     log_terms: tuple[tuple[Fraction, RationalFunction], ...]
     rational_part: RationalFunction
-
-    def evaluate(self, x: Fraction | int, work_precision: int = 64) -> Interval:
-        """Certified enclosure of the expression at an exact rational point."""
-        total = Interval.point(self.rational_part(Fraction(x)))
-        for c, arg in self.log_terms:
-            value = arg(Fraction(x))
-            if value <= 0:
-                raise DomainError(f"logarithm argument {value} <= 0 at x={x}")
-            total = total + c * iv_ln(value, work_precision)
-        return total
 
 
 def logexpr_derivative(e: LogRationalExpr) -> RationalFunction:

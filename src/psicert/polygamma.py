@@ -20,10 +20,21 @@ the grid that expression nodes round onto (:data:`_GRID_BITS`), rounding the
 window outward, so their ends are the floor and the ceiling of the exact sum
 on that grid; an ``Interval`` holds those integers as they are.
 
-:func:`digamma_enclosure` and :func:`trigamma_enclosure` are memoised per
-argument and per bit target in a bounded LRU cache (see
-:data:`~psicert.elementary.ENCLOSURE_CACHE_SIZE`), so the sides and pairs
-of an inequality that share ``psi(x+1)`` or ``psi'(x+1)`` compute it once.
+psicert memoises a kernel only where its arguments repeat and a hit saves
+more than the lookup costs.  :func:`digamma_enclosure` and
+:func:`trigamma_enclosure` are memoised per argument and per bit target in a
+bounded LRU cache of :data:`ENCLOSURE_CACHE_SIZE` entries, so the sides and
+pairs of an inequality that share ``psi(x+1)`` or ``psi'(x+1)`` compute it
+once.  :func:`batir_bstar_enclosure` and ln 2
+(:func:`~psicert.elementary._ln2_quantized`) are memoised per precision:
+every point of a check against BATIR's b* reads the one, and every ln of an
+argument outside ``[1, 2)`` the other.  Each of these is a pure function of
+immutable arguments that returns a frozen value, so a hit is what a
+recomputation would give.  exp, ln and pi are not memoised: a fixed-point
+exp or ln costs about what a lookup costs, which hashes the argument's
+``Interval``, and pi, read only by b* and ``const pi``, does not repeat.
+Outside the kernels only the catalog is memoised
+(:func:`~psicert.theorems._catalog`, built once).
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .elementary import ENCLOSURE_CACHE_SIZE, _climb, _floor_log2, _tolerance_bits, iv_exp, iv_ln, iv_pi
+from .elementary import _climb, _floor_log2, _tolerance_bits, iv_exp, iv_ln, iv_pi
 from .interval import DomainError, Interval, _outward
 from .series import _grow_psi_terms, _psi_terms
 
@@ -44,6 +55,14 @@ __all__ = [
     "euler_gamma_enclosure",
     "trigamma_enclosure",
 ]
+
+#: Entries kept by the psi and psi' memos.  Repeated arguments come from the
+#: two sides of a catalog pair, from its other pairs, and from neighbouring
+#: points, so a small cache catches them.  No CLI call of the benchmark's
+#: grid and precision jobs (seeds 7, 11 and 9011) fills it: the most entries
+#: held are ``trigamma_enclosure`` 224 and ``digamma_enclosure`` 124, both in
+#: ``certify all``, and at most 12 in a precision job.
+ENCLOSURE_CACHE_SIZE = 1024
 
 # A kernel's width is a sum of at most three parts of at most 2**-(bits + 2).
 _GUARD_BITS = 2

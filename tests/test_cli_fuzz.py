@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from psicert import cli
 
-# Inputs that run for minutes today.  ROADMAP item 5 (one refinement driver
+# Inputs that run for minutes today.  ROADMAP item 4 (one refinement driver
 # with a budget) is to make them finish; until then the ranges below keep
 # clear of them: grids start at 1/100 or above (1e-5 asks for exp(~1e5) on
 # an absolute grid) and ``bern`` stops at 300.

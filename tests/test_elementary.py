@@ -119,6 +119,20 @@ class TestExp:
         narrow = iv_exp(F(3, 7), 160)
         assert narrow.hi - narrow.lo < wide.hi - wide.lo
         assert narrow.hi - narrow.lo <= F(1, 2**150)
+        assert iv_exp(F(3, 7), 32) == wide
+
+    @given(
+        st.fractions(min_value=-20, max_value=20, max_denominator=100),
+        st.fractions(min_value=0, max_value=2, max_denominator=30),
+        st.sampled_from([8, 40, 64, 130, 192]),
+    )
+    def test_repeated_call_equals_the_first(self, lo, width, precision):
+        argument = Interval(lo, lo + width)
+        assert iv_exp(argument, precision) == iv_exp(argument, precision)
+
+    def test_int_fraction_and_point_arguments_agree(self):
+        for n in (1, 3, 10):
+            assert iv_exp(n, 64) == iv_exp(F(n), 64) == iv_exp(Interval.point(n), 64)
 
     def test_interval_argument_covers_endpoint_values(self):
         enclosure = iv_exp(Interval(F(-1), F(2)), 64)
@@ -269,45 +283,6 @@ class TestLn:
         assert back.lo <= x <= back.hi
         forth = iv_exp(iv_ln(x, 96), 96)
         assert forth.lo <= x <= forth.hi
-
-
-MEMOISED = [iv_exp]
-PRECISIONS = st.sampled_from([8, 40, 64, 130, 192])
-WIDTHS = st.fractions(min_value=0, max_value=2, max_denominator=30)
-
-
-def _assert_hit_equals_recomputation(kernel, argument, precision):
-    first = kernel(argument, precision)
-    assert kernel(argument, precision) == first == kernel.__wrapped__(argument, precision)
-
-
-class TestMemo:
-    """iv_exp is memoised per argument and per working precision."""
-
-    @given(
-        st.fractions(min_value=-20, max_value=20, max_denominator=100), WIDTHS, PRECISIONS
-    )
-    def test_exp_hit_equals_recomputation(self, lo, width, precision):
-        _assert_hit_equals_recomputation(iv_exp, Interval(lo, lo + width), precision)
-
-    @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
-    def test_higher_precision_gets_its_own_enclosure(self, kernel):
-        x = F(7, 3)
-        coarse = kernel(x, 64)
-        fine = kernel(x, 256)
-        assert fine == kernel.__wrapped__(x, 256)
-        assert fine.width < coarse.width
-        assert kernel(x, 64) == coarse
-
-    @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
-    def test_int_and_fraction_arguments_agree(self, kernel):
-        for n in (1, 3, 10):
-            expected = kernel.__wrapped__(F(n), 64)
-            assert kernel(n, 64) == kernel(F(n), 64) == kernel(Interval.point(n), 64) == expected
-
-    @pytest.mark.parametrize("kernel", MEMOISED, ids=lambda k: k.__name__)
-    def test_cache_is_bounded(self, kernel):
-        assert kernel.cache_info().maxsize is not None
 
 
 class TestSinh:

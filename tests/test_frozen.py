@@ -351,6 +351,25 @@ def test_a_command_runs_only_the_modules_it_calls(argv, runs):
     assert result.stdout.split() == sorted(["psicert", "psicert.cli", *(f"psicert.{m}" for m in runs)])
 
 
+def test_polycert_runs_without_the_elementary_kernels():
+    """In a fresh ``python -S``, running ``psicert.polycert`` runs only
+    ``psicert.interval`` beside it: a certificate evaluates nothing."""
+    code = (
+        "import sys, types, psicert.polycert\n"
+        "psicert.polycert.RationalFunction.x()\n"
+        "print(' '.join(sorted(name for name, module in sys.modules.items() "
+        "if name.startswith('psicert') and type(module) is types.ModuleType)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == ["psicert", "psicert.interval", "psicert.polycert"]
+
+
 def test_public_names_resolve_through_their_modules():
     namespace: dict[str, object] = {}
     exec("from psicert import *", namespace)

@@ -13,7 +13,6 @@ from psicert import (
     Interval,
     ROUNDING_GUARD_BITS,
     iv_arith,
-    iv_exp,
     parse_rational,
     round_outward,
 )
@@ -240,14 +239,6 @@ class TestRepresentation:
     def test_distinct_points_do_not_share_a_hash(self):
         # hash(-1) == hash(-2) in CPython: a hash of the integer ends would merge these
         assert hash(Interval.point(F(-1, 3))) != hash(Interval.point(F(-2, 3)))
-
-    def test_two_representations_share_one_exp_cache_entry(self, cold_caches):
-        cold_caches()
-        first = iv_exp(Interval._of(-1, -1, 3), 128)
-        assert iv_exp(Interval._of(-2, -2, 6), 128) is first
-        assert iv_exp(Interval._of(-2, -2, 3), 128) != first
-        info = iv_exp.cache_info()
-        assert (info.hits, info.misses) == (1, 2)
 
 
 def _reference(op: str, a: tuple[F, F], b: "tuple[F, F] | int") -> tuple[F, F]:

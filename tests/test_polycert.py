@@ -25,16 +25,15 @@ from psicert import (
     rational_from_expansion,
     trigamma_expansion,
 )
+from psicert.expressions import evaluate
 from psicert.polycert import LimitClass, PositivityVerdict
 from psicert.theorems import (
     _r1u_branch,
     _thm1_branches,
     _thm2_branches,
     _thm3a_lower_branch,
+    entry,
 )
-
-from _oracles import consistent, ln_bracket, mp_bracket
-import mpmath
 
 F = Fraction
 
@@ -179,19 +178,6 @@ class TestRationalFunction:
 
 
 class TestLogExpr:
-    def test_evaluate_against_oracle(self):
-        x = RationalFunction.x()
-        expr = LogRationalExpr(
-            log_terms=((F(2), x + 1),), rational_part=1 / x
-        )
-        for point in (F(1), F(7, 2), F(20)):
-            enclosure = expr.evaluate(point, 80)
-            truth = mp_bracket(
-                2 * mpmath.log(mpmath.mpf(point.numerator) / point.denominator + 1)
-                + mpmath.mpf(point.denominator) / point.numerator
-            )
-            assert consistent(enclosure, truth)
-
     def test_derivative_of_pure_log(self):
         x = RationalFunction.x()
         expr = LogRationalExpr(log_terms=((F(3), x),), rational_part=x * 0)
@@ -388,9 +374,11 @@ class TestCertificates:
         assert [step.label for step in failing] == ["derivative numerator positive"]
 
     def test_r1u_function_really_changes_sign(self):
-        _, aux, _ = _r1u_branch()[0]
-        assert aux.evaluate(F(7), 96).strictly_negative()
-        assert aux.evaluate(F(8), 96).strictly_positive()
+        """On the catalog's own R1U tree, the function of ``_r1u_branch``
+        (whose derivative ``test_r1u_derivative`` pins)."""
+        u = entry("R1U").pairs[0].lhs
+        assert evaluate(u, F(7), 96).strictly_negative()
+        assert evaluate(u, F(8), 96).strictly_positive()
 
     def test_certificate_transcript_shape(self):
         _, aux, threshold = _thm3a_lower_branch()[0]

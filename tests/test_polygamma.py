@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+import psicert
 from psicert import (
     Interval,
     batir_bstar_enclosure,
@@ -18,7 +20,6 @@ from psicert import (
     series,
     trigamma_enclosure,
 )
-from psicert.elementary import iv_exp
 from psicert.polygamma import (
     _GUARD_BITS,
     _dyadic_cover,
@@ -158,12 +159,28 @@ class TestMemo:
         assert kernel.cache_info().maxsize is not None
 
     def test_grid_sides_share_work(self, cold_caches):
-        """THM1's lower and upper pairs share psi'(x+1), psi(x+1) and the exp factor."""
-        kernels = [*MEMOISED, iv_exp]
+        """THM1's lower and upper pairs share psi'(x+1) and psi(x+1)."""
         cold_caches()
         check_grid("THM1", [F(3), F(5), F(8)])
-        for kernel in kernels:
+        for kernel in MEMOISED:
             assert kernel.cache_info().hits > 0, kernel.__name__
+
+    def test_only_these_functions_are_memoised(self):
+        """A memo stays only where its arguments repeat and a hit pays: psi,
+        psi', b*, ln 2 and the catalog; exp, ln and pi are recomputed."""
+        memoised = set()
+        for name in psicert._EXPORTS:
+            module = importlib.import_module(f"psicert.{name}")
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_info", None)):
+                    memoised.add(f"{value.__module__}.{value.__qualname__}")
+        assert memoised == {
+            "psicert.polygamma.digamma_enclosure",
+            "psicert.polygamma.trigamma_enclosure",
+            "psicert.polygamma.batir_bstar_enclosure",
+            "psicert.elementary._ln2_quantized",
+            "psicert.theorems._catalog",
+        }
 
 
 @pytest.mark.parametrize("power", [1, 2])
