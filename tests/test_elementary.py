@@ -119,7 +119,13 @@ class TestExp:
         narrow = iv_exp(F(3, 7), 160)
         assert narrow.hi - narrow.lo < wide.hi - wide.lo
         assert narrow.hi - narrow.lo <= F(1, 2**150)
-        assert iv_exp(F(3, 7), 32) == wide
+
+    def test_higher_precision_gets_its_own_enclosure(self):
+        x = F(7, 3)
+        coarse = iv_exp(x, 64)
+        fine = iv_exp(x, 256)
+        assert fine.width < coarse.width
+        assert iv_exp(x, 64) == coarse
 
     @given(
         st.fractions(min_value=-20, max_value=20, max_denominator=100),
