@@ -22,19 +22,22 @@ terms in, and errs by less than three ulps a term and two for the tail:
 Inside, every value is a pair of integer ends in ulps of a power of two,
 ``(lo, hi, w)`` for ``[lo * 2**-w, hi * 2**-w]``: the snapped arguments
 (see :func:`_snap`), the series sums, ``k ln 2`` and the outward rounding
-onto ``2**-(precision + ROUNDING_GUARD_BITS)``, the grid of
-:func:`~psicert.interval.round_outward`, which here is a shift.  Each
-public function reads its argument's integer ends and returns its own in
-an :class:`~psicert.interval.Interval`, without building a ``Fraction``.
+onto the one grid ``2**-g``, ``g = p + G`` for the precision ``p`` (see
+:mod:`psicert.interval`), which here is a shift.  Each public function
+reads its argument's integer ends and returns its own in an
+:class:`~psicert.interval.Interval`, without building a ``Fraction``.
 
-Internal working precision is quantized to multiples of 64 bits.  Together
-with the nested rounding grids, this makes enclosure width weakly
-decreasing in the requested precision, which downstream refinement loops
-rely on.
+Every public function has one budget, in steps of ``2**-g``: before
+rounding its ends lie within half a step of the function at the ends of its
+argument (its docstring shows how its working precisions keep them there),
+and rounding adds at most one step.  So a point's enclosure is at most 3
+steps wide.  A rung of :func:`_climb` doubles ``p``, and 3 steps of
+``2**-(2p + G)`` are less than the step of ``2**-(p + G)`` an inexact end
+takes.
 
-Only ln 2 is memoised here, per quantized work precision (see
-:func:`_ln2_quantized`); :mod:`psicert.polygamma` states which kernels are
-memoised and why the others are not.
+Only ln 2 is memoised here, per work precision (see :func:`_ln2`);
+:mod:`psicert.polygamma` states which kernels are memoised and why the
+others are not.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
-from .interval import ROUNDING_GUARD_BITS, DomainError, Interval, _coerce, _outward
+from .interval import DomainError, Interval, _coerce, _grid, _outward, round_outward
 
 __all__ = [
     "iv_exp",
@@ -53,14 +56,6 @@ __all__ = [
     "iv_sinh",
     "ln2_enclosure",
 ]
-
-_QUANTUM = 64
-
-
-def _quantized(bits: int) -> int:
-    """Smallest positive multiple of 64 that is >= ``bits``."""
-    return max(1, -(-bits // _QUANTUM)) * _QUANTUM
-
 
 def _snap(num: int, den: int, k: int, up: bool) -> tuple[int, int]:
     """``num/den`` rounded onto the grid ``2**-k``, down for a lower end and
@@ -79,19 +74,18 @@ def _snap(num: int, den: int, k: int, up: bool) -> tuple[int, int]:
 
 
 def _image(
-    point: Callable[[int, int, int], tuple[int, int, int]], iv: Interval, k: int, work: int, precision: int
+    point: Callable[[int, int, int], tuple[int, int, int]], iv: Interval, k: int, work: int, g: int
 ) -> Interval:
     """The enclosure of an increasing function over ``iv``, from ``point``'s
-    enclosures at the ends of ``iv`` snapped outward onto ``2**-k``, rounded
-    outward onto ``2**-(precision + ROUNDING_GUARD_BITS)`` by shifts: the
-    cells :func:`~psicert.interval.round_outward` picks."""
+    enclosures at ``work`` at the ends of ``iv`` snapped outward onto
+    ``2**-k``, rounded outward onto ``2**-g``: the cells
+    :func:`~psicert.interval.round_outward` picks."""
     lo, hi, d = iv._ends
     lo_arg = _snap(lo, d, k, up=False)
     hi_arg = _snap(hi, d, k, up=True)
     lo, _, w = lo_end = point(*lo_arg, work)
     _, hi, v = lo_end if lo_arg == hi_arg else point(*hi_arg, work)
-    g = precision + ROUNDING_GUARD_BITS
-    return Interval._of(lo >> (w - g), -(-hi >> (v - g)), 1 << g)
+    return Interval._of(_outward(lo, lo, 1 << w, g)[0], _outward(hi, hi, 1 << v, g)[1], 1 << g)
 
 
 def _floor_log2(a: int, b: int) -> int:
@@ -124,9 +118,9 @@ def _climb(
 # ---------------------------------------------------------------------------
 
 
-def _exp_point(p: int, q: int, precision: int) -> tuple[int, int, int]:
+def _exp_point(p: int, q: int, work: int) -> tuple[int, int, int]:
     """Enclosure of e**x for one exact rational argument ``x = p/q``, ``q > 0``,
-    as ends ``(lo, hi, w)`` in ulps of ``2**-w``.
+    of width at most ``2**-work``, as ends ``(lo, hi, w)`` in ulps of ``2**-w``.
 
     Fixed point at scale ``2**-w``, as in :func:`_atanh_small`.  With
     ``2**k <= |x| < 2**(k+1)`` and ``j = k + 2`` (``j = 0`` if that is
@@ -145,16 +139,23 @@ def _exp_point(p: int, q: int, precision: int) -> tuple[int, int, int]:
     ``S +- (2n + 3)`` ulps.  When ``T >= 0`` no term is negative, so the
     lower end is ``S`` itself, and ``T = 0`` gives ``S = 2**w``, exactly 1.
     An inexact ``T`` adds less than ``e**(1/2) (e**(2**-w) - 1)`` ulps,
-    below 2, to the upper end: 4 more are added.
+    below 2, to the upper end: 4 more are added.  As ``P_k < 2**(w-2k+1)``,
+    ``n <= w/2 + 2`` and the width is at most ``4n + 10 <= 2w + 18`` ulps.
 
     Squaring ``j`` times takes the floor of ``lo**2 / 2**w`` and the
-    ceiling of ``hi**2 / 2**w``; :func:`iv_exp` rounds the result outward
-    onto ``precision``.  Head-room: each squaring roughly doubles the
-    relative error (one bit), and the value has magnitude up to ``e**|x|``,
-    about ``1.5 |x|`` bits.
+    ceiling of ``hi**2 / 2**w``: a width of ``r`` ulps at a value ``V``
+    becomes at most ``2 (V + r 2**-w) r + 2``, so the relative width
+    doubles and 2 ulps are added.  The values multiply to at most ``max(1,
+    e**x)``, so the width ends below ``2**j max(1, e**x) (2w + 18 + 2j)``
+    ulps, up to factors ``1 + r/V`` near 1.  With ``m = max(0, ceil(x))``,
+    ``w0 = work + j + ceil(3m/2)`` and ``w = w0 + w0.bit_length() + 4`` keep
+    that below ``2**-work`` for ``w0 >= 3``: ``e**x < 2**(3m/2)``, and ``2w
+    + 18 + 2j <= 4 w0 + 2 w0.bit_length() + 26 < 16 w0 < 2**(w0.bit_length()
+    + 4)``.
     """
     j = max(0, _floor_log2(abs(p), q) + 2) if p else 0
-    w = _quantized(precision + 2 * j + (3 * -(-abs(p) // q)) // 2 + 40)
+    w = work + j + (3 * max(0, -(-p // q)) + 1) // 2
+    w += w.bit_length() + 4
     T, rest = divmod(p << (w - j), q)
     magnitude = abs(T)
     power = 1 << w  # P_k
@@ -173,20 +174,23 @@ def _exp_point(p: int, q: int, precision: int) -> tuple[int, int, int]:
 
 
 def iv_exp(a: Interval | Fraction | int, work_precision: int) -> Interval:
-    """Enclosure of the image of ``exp`` over ``a``.
+    """Enclosure of the image of ``exp`` over ``a``, on the one grid ``2**-g``,
+    ``g = work_precision + G``.
 
     ``exp`` is increasing, so the image of an interval is the interval of
-    the endpoint images.
+    the endpoint images.  Half a step per end: with ``c = max(0,
+    ceil(a.hi))``, snapping onto ``2**-k``, ``k = g + 2c + 3``, moves an end
+    by at most ``2**-k <= 1/2``, where the slope of exp is below ``e**(c +
+    1/2) < 2**(2c + 1)``: a quarter step; :func:`_exp_point` at ``g + 2``
+    adds at most a quarter step.
     """
+    g = _grid(work_precision)
     iv = _coerce(a)
     _, hi, d = iv._ends
-    # exp amplifies absolute perturbations by up to e**hi, so the input
-    # snapping grid must be that much finer than the output precision.
-    amplification = 2 * max(0, -(-hi // d))
-    if amplification > sys.maxsize:  # the snapping shift must be a machine-size int
+    c = max(0, -(-hi // d))
+    if 2 * c > sys.maxsize:  # the snapping shift must be a machine-size int
         raise ValueError(f"exp argument above {sys.maxsize // 2} is out of range")
-    k = work_precision + 8 + amplification + ROUNDING_GUARD_BITS
-    return _image(_exp_point, iv, k, work_precision, work_precision)
+    return _image(_exp_point, iv, g + 2 * c + 3, g + 2, g)
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +233,27 @@ def _atanh_small(p: int, q: int, work: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _ln2_quantized(work: int) -> tuple[int, int, int]:
-    """ln 2 = 2 atanh(1/3) as ends ``(lo, hi, g)`` rounded outward onto
-    ``2**-g``, ``g = work + ROUNDING_GUARD_BITS``; memoised per quantized work."""
-    lo, hi, w = _atanh_small(1, 3, work + 4)
-    g = work + ROUNDING_GUARD_BITS
-    return *_outward(2 * lo, 2 * hi, 1 << w, g), g
+def _ln2(work: int) -> tuple[int, int, int]:
+    """ln 2 = 2 atanh(1/3), of width at most ``2**-work``, as ends ``(lo, hi,
+    w)`` in ulps of ``2**-w``; memoised per work."""
+    lo, hi, w = _atanh_small(1, 3, work + 1)
+    return 2 * lo, 2 * hi, w
 
 
 def ln2_enclosure(precision: int) -> Interval:
-    """Enclosure of ln 2 with width at most 2**-precision."""
-    lo, hi, w = _ln2_quantized(_quantized(precision + 8))
-    return Interval._of(lo, hi, 1 << w)
+    """Enclosure of ln 2 with width at most 2**-precision, on the one grid
+    ``2**-g``, ``g = precision + G``: :func:`_ln2` at ``g + 1``, half a step
+    wide, rounded outward."""
+    g = _grid(precision)
+    lo, hi, w = _ln2(g + 1)
+    return Interval._of(*_outward(lo, hi, 1 << w, g), 1 << g)
 
 
 def _ln_point(p: int, q: int, work: int) -> tuple[int, int, int]:
     """Enclosure of ``ln(p/q)`` for ``p, q > 0``, of width at most ``2**-work``,
-    as ends ``(lo, hi, w)`` in ulps of ``2**-w``."""
+    as ends ``(lo, hi, w)`` in ulps of ``2**-w``: ``2 atanh`` at ``work + 2``
+    is at most ``2**-(work+1)`` wide, and so is ``k ln 2`` with ln 2 at
+    ``work + 1 + |k|.bit_length()``."""
     k = _floor_log2(p, q)
     # z = (p/q) / 2**k = a/b in [1, 2): atanh argument (z-1)/(z+1) lies in [0, 1/3).
     a, b = p << max(0, -k), q << max(0, k)
@@ -253,7 +261,7 @@ def _ln_point(p: int, q: int, work: int) -> tuple[int, int, int]:
     lo, hi = 2 * lo, 2 * hi
     if k == 0:
         return lo, hi, w
-    ln2_lo, ln2_hi, v = _ln2_quantized(_quantized(work + max(k, -k).bit_length() + 2))
+    ln2_lo, ln2_hi, v = _ln2(work + 1 + max(k, -k).bit_length())
     if k < 0:
         ln2_lo, ln2_hi = ln2_hi, ln2_lo
     if v > w:
@@ -262,16 +270,21 @@ def _ln_point(p: int, q: int, work: int) -> tuple[int, int, int]:
 
 
 def iv_ln(a: Interval | Fraction | int, work_precision: int) -> Interval:
-    """Enclosure of the image of ``ln`` over ``a``; requires ``a.lo > 0``."""
+    """Enclosure of the image of ``ln`` over ``a``, on the one grid ``2**-g``,
+    ``g = work_precision + G``; requires ``a.lo > 0``.
+
+    Half a step per end: with ``a.lo >= 2**-m``, ``m >= 0``, snapping onto
+    ``2**-k``, ``k = g + m + 3``, moves an end by at most ``2**-k <= a.lo /
+    2``, where the slope of ln is at most ``2 / a.lo <= 2**(m + 1)``: a
+    quarter step; :func:`_ln_point` at ``g + 2`` adds at most a quarter step.
+    """
+    g = _grid(work_precision)
     iv = _coerce(a)
     lo, _, d = iv._ends
     if lo <= 0:
         raise DomainError(f"logarithm requires a strictly positive interval, got {iv}")
-    # ln amplifies absolute perturbations by 1/lo, so scale the snapping
-    # grid with the number of doublings separating lo from 1.
-    amplification = 2 * max(0, -_floor_log2(lo, d))
-    k = work_precision + 8 + amplification + ROUNDING_GUARD_BITS
-    return _image(_ln_point, iv, k, _quantized(work_precision + 40), work_precision)
+    m = max(0, -_floor_log2(lo, d))
+    return _image(_ln_point, iv, g + m + 3, g + 2, g)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +293,15 @@ def iv_ln(a: Interval | Fraction | int, work_precision: int) -> Interval:
 
 
 def iv_sinh(a: Interval | Fraction | int, work_precision: int) -> Interval:
-    """Enclosure of sinh over ``a`` as (exp(a) - exp(-a)) / 2."""
+    """Enclosure of sinh over ``a`` as (exp(a) - exp(-a)) / 2, on the one grid
+    ``2**-g``, ``g = work_precision + G``.
+
+    Half a step per end: each exp, at ``work_precision + 2``, is within 1.5
+    of its quarter steps, so their half difference is within 3/8 of a step.
+    """
     iv = _coerce(a)
-    grow = iv_exp(iv, work_precision + 2)
-    decay = iv_exp(-iv, work_precision + 2)
-    return (grow - decay) / 2
+    half = (iv_exp(iv, work_precision + 2) - iv_exp(-iv, work_precision + 2)) / 2
+    return round_outward(half, work_precision)
 
 
 def _arctan_inverse(q: int, work: int) -> tuple[int, int, int]:
@@ -317,13 +334,11 @@ def _arctan_inverse(q: int, work: int) -> tuple[int, int, int]:
 
 
 def iv_pi(work_precision: int) -> Interval:
-    """Enclosure of pi with width at most 2**-work_precision: Machin's
-    pi = 16 arctan(1/5) - 4 arctan(1/239) at ``work``, ``work_precision + 8``
-    quantized, rounded outward onto ``2**-(work + ROUNDING_GUARD_BITS)``."""
-    if work_precision < 0:
-        raise ValueError("precision must be nonnegative")
-    work = _quantized(work_precision + 8)
-    lo5, hi5, w = _arctan_inverse(5, work + 8)
-    lo239, hi239, _ = _arctan_inverse(239, work + 8)  # the same w
-    g = work + ROUNDING_GUARD_BITS
+    """Enclosure of pi with width at most 2**-work_precision, on the one grid
+    ``2**-g``, ``g = work_precision + G``: Machin's pi = 16 arctan(1/5) - 4
+    arctan(1/239), each arctan at ``g + 6``, so the sum is at most ``20 *
+    2**-(g + 6)``, below half a step, wide, rounded outward."""
+    g = _grid(work_precision)
+    lo5, hi5, w = _arctan_inverse(5, g + 6)
+    lo239, hi239, _ = _arctan_inverse(239, g + 6)  # the same w
     return Interval._of(*_outward(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239, 1 << w, g), 1 << g)

@@ -10,27 +10,25 @@ A node evaluates to its ends ``(lo, hi, d)``: integers ``lo <= hi`` over
 one positive denominator ``d``, the interval ``[lo/d, hi/d]`` and what an
 :class:`~psicert.interval.Interval` holds; ``Add``, ``Mul``, ``Div`` (``n *
 d**-1``) and ``PowInt`` use ``Interval``'s end formulas.  ``Var``,
-``Add``, ``Mul``, ``Div``, ``PowInt``, ``Digamma`` and ``Trigamma`` keep a
-short point exact: an exact result that is a single point ``a/b`` in lowest
-terms with ``b < 2**s`` and ``|a| < 2**(2s)``, where ``2**-s``, ``s = p +
-64``, is the node grid for the precision ``p = bits``.  So at a short
+``Add``, ``Mul``, ``Div`` and ``PowInt`` keep a short point exact: an exact
+result that is a single point ``a/b`` in lowest terms with ``b < 2**s`` and
+``|a| < 2**(2s)``, where ``2**-s``, ``s = p + G``, is the one grid of
+:mod:`psicert.interval` for the precision ``p = bits``.  So at a short
 ``x`` such as ``177687919/125000``, ``Digamma(X + 1)`` calls its kernel
-once, at an exact argument.  Every other result is rounded outward onto the
-node grid: its ends are the floor and ceiling integer quotients over ``d =
-2**s`` (shifts when the exact denominator is a power of two, as for a
-product of two grid values), the cells that
-:func:`~psicert.interval.round_outward` picks.  The psi and psi' kernels
-round their own sums onto that grid already (see
-:data:`~psicert.polygamma._GRID_BITS`); ``Exp``, ``Ln`` and ``Sinh`` round
-through their kernels, onto coarser grids that the node grid refines.
-Rounding outward after a node keeps its result an enclosure of the node's
-true value, so the result stays sound; it costs at most one grid step per
-end, 64 bits below the target, and it keeps endpoint sizes near ``p`` bits
+once, at an exact argument.  Every other result is
+rounded outward onto that grid: its ends are the floor and ceiling integer
+quotients over ``d = 2**s`` (shifts when the exact denominator is a power
+of two, as for a product of two grid values), the cells that
+:func:`~psicert.interval.round_outward` picks.  Every kernel at ``p``
+rounds onto the same grid, so a kernel node rounds nothing more.  Rounding
+outward after a node keeps its result an enclosure of the node's true
+value, so the result stays sound; it costs at most one grid step per end,
+``G`` bits below the target, and it keeps endpoint sizes near ``p`` bits
 whatever the size of ``x`` or the depth of the tree.  Where ``Var`` rounds
 a long ``x``, it keeps an end exact where rounding would reach or cross
-zero, so a domain check sees the sign of the caller's ``x``.  ``Const``,
-``NamedConstant``, ``Neg`` and the three kernels' enclosures keep their own
-denominators, so a node over them rounds once, after an exact operation.
+zero, so a domain check sees the sign of the caller's ``x``.  ``Const``
+and ``Neg`` keep their own denominators, and kernels and constants are on
+the grid, so a node over them rounds once, after an exact operation.
 The nodes pass and read the kernels' ends as they are; ``Fraction``
 appears only in the psi and psi' kernels' arguments.
 :func:`rational_function` lowers a rational tree exactly, without
@@ -47,14 +45,8 @@ from fractions import Fraction
 
 from . import polycert
 from .elementary import _snap, iv_exp, iv_ln, iv_pi, iv_sinh
-from .interval import DomainError, Frozen, Interval, _add_ends, _mul_ends, _outward, _pow_ends
-from .polygamma import (
-    _GRID_BITS,
-    batir_bstar_enclosure,
-    digamma_enclosure,
-    euler_gamma_enclosure,
-    trigamma_enclosure,
-)
+from .interval import DomainError, Frozen, Interval, _add_ends, _grid, _mul_ends, _outward, _pow_ends
+from .polygamma import batir_bstar_enclosure, digamma_enclosure, euler_gamma_enclosure, trigamma_enclosure
 
 __all__ = [
     "Add",
@@ -84,7 +76,7 @@ class _Point:
 
     def __init__(self, x: Fraction, bits: int) -> None:
         self.bits = bits
-        self.s = s = bits + _GRID_BITS
+        self.s = s = _grid(bits)
         self.one = one = 1 << s
         a, b = x.numerator, x.denominator
         if _is_short(a, b, self):
@@ -268,7 +260,7 @@ class Digamma(Expr):
             raise DomainError(f"digamma argument must be positive, got {Interval._of(lo, hi, d)}")
         lo_end = digamma_enclosure(Fraction(lo, d), at.bits)._ends
         hi_end = lo_end if lo == hi else digamma_enclosure(Fraction(hi, d), at.bits)._ends
-        return _rounded(lo_end[0], hi_end[1], lo_end[2], at)  # both over 2**s
+        return lo_end[0], hi_end[1], at.one  # both on the grid, never a point
 
 
 class Trigamma(Expr):
@@ -283,7 +275,7 @@ class Trigamma(Expr):
             raise DomainError(f"trigamma argument must be positive, got {Interval._of(lo, hi, d)}")
         hi_end = trigamma_enclosure(Fraction(lo, d), at.bits)._ends
         lo_end = hi_end if lo == hi else trigamma_enclosure(Fraction(hi, d), at.bits)._ends
-        return _rounded(lo_end[0], hi_end[1], lo_end[2], at)  # both over 2**s
+        return lo_end[0], hi_end[1], at.one  # both on the grid, never a point
 
 
 # name -> enclosure at the work precision; each lambda looks its kernel up

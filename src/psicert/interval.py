@@ -10,9 +10,17 @@ ends ``(lo, hi, d)`` over one positive denominator, the form in which the
 kernels of :mod:`psicert.elementary` and :mod:`psicert.polygamma` compute
 and the nodes of :mod:`psicert.expressions` evaluate, and the nodes share
 ``Interval``'s end formulas (:func:`_add_ends`, :func:`_mul_ends`,
-:func:`_pow_ends`).  :func:`round_outward` and the kernels and nodes round
-onto dyadic grids with :func:`_outward`, which keeps endpoint sizes bounded
-by the working precision.
+:func:`_pow_ends`).
+
+One grid and one guard rule: at a precision ``p`` every kernel (exp, ln,
+sinh, pi, ln 2, psi, psi' and the constants on them), every expression node
+and :func:`round_outward` round outward onto ``2**-(p + G)``, ``G =
+ROUNDING_GUARD_BITS``, with :func:`_outward`, which keeps endpoint sizes
+bounded by the precision.  A kernel's width ``2**-p`` is ``2**G`` steps of
+that grid; its docstring spends them on its parts' counted errors and one
+step per end for each rounding, and its working precisions follow from that
+budget.  :func:`_grid` is the grid's exponent and every kernel's one
+precision check.
 """
 
 from __future__ import annotations
@@ -30,10 +38,16 @@ __all__ = [
     "round_outward",
 ]
 
-#: Extra bits of head-room used by :func:`round_outward` beyond the requested
-#: precision, so rounding never dominates the error budget of the routine
-#: that produced the interval.
+#: ``G``, the guard of the one grid ``2**-(p + G)`` (see the module docstring).
 ROUNDING_GUARD_BITS = 32
+
+
+def _grid(precision: int) -> int:
+    """``precision + ROUNDING_GUARD_BITS``, the exponent of the one grid, for a
+    precision ``>= 0``; a negative one raises ``ValueError``."""
+    if precision < 0:
+        raise ValueError("precision must be nonnegative")
+    return precision + ROUNDING_GUARD_BITS
 
 
 class DomainError(ValueError):
@@ -332,19 +346,16 @@ def iv_arith(
 
 
 def round_outward(iv: Interval, precision: int) -> Interval:
-    """Round endpoints outward onto the dyadic grid of step ``2^-(precision+guard)``.
+    """Round endpoints outward onto the one grid, of step ``2^-(precision + G)``.
 
     The result contains ``iv`` and its endpoints have denominators dividing
-    ``2^(precision + ROUNDING_GUARD_BITS)``, which keeps endpoint bit-size
-    bounded across long computations.  Grids for increasing precision are
-    nested, so re-rounding at higher precision never loses containment.
-    An interval whose denominator divides ``2^s``, ``s = precision +
-    ROUNDING_GUARD_BITS``, is on the grid and is returned as it is; the
-    others get the floor and the ceiling of :func:`_outward`.
+    ``2^(precision + ROUNDING_GUARD_BITS)``, the grid of every kernel and
+    node at that precision.  Grids for increasing precision are nested, so
+    re-rounding at higher precision never loses containment.  An interval
+    already on the grid is returned as it is; the others get the floor and
+    the ceiling of :func:`_outward`, at most one step outward at each end.
     """
-    if precision < 0:
-        raise ValueError("precision must be nonnegative")
-    shift = precision + ROUNDING_GUARD_BITS
+    shift = _grid(precision)
     lo, hi, d = iv._ends
     if d & (d - 1) == 0 and d.bit_length() <= shift + 1:
         return iv

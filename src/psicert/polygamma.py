@@ -14,11 +14,10 @@ terms but the last and the sum of all of them (see :func:`_enveloped`).  The
 truncation is the shortest whose last term is below the target (see
 :func:`_truncation`); the Bernoulli table grows only as far as it stops,
 to the odd index after the last Bernoulli number it reads.
-Both work on integer numerators and denominators.  The kernels add ln's
-ends, the window and the recurrence sum as integers over ``2**(bits + 64)``,
-the grid that expression nodes round onto (:data:`_GRID_BITS`), rounding the
-window outward, so their ends are the floor and the ceiling of the exact sum
-on that grid; an ``Interval`` holds those integers as they are.
+Both work on integer numerators and denominators; the parts are added
+exactly and rounded outward once, onto the one grid ``2**-(bits + G)`` of
+:mod:`psicert.interval`, and an ``Interval`` holds those integers as they
+are.
 
 psicert memoises a kernel only where its arguments repeat and a hit saves
 more than the lookup costs.  :func:`digamma_enclosure` and
@@ -26,7 +25,7 @@ more than the lookup costs.  :func:`digamma_enclosure` and
 bounded LRU cache of :data:`ENCLOSURE_CACHE_SIZE` entries, so the sides and
 pairs of an inequality that share ``psi(x+1)`` or ``psi'(x+1)`` compute it
 once.  :func:`batir_bstar_enclosure` and ln 2
-(:func:`~psicert.elementary._ln2_quantized`) are memoised per precision:
+(:func:`~psicert.elementary._ln2`) are memoised per precision:
 every point of a check against BATIR's b* reads the one, and every ln of an
 argument outside ``[1, 2)`` the other.  Each of these is a pure function of
 immutable arguments that returns a frozen value, so a hit is what a
@@ -45,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .elementary import _climb, _floor_log2, _tolerance_bits, iv_exp, iv_ln, iv_pi
-from .interval import DomainError, Interval, _outward
+from .interval import DomainError, Interval, _add_ends, _grid, _outward, round_outward
 from .series import _grow_psi_terms, _psi_terms
 
 __all__ = [
@@ -63,21 +62,6 @@ __all__ = [
 #: held are ``trigamma_enclosure`` 224 and ``digamma_enclosure`` 124, both in
 #: ``certify all``, and at most 12 in a precision job.
 ENCLOSURE_CACHE_SIZE = 1024
-
-# A kernel's width is a sum of at most three parts of at most 2**-(bits + 2).
-_GUARD_BITS = 2
-
-#: psi and psi' round their sums onto ``2**-(bits + _GRID_BITS)``, the grid
-#: that :mod:`psicert.expressions` rounds its nodes onto, so that a node over
-#: them rounds nothing more.
-_GRID_BITS = 64
-
-
-def _validate(x: Fraction | int) -> Fraction:
-    x = Fraction(x)
-    if x <= 0:
-        raise DomainError(f"argument must be positive, got {x}")
-    return x
 
 
 def _shift_count(x: Fraction, w: int) -> int:
@@ -133,9 +117,6 @@ def _truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], 
         previous = c
 
 
-_SUM_GUARD_BITS = 4
-
-
 def _enveloped(terms: tuple[tuple[int, Fraction], ...], y: Fraction) -> tuple[int, int, int]:
     """Hull of the sum of ``c * y**-k`` over all ``terms`` and over all but the
     last, as exact integer ends ``(lo, hi, d)`` over one denominator ``d > 0``.
@@ -166,67 +147,63 @@ def _reciprocal_sum(x: Fraction, n: int, power: int, bits: int) -> tuple[int, in
     of ``2**-w`` it lies in ``[t_k, t_k + 1)``, where ``t_k`` is the floor
     quotient ``(b**power << w) // (a + k*b)**power``, so the sum lies in
     ``[T, T + n)`` with ``T = sum t_k``: directed rounding that costs at
-    most ``n`` ulps.  ``w = bits + n.bit_length() + guard`` makes
-    ``n * 2**-w < 2**-bits``.
+    most ``n`` ulps.  ``w = bits + n.bit_length()`` makes ``n * 2**-w <
+    2**-bits``.
     """
     a, b = x.numerator, x.denominator
-    w = bits + n.bit_length() + _SUM_GUARD_BITS
+    w = bits + n.bit_length()
     scaled = b**power << w
     total = sum(scaled // d**power for d in range(a, a + n * b, b))
     return total, total + n, w
+
+
+def _parts(
+    x: Fraction | int, bits: int, power: int
+) -> tuple[int, int, Fraction, tuple[int, int, int], tuple[int, int, int]]:
+    """What psi (``power`` 1) and psi' (2) at ``x > 0`` share: the grid
+    exponent ``s = bits + G``, ``w = bits + 2``, ``y = x + n - 1`` for ``n``
+    from :func:`_shift_count`, and the ends of two parts: the enveloped window
+    of :func:`_truncation`, at most ``2**-w`` wide, and the sum of
+    :func:`_reciprocal_sum`, which costs one floor division a step at any
+    precision and so is taken below one step, ``2**-s``."""
+    x = Fraction(x)
+    if x <= 0:
+        raise DomainError(f"argument must be positive, got {x}")
+    s = _grid(bits)
+    w = bits + 2
+    n = _shift_count(x, w)
+    y = x + n - 1
+    lo, hi, v = _reciprocal_sum(x, n, power, s)
+    return s, w, y, _enveloped(_truncation(power, y, w), y), (lo, hi, 1 << v)
 
 
 @lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def digamma_enclosure(x: Fraction | int, bits: int = 64) -> Interval:
     """Enclosure of ``psi(x)`` for rational ``x > 0``, of width at most ``2**-bits``.
 
-    With ``w = bits + 2``, ``n`` from :func:`_shift_count` and ``y = x + n - 1``,
-    ``psi(x) = ln y + (psi(y+1) - ln y) - sum_{k<n} 1/(x+k)``.  Each of the
-    three parts has width at most ``2**-w``: ``iv_ln(y, w)`` rounds outward
-    on a grid 32 bits finer than ``2**-w`` from an enclosure at least 40 bits
-    finer; the enveloped window is the last term of :func:`_truncation`; and
-    :func:`_reciprocal_sum` is below ``2**-w``.
-
-    The sum is rounded outward onto ``2**-s``, ``s = bits + _GRID_BITS``.
-    ln's grid ``2**-(bits + 34)`` and the recurrence sum's ``2**-(bits + 6 +
-    n.bit_length())`` are both coarser, so they add as integers over
-    ``2**s``, and only the window is rounded: its lower end down and its
-    upper end up, less than ``2**-s`` each.  So the ends are the floor and
-    the ceiling, on ``2**-s``, of the exact sum, and the width is below
-    ``3 * 2**-w + 2 * 2**-s < 2**-bits``.
+    With ``y = x + n - 1``, ``psi(x) = ln y + (psi(y+1) - ln y) - sum_{k<n}
+    1/(x+k)``: ``iv_ln(y, w)`` and the window of :func:`_parts`, each at
+    most ``2**-w = 2**-(bits + 2)`` wide, and its sum, below one step of
+    the one grid ``2**-s``, ``s = bits + G``.  Their exact sum is rounded
+    outward onto that grid, one step at most per end, so the width is below
+    ``2 * 2**-w`` and three steps: ``2**(G-1) + 3 <= 2**G`` steps, that is
+    ``2**-bits``.
     """
-    x = _validate(x)
-    w = bits + _GUARD_BITS
-    n = _shift_count(x, w)
-    y = x + n - 1  # psi(x) = psi(y + 1) - sum_{k=0}^{n-1} 1/(x + k)
-    s = bits + _GRID_BITS
-    lo, hi = _outward(*_enveloped(_truncation(1, y, w), y), s)
-    ln_lo, ln_hi, ln_d = iv_ln(y, w)._ends
-    up = s + 1 - ln_d.bit_length()  # from ln's grid, 2**-(bits + 34), to 2**-s
-    sum_lo, sum_hi, v = _reciprocal_sum(x, n, 1, w)
-    lo += (ln_lo << up) - (sum_hi << (s - v))
-    hi += (ln_hi << up) - (sum_lo << (s - v))
-    return Interval._of(lo, hi, 1 << s)
+    s, w, y, window, (total_lo, total_hi, d) = _parts(x, bits, 1)
+    ends = _add_ends(_add_ends(window, iv_ln(y, w)._ends), (-total_hi, -total_lo, d))
+    return Interval._of(*_outward(*ends, s), 1 << s)
 
 
 @lru_cache(maxsize=ENCLOSURE_CACHE_SIZE)
 def trigamma_enclosure(x: Fraction | int, bits: int = 64) -> Interval:
     """Enclosure of ``psi'(x)`` for rational ``x > 0``, of width at most ``2**-bits``.
 
-    As in :func:`digamma_enclosure`, without the logarithm: the enveloped
-    window and the recurrence sum are each at most ``2**-w``, and the window
-    is rounded outward onto ``2**-s``, so the ends are the floor and the
-    ceiling, on ``2**-s``, of the exact sum, and the width is below ``2 *
-    2**-w + 2 * 2**-s < 2**-bits``.
+    ``psi'(x) = psi'(y+1) + sum_{k<n} 1/(x+k)**2``: as in
+    :func:`digamma_enclosure`, without the logarithm, so the width is below
+    ``2**-w`` and three steps.
     """
-    x = _validate(x)
-    w = bits + _GUARD_BITS
-    n = _shift_count(x, w)
-    y = x + n - 1  # psi'(x) = psi'(y + 1) + sum_{k=0}^{n-1} 1/(x + k)^2
-    s = bits + _GRID_BITS
-    lo, hi = _outward(*_enveloped(_truncation(2, y, w), y), s)
-    sum_lo, sum_hi, v = _reciprocal_sum(x, n, 2, w)
-    return Interval._of(lo + (sum_lo << (s - v)), hi + (sum_hi << (s - v)), 1 << s)
+    s, _, _, window, total = _parts(x, bits, 2)
+    return Interval._of(*_outward(*_add_ends(window, total), s), 1 << s)
 
 
 def euler_gamma_enclosure(bits: int = 64) -> Interval:
@@ -243,11 +220,13 @@ def batir_bstar_enclosure(bits: int = 64) -> Interval:
     ``E`` of width below ``3.2 * 2**(1-v) + 2**-v < 7 * 2**-v``.  ``P = pi**2``
     has width at most ``(2 pi + 2**-v) 2**-v < 7 * 2**-v``.  With ``P < 10``
     and ``E > 3`` the quotient's width ``(P.hi E.hi - P.lo E.lo) / (6 E.lo E.hi)``
-    is below ``(7/3 + 70/9) / 6 * 2**-v < 2**(1-v) = 2**-(bits + 1)``.
+    is below ``(7/3 + 70/9) / 6 * 2**-v < 2**(1-v) = 2**-(bits + 1)``, half
+    of the ``2**G`` steps of the one grid ``2**-(bits + G)``, onto which it
+    is rounded outward, by at most one step per end.
     """
     v = bits + 2
     two_gamma = euler_gamma_enclosure(v) * 2
-    return iv_pi(v) ** 2 / (6 * iv_exp(two_gamma, v))
+    return round_outward(iv_pi(v) ** 2 / (6 * iv_exp(two_gamma, v)), bits)
 
 
 def _dyadic_cover(a: Fraction, b: Fraction, level: int) -> tuple[Fraction, Fraction]:

@@ -26,6 +26,7 @@ from psicert import (
     trigamma_enclosure,
 )
 from psicert.cli import _emit, _int_text, _iv_json, _iv_text, _rational_text, _scientific
+from psicert.interval import ROUNDING_GUARD_BITS
 
 from _oracles import _to_mpf, encloses_truth, scaled_bracket
 from golden.regen import capture
@@ -192,12 +193,12 @@ class TestEncloseCommand:
         assert enclosure.width <= F(1, 2**precision)
 
     def test_ends_lie_on_the_kernel_grid(self, unlimited_int_str):
-        """psi rounds its sum onto 2**-(p + 64), however long x's denominator."""
+        """psi rounds its sum onto the one grid 2**-(p + G), however long x's denominator."""
         stdout, code = capture(("--precision", "64", "enclose", "digamma", "1e-4000"), "json")
         assert code == 0
         data = json.loads(stdout)
         for end in ("lo", "hi"):
-            assert parse_rational(data["enclosure"][end]).denominator <= 2 ** (64 + 64)
+            assert parse_rational(data["enclosure"][end]).denominator <= 2 ** (64 + ROUNDING_GUARD_BITS)
 
     def test_rejects_nonpositive_argument(self):
         proc = run_cli("enclose", "digamma", "--", "-3")

@@ -14,7 +14,17 @@ import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
-from psicert import DomainError, Interval, iv_exp, iv_ln, iv_pi, iv_sinh, ln2_enclosure
+from psicert import (
+    DomainError,
+    Interval,
+    digamma_enclosure,
+    iv_exp,
+    iv_ln,
+    iv_pi,
+    iv_sinh,
+    ln2_enclosure,
+    trigamma_enclosure,
+)
 from psicert.elementary import (
     _arctan_inverse,
     _atanh_small,
@@ -22,9 +32,9 @@ from psicert.elementary import (
     _exp_point,
     _floor_log2,
     _ln_point,
-    _quantized,
     _tolerance_bits,
 )
+from psicert.interval import ROUNDING_GUARD_BITS
 
 from _oracles import (
     consistent,
@@ -158,17 +168,19 @@ class TestExp:
         product = iv_exp(x, 80) * iv_exp(-x, 80)
         assert product.lo <= 1 <= product.hi
 
-    @given(_exp_arguments(), st.integers(min_value=1, max_value=1024))
+    @given(_exp_arguments(), st.integers(min_value=0, max_value=1024))
     @example(F(1, 10**300), 1024)  # T = 0 and inexact: the upper end is 1 + 4 ulps
     @example(F(-1, 10**300), 1024)
     @example(F(-300), 64)  # e**x far below one ulp: the squarings' roundings show
     @example(F(1, 4), 1)  # a power of two: t = 1/4 exactly
-    def test_point_contains_truth(self, x, precision):
+    @example(F(-1, 10**300), 3)  # the least work of the width bound, at its fewest bits
+    def test_point_contains_truth(self, x, work):
         """The fixed-point enclosure before ``iv_exp`` rounds it outward, so
-        that an ulp miscounted in the sum or the squarings shows; it is
-        narrower than the grid step that rounding will use."""
-        enclosure = dyadic(*_exp_point(x.numerator, x.denominator, precision))
-        assert enclosure.width <= max(F(1), enclosure.hi) * F(1, 2 ** (precision + 32))
+        that an ulp miscounted in the sum or the squarings shows; from ``work
+        = 3`` on it is at most ``2**-work`` wide, whatever the size of ``e**x``."""
+        enclosure = dyadic(*_exp_point(x.numerator, x.denominator, work))
+        if work >= 3:
+            assert enclosure.width <= F(1, 2**work)
         assert encloses_truth(enclosure, exp_truth(x, enclosure.width))
 
     @pytest.mark.parametrize("precision", [256, 512, 1024, 2048, 4096])
@@ -212,9 +224,10 @@ class TestLn:
     @pytest.mark.parametrize("precision", LN_PRECISIONS)
     @pytest.mark.parametrize("x", HIGH_PRECISION_LN_POINTS, ids=str)
     def test_high_precision_series_enclosure_contains_truth(self, x, precision):
-        """The atanh-series enclosure before ``iv_ln`` rounds it outward: an
-        error below the rounding grid, such as a dropped tail, shows only here."""
-        work = _quantized(precision + 40)
+        """The atanh-series enclosure at the work ``iv_ln`` gives it, before
+        ``iv_ln`` rounds it outward: an error below the rounding grid, such as
+        a dropped tail, shows only here."""
+        work = precision + ROUNDING_GUARD_BITS + 2
         enclosure = dyadic(*_ln_point(x.numerator, x.denominator, work))
         assert enclosure.width <= F(1, 2**work)
         truth = scaled_bracket(lambda: mpmath.log(_to_mpf(x)), enclosure.width)
@@ -275,6 +288,12 @@ class TestLn:
     def test_ln2_helper_consistent(self):
         assert consistent(ln2_enclosure(64), ln_bracket(F(2)))
 
+    @pytest.mark.parametrize("precision", [1024, 2048, 4096])
+    def test_ln2_high_precision_contains_truth(self, precision):
+        enclosure = ln2_enclosure(precision)
+        assert enclosure.width <= F(1, 2**precision)
+        assert encloses_truth(enclosure, scaled_bracket(lambda: mpmath.log(2), enclosure.width))
+
     def test_log_of_product_overlaps_sum(self):
         lhs = iv_ln(F(6), 80)
         rhs = iv_ln(F(2), 80) + iv_ln(F(3), 80)
@@ -304,6 +323,15 @@ class TestSinh:
         minus = iv_sinh(F(-7, 3), 64)
         assert minus == Interval(-plus.hi, -plus.lo)
 
+    @pytest.mark.parametrize("precision", [1024, 2048, 4096])
+    @pytest.mark.parametrize("x", [F(7, 3), F(-3, 2), F(1, 1000), F(8)], ids=str)
+    def test_high_precision_contains_truth(self, x, precision):
+        enclosure = iv_sinh(x, precision)
+        scale = max(F(1), abs(enclosure.hi), abs(enclosure.lo))
+        assert enclosure.width <= scale * F(1, 2**precision)
+        truth = scaled_bracket(lambda: mpmath.sinh(_to_mpf(x)), enclosure.width)
+        assert encloses_truth(enclosure, truth)
+
 
 class TestPi:
     def test_against_oracle(self):
@@ -331,6 +359,34 @@ class TestPi:
         enclosure = iv_pi(precision)
         assert enclosure.width <= F(1, 2**precision)
         assert encloses_truth(enclosure, scaled_bracket(lambda: +mpmath.pi, enclosure.width))
+
+
+@pytest.mark.parametrize("precision", [0, 8, 64, 256, 1024])
+def test_a_point_is_at_most_three_steps_wide(precision):
+    """The budget the elementary kernels state: before rounding each end is
+    within half a step of the one grid ``2**-(p + G)`` of the truth, so a
+    point's enclosure is at most 3 steps wide, whatever the size of its value."""
+    step = F(1, 2 ** (precision + ROUNDING_GUARD_BITS))
+    for x in (F(7, 3), F(-7, 5), F(1, 1000), F(61, 3), F(901, 3), F(-901, 3)):  # snapped
+        assert iv_exp(x, precision).width <= 3 * step, x
+        assert iv_sinh(x, precision).width <= 3 * step, x
+        assert iv_ln(abs(x), precision).width <= 3 * step, x
+    for x in (F(10**6), F(1, 10**300), F(10**4000)):
+        assert iv_ln(x, precision).width <= 3 * step, x
+    assert iv_pi(precision).width <= 3 * step
+    assert ln2_enclosure(precision).width <= 3 * step
+
+
+# the kernels a refinement climb reruns at doubled precision, at a point x > 0
+RUNG_KERNELS = {
+    "iv_exp": lambda x, p: iv_exp(x - 10, p),
+    "iv_ln": iv_ln,
+    "iv_sinh": lambda x, p: iv_sinh(x - 10, p),
+    "iv_pi": lambda x, p: iv_pi(p),
+    "ln2_enclosure": lambda x, p: ln2_enclosure(p),
+    "digamma_enclosure": digamma_enclosure,
+    "trigamma_enclosure": trigamma_enclosure,
+}
 
 
 class TestClimb:
@@ -373,6 +429,18 @@ class TestClimb:
             assert calls == [bits]
         else:
             assert ceiling <= top < 2 * ceiling
+
+    @given(
+        st.sampled_from(sorted(RUNG_KERNELS)),
+        st.fractions(min_value=F(1, 1000), max_value=100, max_denominator=1000),
+        st.integers(min_value=8, max_value=1024),
+    )
+    def test_a_rung_never_widens_an_enclosure(self, name, x, precision):
+        """Each rung of :func:`_climb` doubles the precision; the enclosure it
+        gets is never wider than the one it had, so the climb never loses
+        a decision it could make at the rung below."""
+        kernel = RUNG_KERNELS[name]
+        assert kernel(x, 2 * precision).width <= kernel(x, precision).width
 
     def test_a_grid_check_sees_at_most_five_rungs(self):
         """The grid's ceiling is 16 times its start: 16, 32, 64, 128, 256."""

@@ -34,7 +34,7 @@ from psicert import (
 )
 from psicert.elementary import _climb, iv_exp, iv_ln, iv_sinh
 from psicert.expressions import _CONSTANTS, rational_function
-from psicert.interval import round_outward
+from psicert.interval import ROUNDING_GUARD_BITS, round_outward
 from psicert.polygamma import _reciprocal_sum, _shift_count, _truncation
 from psicert.theorems import _M_expr, _X, _alpha, _beta, _digamma_tail_rf, _m_expr
 
@@ -51,14 +51,14 @@ X = Var()
 
 
 def on_node_grid(enclosure: Interval, precision: int = 64) -> bool:
-    """Both endpoints' denominators divide ``2**(precision + 64)``."""
-    grid = 1 << (precision + 64)
+    """Both endpoints' denominators divide ``2**(precision + G)``."""
+    grid = 1 << (precision + ROUNDING_GUARD_BITS)
     return grid % enclosure.lo.denominator == 0 and grid % enclosure.hi.denominator == 0
 
 
 def is_short_point(value: Fraction, precision: int = 64) -> bool:
-    """``value = a/b`` in lowest terms has ``b < 2**s`` and ``|a| < 2**(2s)``, ``s = precision + 64``."""
-    s = precision + 64
+    """``value = a/b`` in lowest terms has ``b < 2**s`` and ``|a| < 2**(2s)``, ``s = precision + G``."""
+    s = precision + ROUNDING_GUARD_BITS
     return value.denominator < 2**s and abs(value.numerator) < 2 ** (2 * s)
 
 
@@ -145,10 +145,11 @@ class TestArithmeticNodes:
     def test_var_point_is_never_rounded_onto_zero(self):
         """A tiny positive x keeps its lower end, so psi sees a positive argument."""
         x = F(1, 10**300)
+        step = F(1, 2 ** (64 + ROUNDING_GUARD_BITS))  # one step of the grid
         enclosure = evaluate(X, x)
-        assert enclosure.lo == x and enclosure.hi == F(1, 2**128)
+        assert enclosure.lo == x and enclosure.hi == step
         assert evaluate(-X, x).hi == -x
-        assert evaluate(X, -x) == Interval(-F(1, 2**128), -x)
+        assert evaluate(X, -x) == Interval(-step, -x)
         assert evaluate(Digamma(X), x).lo < -(10**299)
 
 
@@ -185,7 +186,7 @@ class TestPolygammaNodes:
         """At a dyadic x the node is the library's enclosure rounded outward
         onto the node grid, so it contains it."""
         enclosure = evaluate(Digamma(X), x, 128)
-        assert enclosure == round_outward(digamma_enclosure(x, 128), 128 + 32)
+        assert enclosure == round_outward(digamma_enclosure(x, 128), 128)
         assert enclosure.encloses(digamma_enclosure(x, 128))
         assert on_node_grid(enclosure, 128)
 
@@ -193,7 +194,7 @@ class TestPolygammaNodes:
     def test_trigamma_node_matches_library(self, x):
         """As for psi: the library's enclosure, rounded outward onto the node grid."""
         enclosure = evaluate(Trigamma(X), x, 128)
-        assert enclosure == round_outward(trigamma_enclosure(x, 128), 128 + 32)
+        assert enclosure == round_outward(trigamma_enclosure(x, 128), 128)
         assert enclosure.encloses(trigamma_enclosure(x, 128))
         assert on_node_grid(enclosure, 128)
 
@@ -330,7 +331,7 @@ class TestRationalFunction:
 
 
 def _snap(iv: Interval, bits: int) -> Interval:
-    """``iv`` rounded outward onto ``2**-(bits + 32)``, except an end that
+    """``iv`` rounded outward onto the one grid ``2**-(bits + G)``, except an end that
     rounding takes onto or across zero, which stays exact."""
     snapped = round_outward(iv, bits)
     lo = iv.lo if (snapped.lo <= 0 < iv.lo) else snapped.lo
@@ -347,7 +348,7 @@ def _reference(expr, x: Fraction, precision: int) -> Interval:
     def outward(iv: Interval) -> Interval:
         if iv.is_point and is_short_point(iv.lo, precision):
             return iv
-        return round_outward(iv, precision + 32)
+        return round_outward(iv, precision)
 
     def ev(node) -> Interval:
         match node:
@@ -356,7 +357,7 @@ def _reference(expr, x: Fraction, precision: int) -> Interval:
             case Var():
                 if is_short_point(x, precision):
                     return Interval.point(x)
-                return _snap(Interval.point(x), precision + 32)
+                return _snap(Interval.point(x), precision)
             case Add(left, right):
                 return outward(ev(left) + ev(right))
             case Mul(left, right):
@@ -467,7 +468,7 @@ def _fraction_psi_sum(power: int, x: Fraction, bits: int) -> Interval:
     *kept, (k, c) = _truncation(power, y, w)
     partial = sum((coeff / y**j for j, coeff in kept), start=F(0))
     window = Interval.point(partial).hull(Interval.point(partial + c / y**k))
-    lo, hi, v = _reciprocal_sum(x, n, power, w)
+    lo, hi, v = _reciprocal_sum(x, n, power, bits + ROUNDING_GUARD_BITS)
     recurrence = Interval(F(lo, 1 << v), F(hi, 1 << v))
     if power == 1:
         return iv_ln(y, w) + window - recurrence
@@ -490,6 +491,6 @@ class TestPolygammaNodeRounding:
     def test_ends_are_floor_and_ceiling_of_the_exact_sum(self, x, precision, power):
         node = Digamma(X) if power == 1 else Trigamma(X)
         exact = _fraction_psi_sum(power, x, precision)
-        one = 1 << (precision + 64)
+        one = 1 << (precision + ROUNDING_GUARD_BITS)
         expected = Interval(F(math.floor(exact.lo * one), one), F(math.ceil(exact.hi * one), one))
         assert evaluate(node, x, precision) == expected

@@ -12,9 +12,18 @@ from psicert import (
     DomainError,
     Interval,
     ROUNDING_GUARD_BITS,
+    batir_bstar_enclosure,
+    digamma_enclosure,
+    euler_gamma_enclosure,
     iv_arith,
+    iv_exp,
+    iv_ln,
+    iv_pi,
+    iv_sinh,
+    ln2_enclosure,
     parse_rational,
     round_outward,
+    trigamma_enclosure,
 )
 
 F = Fraction
@@ -193,6 +202,32 @@ class TestOutwardRounding:
         assert rounded.hi > half.hi
         finer = F(1, 2 ** (ROUNDING_GUARD_BITS + 1))  # one bit below the grid
         assert round_outward(iv(finer, finer), 0) == iv(0, F(1, 2**ROUNDING_GUARD_BITS))
+
+
+# every public function that takes a precision, called with one
+PRECISION_TAKERS = {
+    "round_outward": lambda p: round_outward(iv("1/3"), p),
+    "iv_exp": lambda p: iv_exp(F(7, 3), p),
+    "iv_ln": lambda p: iv_ln(F(7, 3), p),
+    "iv_sinh": lambda p: iv_sinh(F(7, 3), p),
+    "iv_pi": iv_pi,
+    "ln2_enclosure": ln2_enclosure,
+    "digamma_enclosure": lambda p: digamma_enclosure(F(7, 3), p),
+    "trigamma_enclosure": lambda p: trigamma_enclosure(F(7, 3), p),
+    "euler_gamma_enclosure": euler_gamma_enclosure,
+    "batir_bstar_enclosure": batir_bstar_enclosure,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECISION_TAKERS))
+def test_one_precision_check(name):
+    """A negative precision raises the one ``ValueError`` of the grid, not an
+    error from inside a kernel; precision 0 gives a width of at most 1."""
+    call = PRECISION_TAKERS[name]
+    for precision in (-100, -2, -1):
+        with pytest.raises(ValueError, match="^precision must be nonnegative$"):
+            call(precision)
+    assert call(0).width <= 1
 
 
 def _scaled(a: Interval, k: int) -> Interval:

@@ -20,8 +20,8 @@ from psicert import (
     series,
     trigamma_enclosure,
 )
+from psicert.interval import ROUNDING_GUARD_BITS
 from psicert.polygamma import (
-    _GUARD_BITS,
     _dyadic_cover,
     _enveloped,
     _reciprocal_sum,
@@ -53,8 +53,8 @@ def dyadic(lo: int, hi: int, w: int) -> Interval:
 
 
 def on_kernel_grid(exact: Interval, bits: int) -> Interval:
-    """``exact`` rounded outward onto 2**-(bits + 64), where psi and psi' round their sums."""
-    one = 1 << (bits + 64)
+    """``exact`` rounded outward onto the one grid 2**-(bits + G), where psi and psi' round their sums."""
+    one = 1 << (bits + ROUNDING_GUARD_BITS)
     return Interval(F(math.floor(exact.lo * one), one), F(math.ceil(exact.hi * one), one))
 
 POINTS = [F(1, 10), F(1, 2), F(1), F(3, 2), F(2), F(29, 7), F(10), F(1000)]
@@ -178,7 +178,7 @@ class TestMemo:
             "psicert.polygamma.digamma_enclosure",
             "psicert.polygamma.trigamma_enclosure",
             "psicert.polygamma.batir_bstar_enclosure",
-            "psicert.elementary._ln2_quantized",
+            "psicert.elementary._ln2",
             "psicert.theorems._catalog",
         }
 
@@ -266,7 +266,7 @@ class TestTruncation:
     def test_matches_per_order_search(self, power, bits):
         """The term-by-term scan picks the same terms as building one expansion
         per candidate order, at the kernels' own shifts."""
-        w = bits + _GUARD_BITS
+        w = bits + 2  # the kernels' w
         for x in (F(1), F(29, 7), F(1, 1000), F(10**6)):
             y = x + _shift_count(x, w) - 1
             assert _truncation(power, y, w) == _per_order_truncation(power, y, w), x
@@ -280,7 +280,7 @@ class TestTruncation:
         """At 1024 bits psi'(29/7) stops at B_470 and psi(29/7) at B_466.  The
         table grows in pairs, so it ends at the odd index after the last one."""
         cold_caches()
-        x, w = F(29, 7), 1024 + _GUARD_BITS
+        x, w = F(29, 7), 1024 + 2  # the kernels' w
         kernel(x, 1024)
         assert len(series._BERNOULLI._values) - 1 == table_end
         k, _ = _truncation(power, x + _shift_count(x, w) - 1, w)[-1]
@@ -364,7 +364,7 @@ class TestAsymptoticWindow:
     )
     def test_against_mpmath_without_recurrence(self, x, bits):
         """psi' is the enveloped window, as wide as its last term, rounded
-        outward onto 2**-(bits + 64)."""
+        outward onto the one grid 2**-(bits + G)."""
         y = x - 1
         terms = _truncation(2, y, bits + 2)
         window = _fraction_enveloped(terms, y)
@@ -406,6 +406,20 @@ class TestConstants:
             enclosure = constant(bits)
             assert enclosure.width <= F(1, 2**bits)
             assert encloses_truth(enclosure, scaled_bracket(truth, enclosure.width))
+
+    @pytest.mark.parametrize("bits", [1024, 2048, 4096])
+    @pytest.mark.parametrize(
+        "constant, truth",
+        [
+            (euler_gamma_enclosure, lambda: +mpmath.euler),
+            (batir_bstar_enclosure, lambda: mpmath.pi**2 / (6 * mpmath.exp(2 * mpmath.euler))),
+        ],
+        ids=["gamma", "bstar"],
+    )
+    def test_high_precision_contains_truth(self, constant, truth, bits):
+        enclosure = constant(bits)
+        assert enclosure.width <= F(1, 2**bits)
+        assert encloses_truth(enclosure, scaled_bracket(truth, enclosure.width))
 
     def test_digamma_zero(self):
         tolerance = F(1, 10**7)
