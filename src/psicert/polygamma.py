@@ -32,20 +32,22 @@ immutable arguments that returns a frozen value, so a hit is what a
 recomputation would give.  exp, ln and pi are not memoised: a fixed-point
 exp or ln costs about what a lookup costs, which hashes the argument's
 ``Interval``, and pi, read only by b* and ``const pi``, does not repeat.
-Outside the kernels only the catalog is memoised
-(:func:`~psicert.theorems._catalog`, built once).
+Outside the kernels only psi's coefficients ``-B_k / k``
+(:func:`~psicert.series._digamma_coefficient`, per index: every psi
+evaluation reads its first ones again, and a hit costs a fraction of the
+division) and the catalog (:func:`~psicert.theorems._catalog`, built once)
+are memoised.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .elementary import _climb, _floor_log2, _tolerance_bits, iv_exp, iv_ln, iv_pi
 from .interval import DomainError, Interval, _add_ends, _grid, _outward, round_outward
-from .series import _grow_psi_terms, _psi_terms
+from .series import psi_terms
 
 __all__ = [
     "batir_bstar_enclosure",
@@ -85,29 +87,27 @@ def _truncation(power: int, y: Fraction, w: int) -> tuple[tuple[int, Fraction], 
     The candidate last terms are the Bernoulli terms ``y**-(2m)`` of psi and
     ``y**-(2m+1)`` of psi', for ``m = 1, 2, ...``, and the expansion that
     ends at one is the prefix of any longer expansion up to it.  So the
-    terms list of :mod:`psicert.series` is scanned term by term, and grown
-    by one Bernoulli number only when the scan runs out: the Bernoulli table
-    grows only as far as the truncation stops.  A term that does not
-    shrink before it reaches ``2**-w`` raises ``ArithmeticError``, so the
-    loop is bounded; at the shifts of :func:`_shift_count` it never does.
+    stream :func:`~psicert.series.psi_terms` is read term by term, and the
+    Bernoulli table grows only as far as the truncation stops.  A term that
+    does not shrink before it reaches ``2**-w`` raises ``ArithmeticError``,
+    so the loop is bounded; at the shifts of :func:`_shift_count` it never
+    does.
     Both tests run on integers: with ``y = a/b`` and ``c = n/d``, ``|c| /
     y**k <= 2**-w`` is ``|n| b**k 2**w <= d a**k``, with the powers advanced
     from term to term.
     """
     a, b = y.numerator, y.denominator
-    terms = _psi_terms(power, 0)  # the live list, grown below as the scan needs
+    terms: list[tuple[int, Fraction]] = []
     k_done, a_k, b_k = 0, 1, 1  # a**k_done, b**k_done
     previous = None
-    for i in itertools.count():
-        if i == len(terms):
-            _grow_psi_terms()
-        k, c = terms[i]
+    for k, c in psi_terms(power):
+        terms.append((k, c))
         if k <= power:  # the 1/(2y) of psi and the 1/y, -1/(2y**2) of psi'
             continue
         a_step, b_step = a ** (k - k_done), b ** (k - k_done)
         a_k, b_k, k_done = a_k * a_step, b_k * b_step, k
         if abs(c.numerator) * b_k << w <= c.denominator * a_k:  # |c| / y**k <= 2**-w
-            return tuple(terms[: i + 1])
+            return tuple(terms)
         # the term does not shrink: |c| / |p| >= y**(k - j) for the term p / y**j before it
         if previous is not None and (
             abs(c.numerator) * previous.denominator * b_step

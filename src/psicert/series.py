@@ -8,17 +8,19 @@ in the same container.  Every operation tracks how far the result's
 coefficients remain fully determined and truncates there.  The Bernoulli
 numbers come from tangent numbers in one growing table
 (:class:`BernoulliTable`).  The terms of psi(x+1) are stated once, as
-``-B_k / (k x**k)``, in a list that grows one Bernoulli number at a time
-(:func:`_grow_psi_terms`); psi'(x+1) and ``psi'(x+1) exp(2 psi(x+1))`` are
+``-B_k / (k x**k)``, in one stream that reads the table one Bernoulli number
+a term (:func:`psi_terms`); psi'(x+1) and ``psi'(x+1) exp(2 psi(x+1))`` are
 derived from them as derivatives.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
+from functools import lru_cache
 
 from .interval import Frozen
 
@@ -31,6 +33,7 @@ __all__ = [
     "digamma_expansion",
     "expansion",
     "format_expansion",
+    "psi_terms",
     "reciprocal_shift_expansion",
     "series_add",
     "series_derivative",
@@ -283,43 +286,35 @@ def reciprocal_shift_expansion(a: Fraction | int, order: int) -> AsymptoticExpan
     return expansion(coeffs, order)
 
 
-# The nonzero terms (k, c), c x**-k, of psi(x+1) after its ln x and of
-# psi'(x+1), in increasing k, as far as they have been needed.  psi''s begin
-# with 1/x, the derivative of ln x.
-_DIGAMMA_TERMS: list[tuple[int, Fraction]] = []
-_TRIGAMMA_TERMS: list[tuple[int, Fraction]] = [(1, Fraction(1))]
+@lru_cache(maxsize=None)
+def _digamma_coefficient(k: int) -> Fraction:
+    """``-B_k / k``, memoised: every psi evaluation reads the first terms
+    again, and a hit costs a fraction of the division."""
+    return _BERNOULLI[k] / -k
 
 
-def _grow_psi_terms() -> None:
-    """Append the next term ``-B_k / (k x**k)`` of psi(x+1) to its list, and its
-    derivative ``B_k / x**(k+1)`` to psi''s.
+def psi_terms(power: int) -> Iterator[tuple[int, Fraction]]:
+    """The nonzero terms ``(k, c)``, ``c x**-k``, of psi(x+1) after its ln x
+    (``power`` 1) or of psi'(x+1) (``power`` 2), in increasing ``k``, without end.
 
-    With ``B_1 = -1/2`` the first is ``1/(2x)``; after it ``k`` runs over the
-    even numbers, one Bernoulli number a term.
+    psi(x+1)'s are ``-B_k / (k x**k)``: with ``B_1 = -1/2`` the first is
+    ``1/(2x)``, and after it ``k`` runs over the even numbers.  psi'(x+1)'s
+    are their derivatives, ``B_k / x**(k+1)``, after the ``1/x`` of ln x.
+    Each term reads one Bernoulli number, so the table grows only as far as
+    the terms are read.
     """
-    k = max(1, 2 * len(_DIGAMMA_TERMS))
-    c = -_BERNOULLI[k] / k
-    _DIGAMMA_TERMS.append((k, c))
-    _TRIGAMMA_TERMS.append((k + 1, -k * c))
-
-
-def _psi_terms(power: int, order: int) -> list[tuple[int, Fraction]]:
-    """The list of terms of psi(x+1) after its ln x (power 1) or of psi'(x+1)
-    (power 2), grown until it holds every term through ``x**-order``.
-
-    The list is the live one, so it may run past ``order``.
-    """
-    while max(1, 2 * len(_DIGAMMA_TERMS)) + power - 1 <= order:  # the next term's k
-        _grow_psi_terms()
-    return _DIGAMMA_TERMS if power == 1 else _TRIGAMMA_TERMS
+    if power == 2:
+        yield 1, Fraction(1)
+    for k in itertools.chain((1,), itertools.count(2, 2)):
+        yield (k, _digamma_coefficient(k)) if power == 1 else (k + 1, _BERNOULLI[k])
 
 
 def digamma_expansion(order: int) -> AsymptoticExpansion:
     """Expansion of psi(x+1): ``ln x - sum_{k>=1} B_k / (k x^k)``, ``B_1 = -1/2``."""
     if order < 0:
         raise ValueError("order must be at least 0")
-    terms = _psi_terms(1, order)
-    return expansion([(k, c) for k, c in terms if k <= order], order, log_coeff=1)
+    terms = itertools.takewhile(lambda t: t[0] <= order, psi_terms(1))
+    return expansion(terms, order, log_coeff=1)
 
 
 def trigamma_expansion(order: int) -> AsymptoticExpansion:
@@ -327,8 +322,8 @@ def trigamma_expansion(order: int) -> AsymptoticExpansion:
     ``sum_{k>=1} B_{k-1} x**(-k)``."""
     if order < 0:
         raise ValueError("order must be at least 0")
-    terms = _psi_terms(2, order)
-    return expansion([(k, c) for k, c in terms if k <= order], order)
+    terms = itertools.takewhile(lambda t: t[0] <= order, psi_terms(2))
+    return expansion(terms, order)
 
 
 def theta_expansion(m: Fraction | int, order: int) -> AsymptoticExpansion:

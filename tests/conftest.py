@@ -31,8 +31,8 @@ def clear_psicert_caches() -> None:
     """Empty every memo psicert keeps, so that the next call runs cold.
 
     That is every ``functools`` cache found on an attribute of a loaded
-    ``psicert`` module, the Bernoulli table, and the psi and psi' terms
-    lists that :mod:`psicert.series` grows with it.
+    ``psicert`` module, psi's coefficients among them, and the Bernoulli
+    table of :mod:`psicert.series`.
     """
     for name, module in list(sys.modules.items()):
         if name == "psicert" or name.startswith("psicert."):
@@ -42,7 +42,6 @@ def clear_psicert_caches() -> None:
     from psicert import series
 
     series._BERNOULLI = series.BernoulliTable()
-    del series._DIGAMMA_TERMS[:], series._TRIGAMMA_TERMS[1:]  # psi' keeps its 1/x
 
 
 @pytest.fixture

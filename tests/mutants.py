@@ -54,6 +54,7 @@ SERIES = "src/psicert/series.py"
 ELEMENTARY = "src/psicert/elementary.py"
 EXPRESSIONS = "src/psicert/expressions.py"
 INTERVAL = "src/psicert/interval.py"
+THEOREMS = "src/psicert/theorems.py"
 
 MUTANTS: tuple[Mutant, ...] = (
     # the psi/psi' terms and their truncation
@@ -65,10 +66,20 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_polygamma.py::TestTruncation::test_diverging_expansion_raises",),
     ),
     Mutant(
+        "digamma-coefficient-sign-flipped",
+        SERIES,
+        "return _BERNOULLI[k] / -k",
+        "return _BERNOULLI[k] / k",
+        (
+            "tests/test_series.py::TestNamedExpansions::test_digamma_coefficients",
+            "tests/test_polygamma.py::TestDigamma::test_against_oracle",
+        ),
+    ),
+    Mutant(
         "trigamma-derivative-sign-flipped",
         SERIES,
-        "_TRIGAMMA_TERMS.append((k + 1, -k * c))",
-        "_TRIGAMMA_TERMS.append((k + 1, k * c))",
+        "else (k + 1, _BERNOULLI[k])",
+        "else (k + 1, -_BERNOULLI[k])",
         (
             "tests/test_series.py::TestNamedExpansions::test_trigamma_coefficients",
             "tests/test_polygamma.py::TestTrigamma::test_against_oracle",
@@ -279,6 +290,22 @@ MUTANTS: tuple[Mutant, ...] = (
         "return hi * e < lo * d",
         "return hi * e <= lo * d",
         ("tests/test_interval.py::TestPredicates::test_strict_order",),
+    ),
+    # the symbolic builders: an auxiliary that does not bound its pair's log-gap
+    Mutant(
+        "thm2-lower-truncation-parity-swapped",
+        THEOREMS,
+        "shifted9 = one_plus_shift + polycert.rational_from_expansion(trigamma_expansion(9))",
+        "shifted9 = one_plus_shift + polycert.rational_from_expansion(trigamma_expansion(11))",
+        ("tests/test_theorems.py::TestSymbolicSoundness::test_auxiliary_is_not_below_the_log_gap[THM2-lower auxiliary]",),
+    ),
+    # the root of psi
+    Mutant(
+        "zero-bisection-quarter-probe-first",
+        POLYGAMMA,
+        "probes = [(lo + hi) / 2, (3 * lo + hi) / 4, (lo + 3 * hi) / 4]",
+        "probes = [(3 * lo + hi) / 4, (lo + hi) / 2, (lo + 3 * hi) / 4]",
+        ("tests/test_polygamma.py::TestDigammaZeroNewton::test_bisection_fallback_matches_bisection",),
     ),
     # the refinement climb that every precision ladder runs
     Mutant(

@@ -167,7 +167,8 @@ class TestMemo:
 
     def test_only_these_functions_are_memoised(self):
         """A memo stays only where its arguments repeat and a hit pays: psi,
-        psi', b*, ln 2 and the catalog; exp, ln and pi are recomputed."""
+        psi', b*, ln 2, psi's coefficients and the catalog; exp, ln and pi
+        are recomputed."""
         memoised = set()
         for name in psicert._EXPORTS:
             module = importlib.import_module(f"psicert.{name}")
@@ -179,6 +180,7 @@ class TestMemo:
             "psicert.polygamma.trigamma_enclosure",
             "psicert.polygamma.batir_bstar_enclosure",
             "psicert.elementary._ln2",
+            "psicert.series._digamma_coefficient",
             "psicert.theorems._catalog",
         }
 
@@ -460,6 +462,15 @@ class TestDigammaZeroNewton:
         enclosure = digamma_zero(tolerance)
         assert (enclosure.lo, enclosure.hi) == _bisection_reference(tolerance)
         assert encloses_truth(enclosure, digamma_zero_bracket())
+
+    @pytest.mark.parametrize("exponent", [6, 12, 30])
+    def test_bisection_fallback_matches_bisection(self, exponent, monkeypatch):
+        """A cover that never narrows the bracket stops Newton at its first
+        step, so the bisection with certified signs runs from [1, 2]."""
+        monkeypatch.setattr(psicert.polygamma, "_dyadic_cover", lambda a, b, level: (F(1), F(2)))
+        tolerance = F(1, 10**exponent)
+        enclosure = digamma_zero(tolerance)
+        assert (enclosure.lo, enclosure.hi) == _bisection_reference(tolerance)
 
     def test_probe_count_at_high_precision(self):
         digamma_enclosure.cache_clear()

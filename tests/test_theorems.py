@@ -8,23 +8,33 @@ import pytest
 
 from psicert import (
     Exp,
+    Expr,
     Interval,
     Ln,
+    Trigamma,
     Var,
     catalog,
     certify_symbolic,
     check_grid,
     compare_bounds,
     default_grid,
+    evaluate,
     geometric_grid,
+    iv_ln,
     tightness_report,
 )
 from psicert.cli import _report_json
 from psicert.theorems import (
+    _SYMBOLIC_BUILDERS,
+    _X,
+    _X1,
     GridEvidence,
     InequalityPair,
     SymbolicEvidence,
+    _M_expr,
     _decide_pair,
+    _m_expr,
+    _thm3a_corrections,
     combined_total,
     entry,
     symbolic_ids,
@@ -276,6 +286,61 @@ class TestSymbolicCertificates:
     def test_unknown_id_raises_with_choices(self):
         with pytest.raises(ValueError, match="THM3a-lower"):
             certify_symbolic("BATIR")
+
+
+def _log_gaps() -> dict[tuple[str, str], Expr]:
+    """The log-gap of the catalog pair that each symbolic branch proves, as an
+    ``Expr`` over the catalog's pieces: negative exactly where the pair holds,
+    so a sound auxiliary lies at or above it on the branch's ray."""
+    thm1 = {pair.label: Ln(pair.lhs) - Ln(pair.rhs) for pair in entry("THM1").pairs}
+    ln_one_plus = Ln(1 + Trigamma(_X))  # exp(m) - 1 < psi'(x) < exp(M) - 1
+    # theta(x, 1) + c < psi'(x+1), with theta's exp(1/(x+1)) alone on one side
+    thm3a = Exp(-1 / _X) - 2 * _thm3a_corrections()[0] + 2 * Trigamma(_X1)
+    return {
+        ("THM1", "lower auxiliary"): thm1["lower"],
+        ("THM1", "upper auxiliary"): thm1["upper"],
+        ("THM2", "lower auxiliary"): _m_expr() - ln_one_plus,
+        ("THM2", "negated upper auxiliary"): ln_one_plus - _M_expr(),
+        ("THM3a-lower", "lower auxiliary"): 1 / _X1 - Ln(thm3a),
+        ("R1U", "negativity"): entry("R1U").pairs[0].lhs,
+    }
+
+
+LOG_GAPS = _log_gaps()
+
+UNSOUND_BRANCHES = {
+    ("THM1", "upper auxiliary"): pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 1: the upper auxiliary proves psi'(x+1) <= (x + beta) "
+            "exp(-2 psi(x+1)), without the 1/(120 x^4); its holds verdict is "
+            "pinned by perfbench/expected_symbolic.json"
+        ),
+    ),
+}
+
+
+class TestSymbolicSoundness:
+    """A symbolic branch certifies its auxiliary negative on its ray, so the
+    auxiliary must lie at or above the log-gap of the pair it names."""
+
+    def test_every_branch_has_a_log_gap(self):
+        built = [(eid, label) for eid, build in _SYMBOLIC_BUILDERS.items() for label, _, _ in build()]
+        assert built == list(LOG_GAPS)
+
+    @pytest.mark.parametrize(
+        "eid, branch", [pytest.param(*b, marks=UNSOUND_BRANCHES.get(b, ())) for b in LOG_GAPS]
+    )
+    def test_auxiliary_is_not_below_the_log_gap(self, eid, branch):
+        aux, threshold = next(
+            (aux, start) for label, aux, start in _SYMBOLIC_BUILDERS[eid]() if label == branch
+        )
+        gap = LOG_GAPS[eid, branch]
+        for x in (threshold, threshold + 2, F(10), F(100)):
+            value = Interval.point(aux.rational_part(x))
+            for c, arg in aux.log_terms:
+                value = value + iv_ln(arg(x), 128) * c
+            assert not value.strictly_less(evaluate(gap, x, 128)), x
 
 
 @pytest.fixture(scope="module")
