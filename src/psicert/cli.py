@@ -32,20 +32,15 @@ EXIT_UNDECIDED = 1
 EXIT_USAGE = 2
 
 # Selection ``all`` is every catalog entry (grid) or every symbolic
-# certificate, read from ``theorems`` when a certify command runs.
+# certificate, read from ``theorems`` when a certify command runs.  A symbolic
+# id is an entry's id, alone or followed by a dash and a pair label
+# (``THM3a-lower``), and belongs to that entry's group.
 CERTIFY_GROUPS: dict[str, tuple[str, ...]] = {
     "thm1": ("THM1",),
     "thm2": ("THM2",),
     "thm3": ("THM3a", "THM3b"),
     "classical": ("ELE", "GUO-QI", "BATIR", "YCT", "XP1"),
     "remark1": ("R1U", "R1V", "BATIR-THETA"),
-}
-
-SYMBOLIC_GROUPS: dict[str, tuple[str, ...]] = {
-    "thm1": ("THM1",),
-    "thm2": ("THM2",),
-    "thm3": ("THM3a-lower",),
-    "remark1": ("R1U",),
 }
 
 
@@ -399,7 +394,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     every = args.selection == "all"
     reports: list[theorems.CertReport] = []
     if args.symbolic:
-        symbolic = theorems.symbolic_ids() if every else SYMBOLIC_GROUPS.get(args.selection)
+        group = CERTIFY_GROUPS.get(args.selection, ())
+        symbolic = [
+            sid
+            for sid in theorems.symbolic_ids()
+            if every or sid in group or sid.rpartition("-")[0] in group
+        ]
         if not symbolic:
             raise UsageError(
                 f"no symbolic certificates for selection {args.selection!r}"

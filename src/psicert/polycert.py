@@ -114,20 +114,15 @@ class Polynomial(Frozen):
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quotient = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        rem = list(self.coeffs)
         d, lead = other.degree, other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quotient[k] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= factor * c
-        return Polynomial(tuple(quotient)), Polynomial(tuple(rem))
+        rem = list(self.coeffs)
+        quotient = [Fraction(0)] * max(0, len(rem) - d)
+        for k in reversed(range(len(quotient))):
+            if rem[k + d]:
+                factor = quotient[k] = rem[k + d] / lead
+                for i, c in enumerate(other.coeffs):
+                    rem[k + i] -= factor * c
+        return Polynomial(quotient), Polynomial(rem[:d])
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
@@ -154,17 +149,20 @@ class Polynomial(Frozen):
 def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero:
         a, b = b, divmod(a, b)[1]
-    return a.monic() if not a.is_zero else a
+    return a.monic()
 
 
 def poly_taylor_shift(p: Polynomial, s: Fraction | int) -> Polynomial:
-    """The polynomial ``q(x) = p(x + s)``, computed by Horner in ``x + s``."""
-    s = Fraction(s)
-    shifted_x = Polynomial((s, Fraction(1)))
-    result = Polynomial(())
-    for c in reversed(p.coeffs):
-        result = result * shifted_x + Polynomial.constant(c)
-    return result
+    """The polynomial ``q(x) = p(x + s)``, by repeated synthetic division by ``x - s``.
+
+    Pass ``i`` divides ``c[i:]`` by ``x - s`` in place and leaves its remainder,
+    the ``i``-th Taylor coefficient of ``p`` at ``s``, in ``c[i]``.
+    """
+    c = list(p.coeffs)
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] += s * c[k + 1]
+    return Polynomial(c)
 
 
 class PositivityVerdict(enum.Enum):
@@ -340,23 +338,24 @@ def logexpr_derivative(e: LogRationalExpr) -> RationalFunction:
 def logexpr_limit_at_infinity(e: LogRationalExpr) -> LimitClass:
     """Classify the limit of the expression as x -> infinity, conservatively.
 
-    The log part is folded into ``ln`` of one rational function with integer
-    exponents; its limit is zero exactly when that function's numerator and
-    denominator share degree and leading coefficient.  Any case that is not
-    a certified finite limit — including one the classifier merely cannot
-    decide, such as a finite transcendental log limit — reports DIVERGES.
+    Each denominator is monic, so ``ln r = (deg num - deg den) ln x + ln(lead)
+    + o(1)``, with ``lead`` the numerator's leading coefficient.  The log part
+    tends to zero exactly when ``sum c_i (deg num_i - deg den_i) = 0`` and
+    ``prod lead_i^(c_i scale) = 1``, with ``scale`` the lcm of the ``c_i``'s
+    denominators.  Any case that is not a certified finite limit — including
+    one the classifier merely cannot decide, such as a finite transcendental
+    log limit — reports DIVERGES.
     """
     if e.log_terms:
         scale = math.lcm(*(c.denominator for c, _ in e.log_terms))
-        folded = RationalFunction.constant(1)
+        degree, lead = 0, Fraction(1)
         for c, arg in e.log_terms:
             k = int(c * scale)
             if k != 0:
-                folded = folded * arg**k
-        if folded.num.is_zero or folded.num.degree != folded.den.degree:
-            return LimitClass.DIVERGES
-        if folded.num.leading != folded.den.leading:
-            # ln of a finite limit != 1: nonzero, possibly transcendental.
+                degree += k * (arg.num.degree - arg.den.degree)
+                lead *= arg.num.leading**k
+        if degree != 0 or lead != 1:
+            # ln x diverges; ln of a finite limit != 1 is nonzero, possibly transcendental.
             return LimitClass.DIVERGES
     rational_limit = e.rational_part.limit_at_infinity()
     if rational_limit is None:

@@ -55,6 +55,7 @@ ELEMENTARY = "src/psicert/elementary.py"
 EXPRESSIONS = "src/psicert/expressions.py"
 INTERVAL = "src/psicert/interval.py"
 THEOREMS = "src/psicert/theorems.py"
+POLYCERT = "src/psicert/polycert.py"
 
 MUTANTS: tuple[Mutant, ...] = (
     # the psi/psi' terms and their truncation
@@ -291,7 +292,49 @@ MUTANTS: tuple[Mutant, ...] = (
         "return hi * e <= lo * d",
         ("tests/test_interval.py::TestPredicates::test_strict_order",),
     ),
-    # the symbolic builders: an auxiliary that does not bound its pair's log-gap
+    # the exact algebra of the ray certificates
+    Mutant(
+        "divmod-remainder-one-slot-short",
+        POLYCERT,
+        "Polynomial(rem[:d])",
+        "Polynomial(rem[:d - 1])",
+        ("tests/test_polycert.py::TestPolynomial::test_divmod_is_euclidean_division",),
+    ),
+    Mutant(
+        "taylor-shift-inner-range-one-short",
+        POLYCERT,
+        "for k in range(len(c) - 2, i - 1, -1):",
+        "for k in range(len(c) - 2, i, -1):",
+        ("tests/test_polycert.py::TestTaylorShift::test_shift_is_evaluation",),
+    ),
+    # negating the whole degree sum leaves its test against zero unchanged,
+    # so the sign flips inside each term
+    Mutant(
+        "limit-degree-difference-sign-flipped",
+        POLYCERT,
+        "degree += k * (arg.num.degree - arg.den.degree)",
+        "degree += k * (arg.num.degree + arg.den.degree)",
+        (
+            "tests/test_polycert.py::TestLogExpr::test_limit_class_matches_the_folded_reference",
+            "tests/test_polycert.py::TestLogExpr::test_fractional_log_coefficients_classify_conservatively",
+        ),
+    ),
+    # the symbolic builders.  THM1's lower auxiliary lies about 1/(120 x^4)
+    # above its pair's log-gap, so psi''s order-7 truncation, an upper bound
+    # where a lower one is needed, still leaves a sound certificate that
+    # closes; the source's reference derivative and the golden transcript
+    # kill it, not the soundness net.
+    Mutant(
+        "thm1-lower-truncation-parity-swapped",
+        THEOREMS,
+        "(Fraction(-1), polycert.rational_from_expansion(trigamma_expansion(9))),",
+        "(Fraction(-1), polycert.rational_from_expansion(trigamma_expansion(7))),",
+        (
+            "tests/test_polycert.py::TestDerivativeCrossChecks::test_thm1_lower_auxiliary_derivative",
+            "tests/test_golden.py::test_cli_output_matches_golden[certify_thm1_symbolic]",
+        ),
+    ),
+    # an auxiliary that does not bound its pair's log-gap
     Mutant(
         "thm2-lower-truncation-parity-swapped",
         THEOREMS,

@@ -8,10 +8,11 @@ function) from the unfactored expression tree.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from psicert import (
     LogRationalExpr,
@@ -42,6 +43,14 @@ def P(*ascending) -> Polynomial:
     return Polynomial.from_coeffs([F(c) for c in ascending])
 
 
+def coefficient_lists(bound, denominator, min_size, max_size):
+    return st.lists(
+        st.fractions(min_value=-bound, max_value=bound, max_denominator=denominator),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
 class TestPolynomial:
     def test_trailing_zeros_trimmed(self):
         assert P(1, 2, 0, 0) == P(1, 2)
@@ -64,6 +73,13 @@ class TestPolynomial:
         assert quotient == P(1, 1)
         assert remainder.is_zero
 
+    @given(coefficient_lists(9, 8, 0, 6), coefficient_lists(9, 8, 1, 4).filter(any))
+    def test_divmod_is_euclidean_division(self, a, b):
+        dividend, divisor = Polynomial.from_coeffs(a), Polynomial.from_coeffs(b)
+        quotient, remainder = divmod(dividend, divisor)
+        assert quotient * divisor + remainder == dividend
+        assert remainder.degree < divisor.degree
+
     def test_derivative(self):
         assert P(5, 4, 3).derivative() == P(4, 6)
 
@@ -73,11 +89,17 @@ class TestTaylorShift:
         # (x+1)^2 = x^2 + 2x + 1
         assert poly_taylor_shift(P(0, 0, 1), 1) == P(1, 2, 1)
 
-    def test_shift_is_evaluation(self):
-        p = P(3, -1, 0, 2)
-        shifted = poly_taylor_shift(p, F(5, 3))
-        for x in (F(0), F(1), F(-7, 2)):
-            assert shifted(x) == p(x + F(5, 3))
+    @given(
+        coefficient_lists(9, 8, 0, 6),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.fractions(min_value=-9, max_value=9, max_denominator=10),
+    )
+    @example([3, -1, 0, 2], F(5, 3), F(0))
+    @example([3, -1, 0, 2], F(5, 3), F(1))
+    @example([3, -1, 0, 2], F(5, 3), F(-7, 2))
+    def test_shift_is_evaluation(self, coeffs, s, x):
+        p = Polynomial.from_coeffs(coeffs)
+        assert poly_taylor_shift(p, s)(x) == p(x + s)
 
     @given(
         st.lists(
@@ -177,6 +199,43 @@ class TestRationalFunction:
         assert rf == expected
 
 
+def folded_limit(e: LogRationalExpr) -> LimitClass:
+    """Reference classifier: fold the log part into ``ln`` of one rational
+    function, ``prod r_i^(c_i scale)``, whose limit is 1 exactly when its
+    numerator and denominator share degree and leading coefficient."""
+    if e.log_terms:
+        scale = math.lcm(*(c.denominator for c, _ in e.log_terms))
+        folded = RationalFunction.constant(1)
+        for c, arg in e.log_terms:
+            k = int(c * scale)
+            if k != 0:
+                folded = folded * arg**k
+        if folded.num.is_zero or folded.num.degree != folded.den.degree:
+            return LimitClass.DIVERGES
+        if folded.num.leading != folded.den.leading:
+            return LimitClass.DIVERGES
+    rational_limit = e.rational_part.limit_at_infinity()
+    if rational_limit is None:
+        return LimitClass.DIVERGES
+    return LimitClass.ZERO if rational_limit == 0 else LimitClass.FINITE_NONZERO
+
+
+# Leading coefficients from a few values and degrees up to 2, so that the
+# degrees and leading coefficients of the log part often cancel.
+NONZERO_POLYS = st.builds(
+    lambda low, lead: Polynomial.from_coeffs([*low, lead]),
+    coefficient_lists(3, 3, 0, 2),
+    st.sampled_from([F(1), F(2), F(1, 2), F(-1)]),
+)
+RATIONAL_FUNCTIONS = st.builds(RationalFunction, NONZERO_POLYS, NONZERO_POLYS)
+LOG_COEFFICIENTS = st.sampled_from([F(c) for c in (0, 1, -1, 2, "1/2", "-1/2", "3/2")])
+LOG_EXPRS = st.builds(
+    LogRationalExpr,
+    log_terms=st.lists(st.tuples(LOG_COEFFICIENTS, RATIONAL_FUNCTIONS), max_size=3).map(tuple),
+    rational_part=RATIONAL_FUNCTIONS | st.just(RationalFunction.constant(0)),
+)
+
+
 class TestLogExpr:
     def test_derivative_of_pure_log(self):
         x = RationalFunction.x()
@@ -207,10 +266,15 @@ class TestLogExpr:
 
     def test_fractional_log_coefficients_classify_conservatively(self):
         x = RationalFunction.x()
-        # (1/2) ln((x+1)/x) -> 0, but the folding uses integer powers via
-        # the common denominator, which still must reach ZERO here
+        # (1/2) ln((x+1)/x) -> 0; the leading coefficients are compared in
+        # integer powers through the common denominator, which still must
+        # reach ZERO here
         expr = LogRationalExpr(log_terms=((F(1, 2), (x + 1) / x),), rational_part=x * 0)
         assert logexpr_limit_at_infinity(expr) is LimitClass.ZERO
+
+    @given(LOG_EXPRS)
+    def test_limit_class_matches_the_folded_reference(self, expr):
+        assert logexpr_limit_at_infinity(expr) is folded_limit(expr)
 
 
 # --- reference factorizations of the auxiliary-function derivatives --------
