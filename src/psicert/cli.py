@@ -7,7 +7,9 @@ bad flags).  All output goes to stdout; diagnostics go to stderr.
 
 Rationals on the command line are written ``p/q``, as integers, or as
 decimal literals; decimals are converted exactly, so no rounding happens at
-the boundary of the system.
+the boundary of the system.  Output prints every exact value in full, at any
+size, through ``interval._rational_text``; a literal past ``int``'s
+4,300-digit parse limit is refused with exit code 2.
 """
 
 from __future__ import annotations
@@ -53,31 +55,6 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-# str() refuses ints past sys.get_int_max_str_digits() digits (4300 by
-# default, never below 640); 1600 bits is at most 482 digits.
-_STR_PIECE_BITS = 1600
-
-
-def _int_text(n: int) -> str:
-    """``str(n)`` for ints of any size, converted in pieces under the limit."""
-    if n < 0:
-        return "-" + _int_text(-n)
-    if n.bit_length() <= _STR_PIECE_BITS:
-        return str(n)
-    # About half the decimal digits: bit_length * log10(2) / 2.
-    places = n.bit_length() * 3 // 20
-    high, low = divmod(n, 10**places)
-    return _int_text(high) + _int_text(low).rjust(places, "0")
-
-
-def _rational_text(value: Fraction) -> str:
-    """``str(value)`` for rationals of any size."""
-    numerator = _int_text(value.numerator)
-    if value.denominator == 1:
-        return numerator
-    return f"{numerator}/{_int_text(value.denominator)}"
-
-
 def _decimal(value: Fraction, places: int, direction: Callable[[Fraction], int]) -> str:
     """Fixed-point decimal rendering of an exact rational.
 
@@ -88,7 +65,7 @@ def _decimal(value: Fraction, places: int, direction: Callable[[Fraction], int])
     """
     scaled = direction(Fraction(value) * 10**places)
     sign = "-" if scaled < 0 else ""
-    digits = _int_text(abs(scaled)).rjust(places + 1, "0")
+    digits = interval._int_text(abs(scaled)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
@@ -119,8 +96,8 @@ def _iv_text(iv: interval.Interval, places: int = 20) -> str:
 
 def _iv_json(iv: interval.Interval) -> dict[str, str]:
     return {
-        "lo": _rational_text(iv.lo),
-        "hi": _rational_text(iv.hi),
+        "lo": interval._rational_text(iv.lo),
+        "hi": interval._rational_text(iv.hi),
         "lo_decimal": _decimal(iv.lo, 30, math.floor),
         "hi_decimal": _decimal(iv.hi, 30, math.ceil),
     }
@@ -130,7 +107,7 @@ def _json_value(value: object) -> object:
     if isinstance(value, interval.Interval):
         return _iv_json(value)
     if isinstance(value, Fraction):
-        return _rational_text(value)
+        return interval._rational_text(value)
     return value
 
 
@@ -161,8 +138,8 @@ def _flatten_for_csv(row: dict[str, object]) -> dict[str, object]:
     flat: dict[str, object] = {}
     for key, value in row.items():
         if isinstance(value, interval.Interval):
-            flat[f"{key}_lo"] = _rational_text(value.lo)
-            flat[f"{key}_hi"] = _rational_text(value.hi)
+            flat[f"{key}_lo"] = interval._rational_text(value.lo)
+            flat[f"{key}_hi"] = interval._rational_text(value.hi)
         else:
             flat[key] = _json_value(value)
     return flat
@@ -197,10 +174,10 @@ def _cmd_bern(args: argparse.Namespace) -> int:
         lambda: {
             "command": "bern",
             "max_index": args.n,
-            "values": {str(n): _rational_text(v) for n, v in values},
+            "values": {str(n): interval._rational_text(v) for n, v in values},
         },
-        lambda: [{"n": n, "value": _rational_text(v)} for n, v in values],
-        lambda: (f"B_{n} = {_rational_text(v)}" for n, v in values),
+        lambda: [{"n": n, "value": interval._rational_text(v)} for n, v in values],
+        lambda: (f"B_{n} = {interval._rational_text(v)}" for n, v in values),
     )
     return EXIT_OK
 
@@ -224,7 +201,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     coeffs = expansion.coeff_map()
     terms = [
-        {"power": -k, "coefficient": _rational_text(coeffs.get(k, Fraction(0)))}
+        {"power": -k, "coefficient": interval._rational_text(coeffs.get(k, Fraction(0)))}
         for k in range(-expansion.low_degree, expansion.order + 1)
     ]
     _emit(
@@ -233,7 +210,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
             "command": "series",
             "kind": args.kind,
             "order": expansion.order,
-            "log_coeff": _rational_text(expansion.log_coeff),
+            "log_coeff": interval._rational_text(expansion.log_coeff),
             "terms": terms,
         },
         lambda: terms,
@@ -244,11 +221,11 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_enclose(args: argparse.Namespace) -> int:
     x = interval.parse_rational(args.x)
+    header = {"function": args.function, "x": interval._rational_text(x)}
     if x <= 0:
-        raise UsageError(f"{args.function} enclosure requires x > 0, got {x}")
+        raise UsageError(f"{args.function} enclosure requires x > 0, got {header['x']}")
     fn = polygamma.digamma_enclosure if args.function == "digamma" else polygamma.trigamma_enclosure
     name = "psi" if args.function == "digamma" else "psi'"
-    header = {"function": args.function, "x": _rational_text(x)}
     return _emit_enclosure(
         args,
         f"{name}({header['x']})",
@@ -270,11 +247,11 @@ def _emit_enclosure(
     ``payload`` and ``row`` hold the fields that precede the enclosure in the
     json object and in the csv row.
     """
-    width = iv.hi - iv.lo
+    width, text = iv.hi - iv.lo, interval._rational_text
     _emit(
         args,
-        lambda: {**payload, "enclosure": _iv_json(iv), "width": _rational_text(width)},
-        lambda: [{**row, "lo": _rational_text(iv.lo), "hi": _rational_text(iv.hi)}],
+        lambda: {**payload, "enclosure": _iv_json(iv), "width": text(width)},
+        lambda: [{**row, "lo": text(iv.lo), "hi": text(iv.hi)}],
         lambda: [f"{label} in {_iv_text(iv)}  (width ~ {_scientific(width)})"],
     )
     return EXIT_OK
@@ -324,12 +301,12 @@ def _evidence_fields(check: theorems.CheckRecord) -> dict[str, str]:
     """A check's evidence as strings, rationals printed at any size."""
     evidence = check.evidence
     if not isinstance(evidence, theorems.GridEvidence):
-        return {"detail": evidence.detail, "ray_start": _rational_text(evidence.ray_start)}
+        return {"detail": evidence.detail, "ray_start": interval._rational_text(evidence.ray_start)}
     return {
-        "lhs_lo": _rational_text(evidence.lhs.lo),
-        "lhs_hi": _rational_text(evidence.lhs.hi),
-        "rhs_lo": _rational_text(evidence.rhs.lo),
-        "rhs_hi": _rational_text(evidence.rhs.hi),
+        "lhs_lo": interval._rational_text(evidence.lhs.lo),
+        "lhs_hi": interval._rational_text(evidence.lhs.hi),
+        "rhs_lo": interval._rational_text(evidence.rhs.lo),
+        "rhs_hi": interval._rational_text(evidence.rhs.hi),
         "work_precision": str(evidence.work_precision),
     }
 
@@ -443,7 +420,7 @@ def _tightness_outcome(rows: list[dict[str, object]]) -> str:
 def _tightness_lines(rows: list[dict[str, object]], outcome: str) -> Iterator[str]:
     for row in rows:
         yield (
-            f"x={_rational_text(row['x'])}: x^5*d1 ~ {_iv_text(row['x5_d1'], 12)}"
+            f"x={interval._rational_text(row['x'])}: x^5*d1 ~ {_iv_text(row['x5_d1'], 12)}"
             f" ({row['x5_verdict']}),"
             f" x^7*d2 ~ {_iv_text(row['x7_d2'], 12)}"
             f" ({row['x7_verdict']})"
@@ -451,8 +428,8 @@ def _tightness_lines(rows: list[dict[str, object]], outcome: str) -> Iterator[st
         yield (
             f"    gaps: thm1 ~ {_scientific(row['thm1_gap'].hi)},"
             f" thm2 ~ {_scientific(row['thm2_gap'].hi)},"
-            f" thm3a = {_rational_text(row['thm3a_gap'])},"
-            f" thm3b = {_rational_text(row['thm3b_gap'])}"
+            f" thm3a = {interval._rational_text(row['thm3a_gap'])},"
+            f" thm3b = {interval._rational_text(row['thm3b_gap'])}"
         )
     yield f"total: {outcome}"
 
@@ -462,30 +439,30 @@ def _compare_csv_rows(reports: list[theorems.ComparisonReport]) -> Iterator[dict
         for row in c.rows:
             yield {
                 "record": "bound",
-                "x": _rational_text(c.x),
+                "x": interval._rational_text(c.x),
                 "id": row.entry_id,
                 "side": row.side,
                 "target": row.target,
-                "lo": _rational_text(row.enclosure.lo),
-                "hi": _rational_text(row.enclosure.hi),
+                "lo": interval._rational_text(row.enclosure.lo),
+                "hi": interval._rational_text(row.enclosure.hi),
                 "verdict": "",
             }
         for relation in c.relations:
             yield {
                 "record": "relation",
-                "x": _rational_text(c.x),
+                "x": interval._rational_text(c.x),
                 "id": relation.label,
                 "side": "",
                 "target": "",
-                "lo": _rational_text(relation.evidence.lhs.lo),
-                "hi": _rational_text(relation.evidence.rhs.hi),
+                "lo": interval._rational_text(relation.evidence.lhs.lo),
+                "hi": interval._rational_text(relation.evidence.rhs.hi),
                 "verdict": relation.verdict,
             }
 
 
 def _compare_lines(comparisons: list[theorems.ComparisonReport], total: str) -> Iterator[str]:
     for c in comparisons:
-        yield f"x = {_rational_text(c.x)}"
+        yield f"x = {interval._rational_text(c.x)}"
         for label, iv in sorted(c.targets.items()):
             yield f"  {label:11s} = {_iv_text(iv)}"
         for row in c.rows:
@@ -529,7 +506,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "total": total,
             "points": [
                 {
-                    "x": _rational_text(c.x),
+                    "x": interval._rational_text(c.x),
                     "targets": {label: _iv_json(iv) for label, iv in c.targets.items()},
                     "bounds": [
                         {

@@ -21,6 +21,11 @@ that grid; its docstring spends them on its parts' counted errors and one
 step per end for each rounding, and its working precisions follow from that
 budget.  :func:`_grid` is the grid's exponent and every kernel's one
 precision check.
+
+Exact values become text here and nowhere else: :func:`_rational_text`
+prints a rational as ``str()`` does, but at any size, in pieces below the
+4,300 digits at which ``str()`` refuses an int.  Output and messages that
+name a value go through it; parsing keeps the limit.
 """
 
 from __future__ import annotations
@@ -52,6 +57,31 @@ def _grid(precision: int) -> int:
 
 class DomainError(ValueError):
     """An operation was applied outside its mathematical domain."""
+
+
+# str() refuses ints past sys.get_int_max_str_digits() digits (4300 by
+# default, never below 640); a piece of 1600 bits has at most 482 digits.
+_STR_PIECE_BITS = 1600
+
+
+def _int_text(n: int) -> str:
+    """``str(n)`` for ints of any size, converted in pieces under the limit."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= _STR_PIECE_BITS:
+        return str(n)
+    # About half the decimal digits: bit_length * log10(2) / 2.
+    places = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**places)
+    return _int_text(high) + _int_text(low).rjust(places, "0")
+
+
+def _rational_text(value: Fraction) -> str:
+    """``str(value)`` for rationals of any size."""
+    numerator = _int_text(value.numerator)
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{_int_text(value.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -159,7 +189,7 @@ class Interval(Frozen):
     def __init__(self, lo: Fraction | int | str, hi: Fraction | int | str) -> None:
         lo, hi = _as_fraction(lo), _as_fraction(hi)
         if lo > hi:
-            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+            raise ValueError(f"empty interval: lo={_rational_text(lo)} > hi={_rational_text(hi)}")
         a, b = lo.denominator, hi.denominator
         d = math.lcm(a, b)
         object.__setattr__(self, "_ends", (lo.numerator * (d // a), hi.numerator * (d // b), d))
@@ -269,7 +299,7 @@ class Interval(Frozen):
         return Interval._of(*_pow_ends(self._ends, exponent))
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{_rational_text(self.lo)}, {_rational_text(self.hi)}]"
 
 
 def _add_ends(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:

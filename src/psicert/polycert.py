@@ -130,21 +130,6 @@ class Polynomial(Frozen):
     def monic(self) -> "Polynomial":
         return self if self.is_zero else self * (1 / self.leading)
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            sign = "- " if c < 0 else ("+ " if parts else "")
-            mag = abs(c)
-            var = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            body = f"{mag}" if not var else (var if mag == 1 else f"{mag}*{var}")
-            parts.append(f"{sign}{body}")
-        return " ".join(parts)
-
 
 def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero:
@@ -281,9 +266,6 @@ class RationalFunction(Frozen):
         if self.num.degree == self.den.degree:
             return self.num.leading / self.den.leading
         return None
-
-    def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
 
 
 def _as_rf(value: "RationalFunction | Fraction | int") -> RationalFunction:

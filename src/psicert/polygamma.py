@@ -46,7 +46,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .elementary import _climb, _floor_log2, _tolerance_bits, iv_exp, iv_ln, iv_pi
-from .interval import DomainError, Interval, _add_ends, _grid, _outward, round_outward
+from .interval import (
+    DomainError, Interval, _add_ends, _grid, _outward, _rational_text, round_outward
+)
 from .series import psi_terms
 
 __all__ = [
@@ -168,7 +170,7 @@ def _parts(
     precision and so is taken below one step, ``2**-s``."""
     x = Fraction(x)
     if x <= 0:
-        raise DomainError(f"argument must be positive, got {x}")
+        raise DomainError(f"argument must be positive, got {_rational_text(x)}")
     s = _grid(bits)
     w = bits + 2
     n = _shift_count(x, w)

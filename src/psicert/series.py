@@ -10,7 +10,10 @@ numbers come from tangent numbers in one growing table
 (:class:`BernoulliTable`).  The terms of psi(x+1) are stated once, as
 ``-B_k / (k x**k)``, in one stream that reads the table one Bernoulli number
 a term (:func:`psi_terms`); psi'(x+1) and ``psi'(x+1) exp(2 psi(x+1))`` are
-derived from them as derivatives.
+derived from them as derivatives.  theta's two exponentials come from their
+own coefficient recurrences (:func:`theta_expansion`).  An expansion prints
+(:func:`format_expansion`) through :mod:`psicert.interval`'s converter, so a
+coefficient of any size prints in full.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 
-from .interval import Frozen
+from .interval import Frozen, _rational_text
 
 __all__ = [
     "AsymptoticExpansion",
@@ -235,7 +238,7 @@ def series_exp(f: AsymptoticExpansion) -> AsymptoticExpansion:
     if f.log_coeff.denominator != 1 or f.log_coeff < 0:
         raise UnsupportedOperationError(
             "exp of an expansion requires a nonnegative integer ln coefficient, "
-            f"got {f.log_coeff}"
+            f"got {_rational_text(f.log_coeff)}"
         )
     if f.low_degree > 0:
         raise UnsupportedOperationError("exp of a growing expansion is not representable")
@@ -327,13 +330,23 @@ def trigamma_expansion(order: int) -> AsymptoticExpansion:
 
 
 def theta_expansion(m: Fraction | int, order: int) -> AsymptoticExpansion:
-    """Expansion of ``(exp(m/(x+1)) - exp(-m/x)) / (2m)``."""
+    """Expansion of ``(exp(m/(x+1)) - exp(-m/x)) / (2m)``.
+
+    ``f = exp(m/(x+1)) = sum_k c_k x**-k`` solves ``(x+1)**2 f' = -m f``, so
+    ``c_0 = 1``, ``c_1 = m`` and ``(k+1) c_{k+1} = (m - 2k) c_k - (k-1) c_{k-1}``;
+    the coefficients of ``exp(-m/x)`` are ``(-m)**k / k!``.
+    """
     m = Fraction(m)
     if m == 0:
         raise ValueError("the parameter must be nonzero")
-    grow = series_exp(series_scale(reciprocal_shift_expansion(1, order), m))
-    decay = series_exp(series_scale(reciprocal_shift_expansion(0, order), -m))
-    return series_scale(series_sub(grow, decay), Fraction(1, 2) / m)
+    if order < 0:
+        raise ValueError("order must be at least 0")
+    grow, decay = [Fraction(1), m], [Fraction(1), -m]
+    for k in range(1, order):
+        grow.append(((m - 2 * k) * grow[k] - (k - 1) * grow[k - 1]) / (k + 1))
+        decay.append(decay[k] * -m / (k + 1))
+    half = 1 / (2 * m)
+    return expansion({k: (grow[k] - decay[k]) * half for k in range(order + 1)}, order)
 
 
 def trigamma_exp_digamma_expansion(order: int) -> AsymptoticExpansion:
@@ -355,28 +368,22 @@ def trigamma_exp_digamma_expansion(order: int) -> AsymptoticExpansion:
 # ---------------------------------------------------------------------------
 
 
-def _term_str(k: int, c: Fraction) -> str:
-    mag = -c if c < 0 else c
-    if k == 0:
-        body = str(mag)
-    else:
-        power = "x" if abs(k) == 1 else f"x^{abs(k)}"
-        if k > 0:
-            body = f"{mag.numerator}/({mag.denominator}{power})" if mag.denominator != 1 else f"{mag}/{power}"
-        else:
-            body = f"{mag}{power}" if mag != 1 else power
-    return ("- " if c < 0 else "+ ") + body
-
-
 def format_expansion(e: AsymptoticExpansion) -> str:
     """Human-readable rendering, e.g. ``ln(x) + 1/(2x) - 1/(12x^2) + O(x^-3)``."""
     parts: list[str] = []
     if e.log_coeff != 0:
-        prefix = "" if e.log_coeff == 1 else f"{e.log_coeff} "
-        parts.append(f"{prefix}ln(x)")
-    for k, c in sorted(e.coeffs):
-        parts.append(_term_str(k, c))
-    rendered = " ".join(parts) if parts else "0"
-    if rendered.startswith("+ "):
-        rendered = rendered[2:]
+        prefix = "" if e.log_coeff == 1 else f"{_rational_text(e.log_coeff)} "
+        parts.append(f"+ {prefix}ln(x)")
+    for k, c in e.coeffs:
+        mag = _rational_text(abs(c))
+        power = "x" if abs(k) == 1 else f"x^{abs(k)}"
+        numerator, _, denominator = mag.partition("/")
+        if k == 0:
+            body = mag
+        elif k > 0:
+            body = f"{numerator}/({denominator}{power})" if denominator else f"{mag}/{power}"
+        else:
+            body = power if mag == "1" else f"{mag}{power}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    rendered = " ".join(parts).removeprefix("+ ") or "0"
     return f"{rendered} + O(x^-{e.order + 1})"

@@ -45,7 +45,7 @@ from .expressions import (
     evaluate,
     rational_function,
 )
-from .interval import Frozen, Interval
+from .interval import Frozen, Interval, _rational_text
 from .series import expansion, series_exp, trigamma_expansion
 
 __all__ = [
@@ -438,7 +438,7 @@ def _validated_grid(e: InequalityEntry, grid: list[Fraction]) -> list[Fraction]:
     if low < e.domain_start or (e.open_start and low <= e.domain_start):
         bound = f"> {e.domain_start}" if e.open_start else f">= {e.domain_start}"
         raise ValueError(
-            f"grid point {low} outside domain of {e.id} (requires x {bound})"
+            f"grid point {_rational_text(low)} outside domain of {e.id} (requires x {bound})"
         )
     return points
 
@@ -499,7 +499,7 @@ def check_grid(
     for x in points:
         for pair in e.pairs:
             verdict, evidence = _decide_pair(pair, x, work_precision)
-            checks.append(CheckRecord(f"{pair.label} at x={x}", verdict, evidence))
+            checks.append(CheckRecord(f"{pair.label} at x={_rational_text(x)}", verdict, evidence))
     expr = e.monotone_expr
     if expr is not None:
         for a, b in zip(points, points[1:]):

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 # The CLI tests run ``python -m psicert`` in subprocesses; they must import
 # the same sources as this process, which pytest's ``pythonpath`` setting
@@ -22,6 +22,9 @@ settings.register_profile(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    # The explain phase runs after a failing example has shrunk and imports
+    # libcst to annotate it: seconds per failing test, and no verdict changes.
+    phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 settings.load_profile("default")
 

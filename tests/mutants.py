@@ -107,6 +107,16 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "theta-recurrence-second-weight-off-by-one",
+        SERIES,
+        "(k - 1) * grow[k - 1]",
+        "k * grow[k - 1]",
+        (
+            "tests/test_series.py::TestNamedExpansions::test_theta_expansion_values",
+            "tests/test_series.py::TestAlgebra::test_deep_theta_matches_fraction_recurrence",
+        ),
+    ),
+    Mutant(
         "reciprocal-sum-n-ulps-dropped",
         POLYGAMMA,
         "    return total, total + n, w\n",
@@ -291,6 +301,14 @@ MUTANTS: tuple[Mutant, ...] = (
         "return hi * e < lo * d",
         "return hi * e <= lo * d",
         ("tests/test_interval.py::TestPredicates::test_strict_order",),
+    ),
+    # exact text past str()'s digit limit
+    Mutant(
+        "int-text-join-one-zero-short",
+        INTERVAL,
+        'rjust(places, "0")',
+        'rjust(places - 1, "0")',
+        ("tests/test_cli.py::TestExactPrinting::test_int_text_matches_str",),
     ),
     # the exact algebra of the ray certificates
     Mutant(

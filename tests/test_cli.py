@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,11 +24,13 @@ from psicert import (
     check_grid,
     compare_bounds,
     digamma_enclosure,
+    digamma_expansion,
+    iv_pi,
     parse_rational,
     trigamma_enclosure,
 )
-from psicert.cli import _emit, _int_text, _iv_json, _iv_text, _rational_text, _scientific
-from psicert.interval import ROUNDING_GUARD_BITS
+from psicert.cli import _emit, _iv_json, _iv_text, _scientific
+from psicert.interval import ROUNDING_GUARD_BITS, _int_text, _rational_text
 
 from _oracles import _to_mpf, encloses_truth, scaled_bracket
 from golden.regen import capture
@@ -48,13 +52,9 @@ def run_json(*args: str) -> tuple[dict, int]:
     return json.loads(proc.stdout), proc.returncode
 
 
-@pytest.fixture
-def unlimited_int_str():
-    """Lift the int/str digit limit in this test process only.
-
-    The CLI runs in a subprocess with the default limit, so what it prints
-    is still produced under that limit; only the checks here parse it.
-    """
+@contextlib.contextmanager
+def int_str_unlimited():
+    """Lift the int/str digit limit in this test process, for the block."""
     if not hasattr(sys, "set_int_max_str_digits"):  # Python without the limit
         yield
         return
@@ -64,6 +64,43 @@ def unlimited_int_str():
         yield
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+@pytest.fixture
+def unlimited_int_str():
+    """Lift the int/str digit limit in this test process only.
+
+    The CLI runs in a subprocess with the default limit, so what it prints
+    is still produced under that limit; only the checks here parse it.
+    """
+    with int_str_unlimited():
+        yield
+
+
+def read_back_expansion(line: str) -> dict[int, str]:
+    """``{k: coefficient of x**-k}`` read from a ``format_expansion`` line,
+    as rational text; a leading ``ln(x)`` is skipped."""
+    rendered, remainder, _ = line.rpartition(" + O(x^-")
+    assert remainder, line
+    tokens = rendered.split(" ")
+    if tokens[0] not in ("+", "-"):
+        tokens.insert(0, "+")
+    coefficients = {}
+    for sign, term in zip(tokens[::2], tokens[1::2]):
+        if term == "ln(x)":
+            continue
+        if match := re.fullmatch(r"(\d+)/\((\d+)x(?:\^(\d+))?\)", term):
+            k, value = int(match[3] or 1), f"{match[1]}/{match[2]}"
+        elif match := re.fullmatch(r"(\d+)/x(?:\^(\d+))?", term):
+            k, value = int(match[2] or 1), match[1]
+        elif match := re.fullmatch(r"(\d+(?:/\d+)?)?x(?:\^(\d+))?", term):
+            k, value = -int(match[2] or 1), match[1] or "1"
+        else:
+            assert re.fullmatch(r"\d+(?:/\d+)?", term), term
+            k, value = 0, term
+        assert k not in coefficients, line
+        coefficients[k] = value if sign == "+" else "-" + value
+    return coefficients
 
 
 class TestSeriesCommand:
@@ -201,9 +238,11 @@ class TestEncloseCommand:
             assert parse_rational(data["enclosure"][end]).denominator <= 2 ** (64 + ROUNDING_GUARD_BITS)
 
     def test_rejects_nonpositive_argument(self):
-        proc = run_cli("enclose", "digamma", "--", "-3")
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
+        # -1e-5000's denominator has more digits than str() prints
+        for argv in (("--", "-3"), ("-1e-5000",)):
+            proc = run_cli("enclose", "digamma", *argv)
+            assert proc.returncode == 2
+            assert "error: digamma enclosure requires x > 0" in proc.stderr
 
     def test_rejects_malformed_rational(self):
         proc = run_cli("enclose", "digamma", "two")
@@ -460,6 +499,17 @@ class TestExactPrinting:
         q = F(rng.getrandbits(20_000), rng.getrandbits(30_000) | 1)
         assert _rational_text(q) == str(q)
 
+    def test_str_beyond_str_limit(self):
+        """str() of an interval and of an expansion prints at the default limit
+        what the plain str() of each value prints without it."""
+        pi, psi = iv_pi(16384), digamma_expansion(2200)
+        pi_text, psi_text = str(pi), str(psi)
+        with int_str_unlimited():
+            assert pi_text == f"[{pi.lo}, {pi.hi}]"
+            assert psi_text.startswith("ln(x) + 1/(2x) - 1/(12x^2) + ")
+            assert psi_text.endswith(" + O(x^-2201)")
+            assert read_back_expansion(psi_text) == {k: str(c) for k, c in psi.coeffs}
+
     def test_scientific_beyond_str_limit(self):
         assert _scientific(F(1, 7**6000)) == "2.581e-5071"
         assert _scientific(F(-(10**5000) * 123456, 100)) == "-1.235e+5003"
@@ -522,6 +572,30 @@ class TestLargeExactEndpoints:
         checks = check_grid("THM2", [F(self.P, self.Q), F(4)]).checks
         assert len(checks) == 4
         self.assert_parses_back(printed, checks)
+
+    @pytest.mark.parametrize(
+        ("kind", "order"), [("digamma", "2200"), ("theta", "1700"), ("product", "1200")]
+    )
+    def test_series_text_prints_the_json_coefficients(self, kind, order):
+        command = ("series", kind, "--order", order)
+        # both formats at once: the product's expansion takes seconds to build
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "psicert", "--format", fmt, *command],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for fmt in ("text", "json")
+        ]
+        (text, text_err), (printed_json, json_err) = [run.communicate(timeout=300) for run in runs]
+        assert [run.returncode for run in runs] == [0, 0], text_err + json_err
+        data = json.loads(printed_json)
+        expected = {-t["power"]: t["coefficient"] for t in data["terms"] if t["coefficient"] != "0"}
+        assert len(expected) > 100
+        (line,) = text.splitlines()
+        assert line.startswith("ln(x) + ") == (data["log_coeff"] == "1")
+        assert read_back_expansion(line) == expected
 
     def test_report_compare(self, unlimited_int_str):
         data = self.outputs("report", "compare")

@@ -196,11 +196,20 @@ class TestGridChecks:
             check_grid("THM1", [F(2), F(4)])
         with pytest.raises(ValueError, match="outside domain"):
             check_grid("ELE", [F(0), F(1)])
+        # a point whose denominator has more digits than str() prints
+        with pytest.raises(ValueError, match="outside domain"):
+            check_grid("ELE", [F(-1, 10**5000), F(1)])
 
     def test_grid_is_sorted_and_deduplicated(self):
         report = check_grid("GUO-QI", [F(2), F(1), F(2)])
         labels = [c.label for c in report.checks]
         assert labels == ["upper at x=1", "upper at x=2"]
+
+    def test_labels_print_points_beyond_str_limit(self):
+        report = check_grid("THM2", [F(3 * 10**5000 + 1, 10**5000)])
+        assert report.total == "holds"
+        point = "3" + "0" * 4999 + "1/1" + "0" * 5000
+        assert [c.label for c in report.checks] == [f"lower at x={point}", f"upper at x={point}"]
 
     def test_evidence_fields(self):
         report = check_grid("THM2", [F(3)])
